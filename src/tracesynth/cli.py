@@ -231,3 +231,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -64,18 +64,6 @@ def count_statements(seq) -> int:
     return n
 
 
-def count_visible_lets(seq) -> int:
-    n = 0
-    for ins in seq:
-        if isinstance(ins, dsl.LetVisible):
-            n += 1
-        elif isinstance(ins, dsl.Ite):
-            n += count_visible_lets(ins.then) + count_visible_lets(ins.els)
-        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-            n += count_visible_lets(ins.body)
-    return n
-
-
 def count_br_usages(program: dsl.Program) -> int:
     return dsl.count_reads(program.body, BR)
 

@@ -12,18 +12,14 @@ and hidden functions are unique program-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .hidden import HiddenFnBody, print_hidden_fn
 from .jsonvals import canonical_dumps, canonical_eq, dumps_pretty
 
 
 class DslError(Exception):
-    pass
-
-
-class SubstitutionError(DslError):
     pass
 
 
@@ -375,16 +371,6 @@ def rename_reads(seq, old: str, new: str):
     return walk(seq)
 
 
-def substitute(seq, old: str, new: str):
-    """Rename reads of old to new. Rejects sequences that bind either name."""
-    binders = seq_binders(seq)
-    if old in binders:
-        raise SubstitutionError(f"{old} is bound inside the sequence")
-    if new in binders:
-        raise SubstitutionError(f"{new} would be captured by a binder")
-    return rename_reads(seq, old, new)
-
-
 # --- validation ------------------------------------------------------------
 
 
@@ -447,15 +433,20 @@ def validate_program(p: Program) -> None:
 
 
 def print_pred(p, parent: str = "") -> str:
+    """parent is the operator of the enclosing binary predicate, with
+    "-right" appended for its right operand: both operators parse
+    left-associative, so a right operand of the same operator needs
+    parentheses."""
     if isinstance(p, PTrue):
         return "true"
     if isinstance(p, PFalse):
         return "false"
     if isinstance(p, POr):
-        s = f"{print_pred(p.left, 'or')} || {print_pred(p.right, 'or')}"
-        return f"({s})" if parent == "and" else s
+        s = f"{print_pred(p.left, 'or')} || {print_pred(p.right, 'or-right')}"
+        return f"({s})" if parent in ("and", "and-right", "or-right") else s
     if isinstance(p, PAnd):
-        return f"{print_pred(p.left, 'and')} && {print_pred(p.right, 'and')}"
+        s = f"{print_pred(p.left, 'and')} && {print_pred(p.right, 'and-right')}"
+        return f"({s})" if parent == "and-right" else s
     if isinstance(p, PNot):
         return f"!({print_pred(p.inner)})"
     if isinstance(p, ValueCheck):
@@ -549,8 +540,6 @@ def _equiv_expr(a, b, vm: _RenameMap, fm: _RenameMap) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Const):
-        from .jsonvals import canonical_eq
-
         return canonical_eq(a.value, b.value)
     if isinstance(a, VarRef):
         return vm.match(a.name, b.name)
@@ -579,8 +568,6 @@ def _equiv_pred(a, b, vm: _RenameMap) -> bool:
     if isinstance(a, PNot):
         return _equiv_pred(a.inner, b.inner, vm)
     if isinstance(a, ValueCheck):
-        from .jsonvals import canonical_eq
-
         return vm.match(a.var, b.var) and canonical_eq(a.const, b.const)
     if isinstance(a, Compare):
         return a.op == b.op and vm.match(a.left, b.left) and vm.match(a.right, b.right)

@@ -13,21 +13,13 @@ zero iterations on an empty list.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import dsl
-from .hidden import HiddenEvalError, eval_hidden
-from .jsonvals import ABSENT, JsonValue, canonical_eq, canonical_dumps
-from .traces import (
-    PerIteration,
-    Scalar,
-    Trace,
-    TraceSet,
-    TraceValuation,
-    extract_inputs,
-)
+from .jsonvals import JsonValue, canonical_eq, canonical_dumps
+from .terms import term_evaluator
+from .traces import Trace, TraceSet, TraceValuation, extract_inputs
 
 CONT = "cont"
 STOP = "stop"
@@ -80,18 +72,14 @@ class GlobalOracle:
 
 @dataclass
 class ExecutionRecorder:
-    """Capture of binding and read events during one run."""
+    """Capture of binding and call events during one run."""
 
     bind_events: List[Tuple[str, JsonValue, bool]] = field(default_factory=list)
-    read_counts: Counter = field(default_factory=Counter)
     calls: List[Tuple[str, dict, JsonValue]] = field(default_factory=list)
     stopped: bool = False
 
     def on_bind(self, var: str, value: JsonValue, in_loop: bool):
         self.bind_events.append((var, value, in_loop))
-
-    def on_read(self, var: str):
-        self.read_counts[var] += 1
 
     def on_call(self, api: str, request: dict, response: JsonValue):
         self.calls.append((api, request, response))
@@ -126,8 +114,6 @@ def execute(
     def read(var: str) -> JsonValue:
         if var not in state.bindings:
             raise EvalError(f"read of unbound variable {var}")
-        if recorder:
-            recorder.on_read(var)
         return state.bindings[var]
 
     def bind(var: str, value: JsonValue):
@@ -135,66 +121,22 @@ def execute(
         if recorder:
             recorder.on_bind(var, value, loop_depth > 0)
 
-    def ev_expr(e) -> JsonValue:
-        if isinstance(e, dsl.Const):
-            return e.value
-        if isinstance(e, dsl.VarRef):
-            return read(e.name)
-        if isinstance(e, dsl.Ternary):
-            return ev_expr(e.then_expr) if ev_pred(e.pred) else ev_expr(e.else_expr)
-        if isinstance(e, dsl.HiddenCall):
-            body = hidden.get(e.fn_name)
-            if body is None:
-                raise EvalError(f"hidden function {e.fn_name} has no definition")
-            args = [read(a) for a in e.args]
-            try:
-                return eval_hidden(body, args)
-            except HiddenEvalError as exc:
-                raise EvalError(str(exc)) from exc
-        raise EvalError(f"not an expression: {e!r}")
-
-    def ev_pred(p) -> bool:
-        if isinstance(p, dsl.PTrue):
-            return True
-        if isinstance(p, dsl.PFalse):
-            return False
-        if isinstance(p, dsl.PAnd):
-            return ev_pred(p.left) and ev_pred(p.right)
-        if isinstance(p, dsl.POr):
-            return ev_pred(p.left) or ev_pred(p.right)
-        if isinstance(p, dsl.PNot):
-            return not ev_pred(p.inner)
-        if isinstance(p, dsl.ValueCheck):
-            return canonical_eq(read(p.var), p.const)
-        if isinstance(p, dsl.Compare):
-            lv, rv = read(p.left), read(p.right)
-            ok = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (ok(lv) and ok(rv)):
-                raise EvalError(f"comparison {p.op} needs numeric operands")
-            return {">=": lv >= rv, ">": lv > rv, "<=": lv <= rv, "<": lv < rv}[p.op]
-        raise EvalError(f"not a predicate: {p!r}")
+    ev = term_evaluator(read, read, hidden, EvalError)
 
     def exec_instr(ins) -> str:
         nonlocal loop_depth
         if isinstance(ins, dsl.LetVisible):
-            request = {name: ev_expr(arg) for name, arg in ins.args}
+            request = {name: ev(arg) for name, arg in ins.args}
             response = visible(ins.api, request)
             if recorder:
                 recorder.on_call(ins.api, request, response)
             bind(ins.var, response)
             return CONT
         if isinstance(ins, dsl.LetHidden):
-            body = hidden.get(ins.fn)
-            if body is None:
-                raise EvalError(f"hidden function {ins.fn} has no definition")
-            args = [read(a) for a in ins.args]
-            try:
-                bind(ins.var, eval_hidden(body, args))
-            except HiddenEvalError as exc:
-                raise EvalError(str(exc)) from exc
+            bind(ins.var, ev(dsl.HiddenCall(ins.fn, ins.args)))
             return CONT
         if isinstance(ins, dsl.Ite):
-            branch = ins.then if ev_pred(ins.pred) else ins.els
+            branch = ins.then if ev(ins.pred) else ins.els
             return exec_seq(branch)
         if isinstance(ins, dsl.RetryUntil):
             count = state.loop_counters.get(ins.loop_id, 0)
@@ -206,13 +148,13 @@ def execute(
                         return STOP
                     count += 1
                     state.loop_counters[ins.loop_id] = count
-                    if ev_pred(ins.pred) or count >= retry_bound:
+                    if ev(ins.pred) or count >= retry_bound:
                         state.loop_counters[ins.loop_id] = 0
                         return CONT
             finally:
                 loop_depth -= 1
         if isinstance(ins, dsl.Foreach):
-            items = ev_expr(ins.source)
+            items = ev(ins.source)
             if not isinstance(items, list):
                 raise EvalError(
                     f"foreach source must be a list, got {type(items).__name__}"
@@ -296,60 +238,3 @@ def check_psi(
     retry_bound: int,
 ) -> bool:
     return not psi_failures(program, sigma, ts, retry_bound)
-
-
-def _loop_bound_vars(seq) -> set:
-    """Variables whose binder sits inside some loop body, plus foreach
-    loop variables."""
-    out = set()
-
-    def walk(seq, in_loop):
-        for ins in seq:
-            if isinstance(ins, (dsl.LetVisible, dsl.LetHidden)):
-                if in_loop:
-                    out.add(ins.var)
-            elif isinstance(ins, dsl.Ite):
-                walk(ins.then, in_loop)
-                walk(ins.els, in_loop)
-            elif isinstance(ins, dsl.RetryUntil):
-                walk(ins.body, True)
-            elif isinstance(ins, dsl.Foreach):
-                out.add(ins.var)
-                walk(ins.body, True)
-
-    walk(seq, False)
-    return out
-
-
-def valuation_from_execution(
-    program: dsl.Program,
-    ts: TraceSet,
-    inputs: Dict[str, Dict[int, JsonValue]],
-    retry_bound: int,
-) -> TraceValuation:
-    """Rebuild the full valuation by replaying every trace: scalar cells
-    for straight-line binders, per-iteration cells for loop binders,
-    absent where a trace's control path never bound the variable."""
-    loop_vars = _loop_bound_vars(program.body)
-    all_vars = dsl.seq_binders(program.body)
-    entries: Dict[Tuple[str, int], object] = {}
-    for i in ts.indices():
-        per_trace = {p: inputs[p][i] for p in program.params}
-        rec = ExecutionRecorder()
-        ok, reason = replay_check(program, per_trace, ts.trace(i), retry_bound, rec)
-        if not ok:
-            raise EvalError(f"trace {i}: replay failed: {reason}")
-        for p in program.params:
-            entries[(p, i)] = Scalar(per_trace[p])
-        bound: Dict[str, List[JsonValue]] = {}
-        for var, value, _ in rec.bind_events:
-            bound.setdefault(var, []).append(value)
-        for var in all_vars:
-            values = bound.get(var, [])
-            if var in loop_vars:
-                entries[(var, i)] = PerIteration(tuple(values))
-            elif values:
-                entries[(var, i)] = Scalar(values[-1])
-            else:
-                entries[(var, i)] = Scalar(ABSENT)
-    return TraceValuation(params=tuple(program.params), entries=entries)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .hidden import (
@@ -42,10 +42,8 @@ from .hidden import (
     Slice,
     eval_bool,
     eval_path,
-    expr_size,
 )
 from .jsonvals import (
-    ABSENT,
     JsonValue,
     canonical_dumps,
     is_absent,
@@ -66,18 +64,6 @@ class IOExample:
 class GrammarConfig:
     max_size: int = 8
     timeout: Optional[float] = None
-
-
-def split_subgrammars(cfg: GrammarConfig, n: int) -> List[GrammarConfig]:
-    """Ascending-budget stages whose last stage is the full grammar.
-    Running them in order is equivalent to one full run but lets
-    callers stop early on cheap solutions."""
-    if n < 1:
-        raise ValueError("need at least one stage")
-    budgets = sorted({max(1, (cfg.max_size * k) // n) for k in range(1, n + 1)})
-    if budgets[-1] != cfg.max_size:
-        budgets.append(cfg.max_size)
-    return [replace(cfg, max_size=b) for b in budgets]
 
 
 @dataclass
@@ -190,7 +176,7 @@ class _Deadline:
         self.at = time.monotonic() + timeout if timeout else None
 
     def expired(self) -> bool:
-        return self.at is not None and time.monotonic() > self.at
+        return self.at is not None and time.monotonic() >= self.at
 
 
 class _Timeout(Exception):

@@ -72,26 +72,6 @@ class RewriteContext:
             self.pbe_cfg = GrammarConfig()
 
 
-REFINE_RULES = (
-    "pull",
-    "push",
-    "eliminate_empty_if",
-    "invert_empty_then",
-    "merge_nested",
-    "sequence_nested",
-    "eliminate_unused_param",
-    "inline_trivial_hidden",
-    "introduce_parameter",
-)
-
-SYNTH_RULES = (
-    "eliminate_branch_condition",
-    "eliminate_argument",
-    "introduce_retry",
-    "introduce_foreach",
-)
-
-
 # --- tree navigation ---------------------------------------------------------
 #
 # An instruction site is a tuple of ints: index within its sequence,
@@ -135,6 +115,24 @@ def replace_seq_at(seq, seq_path, new_seq):
     return seq[:i] + (ins2,) + seq[i + 1 :]
 
 
+def _seq_at(seq, seq_path):
+    for p in range(0, len(seq_path), 2):
+        ins = seq[seq_path[p]]
+        if isinstance(ins, dsl.Ite):
+            seq = ins.then if seq_path[p + 1] == 0 else ins.els
+        else:
+            seq = ins.body
+    return seq
+
+
+def _splice(body, path, new, length=1):
+    """body with the length instructions starting at site path replaced
+    by the instructions in new."""
+    seq_path, idx = path[:-1], path[-1]
+    seq = _seq_at(body, seq_path)
+    return replace_seq_at(body, seq_path, seq[:idx] + new + seq[idx + length :])
+
+
 def _site_str(path) -> str:
     return "/".join(str(p) for p in path) or "top"
 
@@ -169,25 +167,6 @@ def scope_before(program: dsl.Program, site_path) -> List[str]:
         elif isinstance(ins, dsl.Foreach):
             scope.append(ins.var)
     return scope
-
-
-def _updated_sigma(sigma, drop_vars=(), new_entries=None, params=None):
-    entries = {
-        k: v for k, v in sigma.entries.items() if k[0] not in set(drop_vars)
-    }
-    if new_entries:
-        entries.update(new_entries)
-    return TraceValuation(
-        params=tuple(params) if params is not None else sigma.params,
-        entries=entries,
-    )
-
-
-def _transform(description, drop_vars=(), new_entries=None, params=None):
-    return ValuationTransform(
-        description,
-        lambda s: _updated_sigma(s, drop_vars, new_entries, params),
-    )
 
 
 def _non_absent(sigma, var, idx) -> bool:
@@ -234,7 +213,7 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
 
 def _merged_let_rewrite(
     program, sigma, ts, rule, rule_index, path, keep: dsl.LetVisible,
-    drop: dsl.LetVisible, new_seq_fn,
+    drop: dsl.LetVisible, new_instrs,
 ):
     """Shared tail of pull/push/merge: build the program with keep's
     name as the surviving binder and fold the two valuation columns."""
@@ -244,20 +223,14 @@ def _merged_let_rewrite(
         if cell is None:
             return None
         new_entries[(keep.var, i)] = cell
-    body = new_seq_fn()
-    body = dsl.rename_reads(body, drop.var, keep.var)
-    prog = replace(program, body=body)
+    body = dsl.rename_reads(_splice(program.body, path, new_instrs), drop.var, keep.var)
     return Rewrite(
         rule=rule,
         site=_site_str(path),
         path=tuple(path),
         rule_index=rule_index,
-        program=prog,
-        transform=_transform(
-            f"{rule} {keep.api} at {_site_str(path)}",
-            drop_vars=(drop.var,),
-            new_entries=new_entries,
-        ),
+        program=replace(program, body=body),
+        transform=ValuationTransform(drop_vars=(drop.var,), new_entries=new_entries),
     )
 
 
@@ -272,20 +245,12 @@ def rule_pull(program, sigma, ctx, rule_index):
         merged_args = _unify_args(a, b, ins.pred)
         if merged_args is None:
             continue
-        seq_path, idx = path[:-1], path[-1]
-        ite = ins
-
-        def new_seq(seq_path=seq_path, idx=idx, ite=ite, a=a, merged_args=merged_args):
-            seq = _seq_at(program.body, seq_path)
-            merged = dsl.LetVisible(a.var, a.api, merged_args)
-            new = seq[:idx] + (
-                merged,
-                replace(ite, then=ite.then[1:], els=ite.els[1:]),
-            ) + seq[idx + 1 :]
-            return replace_seq_at(program.body, seq_path, new)
-
+        new = (
+            dsl.LetVisible(a.var, a.api, merged_args),
+            replace(ins, then=ins.then[1:], els=ins.els[1:]),
+        )
         rw = _merged_let_rewrite(
-            program, sigma, ctx.ts, "pull", rule_index, path, a, b, new_seq
+            program, sigma, ctx.ts, "pull", rule_index, path, a, b, new
         )
         if rw:
             out.append(rw)
@@ -303,34 +268,16 @@ def rule_push(program, sigma, ctx, rule_index):
         merged_args = _unify_args(a, b, ins.pred)
         if merged_args is None:
             continue
-        seq_path, idx = path[:-1], path[-1]
-        ite = ins
-
-        def new_seq(seq_path=seq_path, idx=idx, ite=ite, a=a, merged_args=merged_args):
-            seq = _seq_at(program.body, seq_path)
-            merged = dsl.LetVisible(a.var, a.api, merged_args)
-            new = seq[:idx] + (
-                replace(ite, then=ite.then[:-1], els=ite.els[:-1]),
-                merged,
-            ) + seq[idx + 1 :]
-            return replace_seq_at(program.body, seq_path, new)
-
+        new = (
+            replace(ins, then=ins.then[:-1], els=ins.els[:-1]),
+            dsl.LetVisible(a.var, a.api, merged_args),
+        )
         rw = _merged_let_rewrite(
-            program, sigma, ctx.ts, "push", rule_index, path, a, b, new_seq
+            program, sigma, ctx.ts, "push", rule_index, path, a, b, new
         )
         if rw:
             out.append(rw)
     return out
-
-
-def _seq_at(seq, seq_path):
-    for p in range(0, len(seq_path), 2):
-        ins = seq[seq_path[p]]
-        if isinstance(ins, dsl.Ite):
-            seq = ins.then if seq_path[p + 1] == 0 else ins.els
-        else:
-            seq = ins.body
-    return seq
 
 
 # --- conditional cleanup ------------------------------------------------------
@@ -340,17 +287,14 @@ def rule_eliminate_empty_if(program, sigma, ctx, rule_index):
     out = []
     for path, ins, _ in iter_instr_sites(program.body):
         if isinstance(ins, dsl.Ite) and not ins.then and not ins.els:
-            seq_path, idx = path[:-1], path[-1]
-            seq = _seq_at(program.body, seq_path)
-            body = replace_seq_at(program.body, seq_path, seq[:idx] + seq[idx + 1 :])
             out.append(
                 Rewrite(
                     rule="eliminate_empty_if",
                     site=_site_str(path),
                     path=tuple(path),
                     rule_index=rule_index,
-                    program=replace(program, body=body),
-                    transform=_transform("drop empty conditional"),
+                    program=replace(program, body=_splice(program.body, path, ())),
+                    transform=ValuationTransform(),
                 )
             )
     return out
@@ -360,12 +304,8 @@ def rule_invert_empty_then(program, sigma, ctx, rule_index):
     out = []
     for path, ins, _ in iter_instr_sites(program.body):
         if isinstance(ins, dsl.Ite) and not ins.then and ins.els:
-            seq_path, idx = path[:-1], path[-1]
-            seq = _seq_at(program.body, seq_path)
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
-            body = replace_seq_at(
-                program.body, seq_path, seq[:idx] + (flipped,) + seq[idx + 1 :]
-            )
+            body = _splice(program.body, path, (flipped,))
             out.append(
                 Rewrite(
                     rule="invert_empty_then",
@@ -373,7 +313,7 @@ def rule_invert_empty_then(program, sigma, ctx, rule_index):
                     path=tuple(path),
                     rule_index=rule_index,
                     program=replace(program, body=body),
-                    transform=_transform("negate guard of else-only conditional"),
+                    transform=ValuationTransform(),
                 )
             )
     return out
@@ -410,20 +350,9 @@ def rule_merge_nested(program, sigma, ctx, rule_index):
             merged_args = _unify_args(a, b, ins.pred)
             if merged_args is None:
                 continue
-            seq_path, idx = path[:-1], path[-1]
-
-            def new_seq(seq_path=seq_path, idx=idx, a=a, merged_args=merged_args,
-                        new_pred=new_pred):
-                seq = _seq_at(program.body, seq_path)
-                merged = dsl.Ite(
-                    new_pred, (dsl.LetVisible(a.var, a.api, merged_args),), ()
-                )
-                return replace_seq_at(
-                    program.body, seq_path, seq[:idx] + (merged,) + seq[idx + 1 :]
-                )
-
+            new = (dsl.Ite(new_pred, (dsl.LetVisible(a.var, a.api, merged_args),), ()),)
             rw = _merged_let_rewrite(
-                program, sigma, ctx.ts, "merge_nested", rule_index, path, a, b, new_seq
+                program, sigma, ctx.ts, "merge_nested", rule_index, path, a, b, new
             )
             if rw:
                 out.append(rw)
@@ -442,15 +371,12 @@ def rule_sequence_nested(program, sigma, ctx, rule_index):
         inner = ins.then[-1]
         if not isinstance(inner, dsl.Ite) or inner.els:
             continue
-        seq_path, idx = path[:-1], path[-1]
-        seq = _seq_at(program.body, seq_path)
         combined = dsl.Ite(dsl.PAnd(ins.pred, inner.pred), inner.then, ())
         if len(ins.then) == 1:
-            new = seq[:idx] + (combined,) + seq[idx + 1 :]
+            new = (combined,)
         else:
-            first = dsl.Ite(ins.pred, ins.then[:-1], ())
-            new = seq[:idx] + (first, combined) + seq[idx + 1 :]
-        body = replace_seq_at(program.body, seq_path, new)
+            new = (dsl.Ite(ins.pred, ins.then[:-1], ()), combined)
+        body = _splice(program.body, path, new)
         out.append(
             Rewrite(
                 rule="sequence_nested",
@@ -458,7 +384,7 @@ def rule_sequence_nested(program, sigma, ctx, rule_index):
                 path=tuple(path),
                 rule_index=rule_index,
                 program=replace(program, body=body),
-                transform=_transform("sequence nested conditional"),
+                transform=ValuationTransform(),
             )
         )
     return out
@@ -479,7 +405,7 @@ def rule_eliminate_unused_param(program, sigma, ctx, rule_index):
                     path=(-1, pidx),
                     rule_index=rule_index,
                     program=replace(program, params=params),
-                    transform=_transform(f"drop unused parameter {p}", params=params),
+                    transform=ValuationTransform(params=params),
                 )
             )
     return out
@@ -560,12 +486,6 @@ def _inline_const_seq(seq, var, value):
     return tuple(new)
 
 
-def _drop_instr(body, path):
-    seq_path, idx = path[:-1], path[-1]
-    seq = _seq_at(body, seq_path)
-    return replace_seq_at(body, seq_path, seq[:idx] + seq[idx + 1 :])
-
-
 def _fn_still_used(body, fn) -> bool:
     for _, ins, _ in iter_instr_sites(body):
         if isinstance(ins, dsl.LetHidden) and ins.fn == fn:
@@ -601,7 +521,7 @@ def rule_inline_trivial_hidden(program, sigma, ctx, rule_index):
         if not isinstance(ins, dsl.LetHidden) or ins.fn not in defs:
             continue
         fn_body = defs[ins.fn]
-        body = _drop_instr(program.body, path)
+        body = _splice(program.body, path, ())
         if isinstance(fn_body.body, Input):
             target = ins.args[fn_body.body.slot]
             body2 = dsl.rename_reads(body, ins.var, target)
@@ -623,19 +543,13 @@ def rule_inline_trivial_hidden(program, sigma, ctx, rule_index):
                 path=tuple(path),
                 rule_index=rule_index,
                 program=replace(program, body=body2, hidden_defs=hidden_defs),
-                transform=_transform(
-                    f"inline trivial hidden let {ins.var}", drop_vars=(ins.var,)
-                ),
+                transform=ValuationTransform(drop_vars=(ins.var,)),
             )
         )
     return out
 
 
 # --- introduce parameter -------------------------------------------------------
-
-
-def _expr_key(e) -> str:
-    return dsl.print_expr(e)
 
 
 def rule_introduce_parameter(program, sigma, ctx, rule_index):
@@ -652,7 +566,7 @@ def rule_introduce_parameter(program, sigma, ctx, rule_index):
         for e in (expr for _, expr in ins.args):
             if not isinstance(e, dsl.Ternary) or BR not in dsl.expr_reads(e):
                 continue
-            key = _expr_key(e)
+            key = dsl.print_expr(e)
             if key in seen:
                 continue
             seen.add(key)
@@ -681,15 +595,11 @@ def rule_introduce_parameter(program, sigma, ctx, rule_index):
         out.append(
             Rewrite(
                 rule="introduce_parameter",
-                site=f"{_expr_key(e)} at {_site_str(path)}",
+                site=f"{dsl.print_expr(e)} at {_site_str(path)}",
                 path=tuple(path),
                 rule_index=rule_index,
                 program=replace(program, params=params, body=body),
-                transform=_transform(
-                    f"introduce parameter {q}",
-                    new_entries=new_entries,
-                    params=params,
-                ),
+                transform=ValuationTransform(new_entries=new_entries, params=params),
             )
         )
     return out
@@ -815,13 +725,9 @@ def rule_eliminate_branch_condition(program, sigma, ctx, rule_index):
         used = used_names(program)
         fn = fresh_name("f_", used)
         bvar = fresh_name("b_", used)
-        seq_path, idx = path[:-1], path[-1]
-        seq = _seq_at(program.body, seq_path)
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
-        body = replace_seq_at(
-            program.body, seq_path, seq[:idx] + (hidden_let, new_ite) + seq[idx + 1 :]
-        )
+        body = _splice(program.body, path, (hidden_let, new_ite))
         new_entries = {}
         for i in ctx.ts.indices():
             if i in reaching:
@@ -843,11 +749,7 @@ def rule_eliminate_branch_condition(program, sigma, ctx, rule_index):
                 program=replace(
                     program, params=params, body=body, holes=program.holes + (fn,)
                 ),
-                transform=_transform(
-                    f"replace guard with hidden predicate {fn}",
-                    new_entries=new_entries,
-                    params=params,
-                ),
+                transform=ValuationTransform(new_entries=new_entries, params=params),
                 specs=(SynthesisSpec(fn, "bool", tuple(examples)),),
             )
         )
@@ -923,18 +825,13 @@ def rule_eliminate_argument(program, sigma, ctx, rule_index):
             used = used_names(program)
             fn = fresh_name("f_", used)
             vvar = fresh_name("v_", used)
-            seq_path, idx = path[:-1], path[-1]
-            seq = _seq_at(program.body, seq_path)
             hidden_let = dsl.LetHidden(vvar, fn, tuple(scope))
             new_args = tuple(
                 (k, dsl.VarRef(vvar) if j == arg_idx else a)
                 for j, (k, a) in enumerate(ins.args)
             )
             new_stmt = replace(ins, args=new_args)
-            body = replace_seq_at(
-                program.body, seq_path,
-                seq[:idx] + (hidden_let, new_stmt) + seq[idx + 1 :],
-            )
+            body = _splice(program.body, path, (hidden_let, new_stmt))
             new_entries = {}
             if not in_loop:
                 reaching = set(_reaching(sigma, ctx.ts, ins.var))
@@ -961,10 +858,7 @@ def rule_eliminate_argument(program, sigma, ctx, rule_index):
                     path=tuple(path) + (arg_idx,),
                     rule_index=rule_index,
                     program=replace(program, body=body, holes=program.holes + (fn,)),
-                    transform=_transform(
-                        f"derive argument {name} via {fn}",
-                        new_entries=new_entries,
-                    ),
+                    transform=ValuationTransform(new_entries=new_entries),
                     specs=(SynthesisSpec(fn, "value", examples),),
                 )
             )
@@ -1056,7 +950,7 @@ def _find_spans(program) -> List[_Span]:
     return spans
 
 
-def _span_iterations(span, sigma, ts, hidden):
+def _span_iterations(span, sigma, ts):
     """Per-trace executed statements: {trace: [(stmt, response)]}.
     None if some trace never enters the span."""
     runs = {}
@@ -1150,11 +1044,15 @@ def _span_outside_reads(program, span) -> bool:
     return False
 
 
-def rule_introduce_retry(program, sigma, ctx, rule_index):
+def _loop_spans(program, sigma, ctx, n_varying):
+    """Spans that some trace runs more than once, whose calls unify
+    with exactly n_varying arguments varying within a trace, and whose
+    binders are read only inside the span. Yields (span, runs, names,
+    varying, values, chosen), chosen mapping each constant argument to
+    an expression for it."""
     hidden = program.hidden_map()
-    out = []
     for span in _find_spans(program):
-        runs = _span_iterations(span, sigma, ctx.ts, hidden)
+        runs = _span_iterations(span, sigma, ctx.ts)
         if runs is None:
             continue
         if max(len(r) for r in runs.values()) < 2:
@@ -1163,7 +1061,7 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
         if profile is None:
             continue
         names, varying, values = profile
-        if varying:
+        if len(varying) != n_varying:
             continue
         if _span_outside_reads(program, span):
             continue
@@ -1172,6 +1070,30 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
         )
         if chosen is None:
             continue
+        yield span, runs, names, varying, values, chosen
+
+
+def _roll_span(program, span, rule, rule_index, loop_instrs, fn, new_entries, spec):
+    """The rewrite replacing the span by loop_instrs, which keep only
+    the first call's binder and leave fn as a hole."""
+    path = span.seq_path + (span.start,)
+    first = span.stmts[0][1]
+    body = _splice(program.body, path, loop_instrs, span.length)
+    drop = tuple(stmt.var for _, stmt in span.stmts if stmt.var != first.var)
+    return Rewrite(
+        rule=rule,
+        site=_site_str(path),
+        path=path,
+        rule_index=rule_index,
+        program=replace(program, body=body, holes=program.holes + (fn,)),
+        transform=ValuationTransform(drop_vars=drop, new_entries=new_entries),
+        specs=(spec,),
+    )
+
+
+def rule_introduce_retry(program, sigma, ctx, rule_index):
+    out = []
+    for span, runs, names, _, _, chosen in _loop_spans(program, sigma, ctx, 0):
         first_path, first = span.stmts[0]
         scope = scope_before(program, first_path) + [first.var]
         used = used_names(program)
@@ -1182,13 +1104,8 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
         for i in ctx.ts.indices():
             n = len(runs[i])
             for it, (_, response) in enumerate(runs[i]):
-                args = []
-                for s in scope[:-1]:
-                    args.append(_cell_value(sigma.lookup(s, i)))
-                args.append(response)
-                examples.append(
-                    IOExample(args=tuple(args), output=(it == n - 1))
-                )
+                args = _scope_values(sigma, scope[:-1], i) + (response,)
+                examples.append(IOExample(args=args, output=(it == n - 1)))
         call_args = tuple((k, chosen[k]) for k in names)
         loop = dsl.RetryUntil(
             loop_id,
@@ -1198,12 +1115,6 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
             ),
             dsl.ValueCheck(svar, True),
         )
-        seq = _seq_at(program.body, span.seq_path)
-        new = seq[: span.start] + (loop,) + seq[span.start + span.length :]
-        body = replace_seq_at(program.body, span.seq_path, new)
-        drop = tuple(
-            stmt.var for _, stmt in span.stmts if stmt.var != first.var
-        )
         new_entries = {}
         for i in ctx.ts.indices():
             responses = tuple(r for _, r in runs[i])
@@ -1212,46 +1123,17 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
             new_entries[(svar, i)] = PerIteration(
                 tuple(it == n - 1 for it in range(n))
             )
+        spec = SynthesisSpec(fn, "bool", tuple(examples))
         out.append(
-            Rewrite(
-                rule="introduce_retry",
-                site=_site_str(span.seq_path + (span.start,)),
-                path=span.seq_path + (span.start,),
-                rule_index=rule_index,
-                program=replace(program, body=body, holes=program.holes + (fn,)),
-                transform=_transform(
-                    f"roll {span.api} calls into retry loop",
-                    drop_vars=drop,
-                    new_entries=new_entries,
-                ),
-                specs=(SynthesisSpec(fn, "bool", tuple(examples)),),
-            )
+            _roll_span(program, span, "introduce_retry", rule_index, (loop,), fn,
+                       new_entries, spec)
         )
     return out
 
 
 def rule_introduce_foreach(program, sigma, ctx, rule_index):
-    hidden = program.hidden_map()
     out = []
-    for span in _find_spans(program):
-        runs = _span_iterations(span, sigma, ctx.ts, hidden)
-        if runs is None:
-            continue
-        if max(len(r) for r in runs.values()) < 2:
-            continue
-        profile = _span_arg_profile(span, runs, sigma, ctx.ts, hidden)
-        if profile is None:
-            continue
-        names, varying, values = profile
-        if len(varying) != 1:
-            continue
-        if _span_outside_reads(program, span):
-            continue
-        chosen = _pick_constant_exprs(
-            span, values, sigma, ctx.ts, hidden, names, varying
-        )
-        if chosen is None:
-            continue
+    for span, runs, names, varying, values, chosen in _loop_spans(program, sigma, ctx, 1):
         vname = varying[0]
         first_path, first = span.stmts[0]
         scope = scope_before(program, first_path)
@@ -1278,32 +1160,16 @@ def rule_introduce_foreach(program, sigma, ctx, rule_index):
             dsl.VarRef(lvar),
             (dsl.LetVisible(first.var, span.api, call_args),),
         )
-        seq = _seq_at(program.body, span.seq_path)
-        new = seq[: span.start] + (prelude, loop) + seq[span.start + span.length :]
-        body = replace_seq_at(program.body, span.seq_path, new)
-        drop = tuple(
-            stmt.var for _, stmt in span.stmts if stmt.var != first.var
-        )
         new_entries = {}
         for i in ctx.ts.indices():
             responses = tuple(r for _, r in runs[i])
             new_entries[(lvar, i)] = Scalar(list(items[i]))
             new_entries[(uvar, i)] = PerIteration(tuple(items[i]))
             new_entries[(first.var, i)] = PerIteration(responses)
+        spec = SynthesisSpec(fn, "value", tuple(examples))
         out.append(
-            Rewrite(
-                rule="introduce_foreach",
-                site=_site_str(span.seq_path + (span.start,)),
-                path=span.seq_path + (span.start,),
-                rule_index=rule_index,
-                program=replace(program, body=body, holes=program.holes + (fn,)),
-                transform=_transform(
-                    f"roll {span.api} calls into foreach over {fn}",
-                    drop_vars=drop,
-                    new_entries=new_entries,
-                ),
-                specs=(SynthesisSpec(fn, "value", tuple(examples)),),
-            )
+            _roll_span(program, span, "introduce_foreach", rule_index, (prelude, loop),
+                       fn, new_entries, spec)
         )
     return out
 
@@ -1331,6 +1197,10 @@ _SYNTH_FNS = {
 }
 
 
+REFINE_RULES = tuple(_REFINE_FNS)
+SYNTH_RULES = tuple(_SYNTH_FNS)
+
+
 def enumerate_rewrites(
     program: dsl.Program,
     sigma: TraceValuation,
@@ -1338,13 +1208,13 @@ def enumerate_rewrites(
     ctx: RewriteContext,
 ) -> List[Rewrite]:
     if kind == "refine":
-        names, fns = REFINE_RULES, _REFINE_FNS
+        fns = _REFINE_FNS
     elif kind == "synth":
-        names, fns = SYNTH_RULES, _SYNTH_FNS
+        fns = _SYNTH_FNS
     else:
         raise ValueError(f"unknown rewrite kind {kind!r}")
     out: List[Rewrite] = []
-    for idx, name in enumerate(names):
-        out.extend(fns[name](program, sigma, ctx, idx))
+    for idx, fn in enumerate(fns.values()):
+        out.extend(fn(program, sigma, ctx, idx))
     out.sort(key=Rewrite.order_key)
     return out

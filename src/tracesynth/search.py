@@ -27,15 +27,14 @@ whose replay passes) wins. k=0 returns the initial program.
 from __future__ import annotations
 
 import hashlib
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from . import dsl
 from .costs import CostFn
 from .evaluator import check_psi, default_retry_bound
 from .jsonvals import ABSENT
-from .pbe import ConstraintCache, GrammarConfig
+from .pbe import ConstraintCache, GrammarConfig, _Deadline
 from .rewrites import Rewrite, RewriteContext, SynthesisSpec, enumerate_rewrites
 from .traces import (
     BR,
@@ -114,39 +113,26 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
     return program, TraceValuation(params=sigma.params, entries=entries)
 
 
-class _Deadline:
-    def __init__(self, seconds: Optional[float]):
-        self.at = time.monotonic() + seconds if seconds else None
-
-    def expired(self) -> bool:
-        return self.at is not None and time.monotonic() >= self.at
-
-
-def _solve_specs(specs, cache: ConstraintCache, pbe_cfg: GrammarConfig):
-    """Solutions for every spec, or None if any lacks one."""
-    solutions = []
-    for spec in specs:
-        result = cache.solve(list(spec.examples), spec.kind, pbe_cfg)
-        if not result.sat:
-            return None
-        solutions.append((spec.hole, result.fn_body()))
-    return solutions
-
-
-def _instantiate(program: dsl.Program, solutions) -> dsl.Program:
+def _close(program, specs, sigma, ts, ctx, retry_bound) -> Optional[dsl.Program]:
+    """The program with every hole filled by its solution; None when a
+    hole has none, the filled program is ill-formed, or it does not
+    replay."""
     holes = list(program.holes)
     hidden_defs = list(program.hidden_defs)
-    for hole, body in solutions:
-        holes.remove(hole)
-        hidden_defs.append((hole, body))
-    out = dsl.Program(
-        params=program.params,
-        body=program.body,
-        hidden_defs=tuple(hidden_defs),
-        holes=tuple(holes),
-    )
-    dsl.validate_program(out)
-    return out
+    for spec in specs:
+        result = ctx.cache.solve(list(spec.examples), spec.kind, ctx.pbe_cfg)
+        if not result.sat:
+            return None
+        holes.remove(spec.hole)
+        hidden_defs.append((spec.hole, result.fn_body()))
+    candidate = replace(program, hidden_defs=tuple(hidden_defs), holes=tuple(holes))
+    try:
+        dsl.validate_program(candidate)
+    except dsl.DslError:
+        return None
+    if not check_psi(candidate, sigma, ts, retry_bound):
+        return None
+    return candidate
 
 
 def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline):
@@ -183,38 +169,32 @@ def _try_synth(program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bo
     for c, _, rw, sigma2 in scored:
         if deadline.expired():
             return None, True
-        solutions = _solve_specs(rw.specs, ctx.cache, ctx.pbe_cfg)
-        if solutions is None:
-            continue
-        candidate = _instantiate(rw.program, solutions)
-        if not check_psi(candidate, sigma2, ts, retry_bound):
+        candidate = _close(rw.program, rw.specs, sigma2, ts, ctx, retry_bound)
+        if candidate is None:
             continue
         stats.log(rw, cost, c)
         return (candidate, sigma2, c), False
     return None, False
 
 
-def run_alternating(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
-    return _run_phased(ts, cfg, alternate=True)
-
-
-def run_rts(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
-    return _run_phased(ts, cfg, alternate=False)
+def _start(ts: TraceSet, cfg: SearchConfig):
+    """Set-up shared by the strategies: the deadline, the rewrite
+    context, and the initial program, which must replay."""
+    if cfg.cost_fn is None:
+        raise SearchError("SearchConfig.cost_fn is required")
+    retry_bound = cfg.retry_bound or default_retry_bound(ts)
+    deadline = _Deadline(cfg.timeout)
+    ctx = RewriteContext(ts, ConstraintCache(), cfg.pbe)
+    program, sigma = build_initial(ts)
+    if not check_psi(program, sigma, ts, retry_bound):
+        raise SearchError("initial program does not replay its own traces")
+    return program, sigma, retry_bound, deadline, ctx
 
 
 def _run_phased(ts: TraceSet, cfg: SearchConfig, alternate: bool) -> SearchResult:
     cost_fn = cfg.cost_fn
-    if cost_fn is None:
-        raise SearchError("SearchConfig.cost_fn is required")
-    retry_bound = cfg.retry_bound or default_retry_bound(ts)
-    deadline = _Deadline(cfg.timeout)
+    program, sigma, retry_bound, deadline, ctx = _start(ts, cfg)
     stats = SearchStats()
-    cache = ConstraintCache()
-    ctx = RewriteContext(ts, cache, cfg.pbe)
-
-    program, sigma = build_initial(ts)
-    if not check_psi(program, sigma, ts, retry_bound):
-        raise SearchError("initial program does not replay its own traces")
     cost = cost_fn(program, sigma, ts)
 
     timed_out = False
@@ -251,8 +231,8 @@ def _run_phased(ts: TraceSet, cfg: SearchConfig, alternate: bool) -> SearchResul
             continue
         break
 
-    stats.pbe_calls = cache.pbe_calls
-    stats.pbe_sat = cache.pbe_sat
+    stats.pbe_calls = ctx.cache.pbe_calls
+    stats.pbe_sat = ctx.cache.pbe_sat
     return SearchResult(program, sigma, cost, timed_out, stats)
 
 
@@ -269,18 +249,8 @@ def _digest(program: dsl.Program) -> str:
 
 def run_ksearch(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
     cost_fn = cfg.cost_fn
-    if cost_fn is None:
-        raise SearchError("SearchConfig.cost_fn is required")
-    retry_bound = cfg.retry_bound or default_retry_bound(ts)
-    deadline = _Deadline(cfg.timeout)
+    program, sigma, retry_bound, deadline, ctx = _start(ts, cfg)
     stats = SearchStats()
-    cache = ConstraintCache()
-    ctx = RewriteContext(ts, cache, cfg.pbe)
-
-    program, sigma = build_initial(ts)
-    if not check_psi(program, sigma, ts, retry_bound):
-        raise SearchError("initial program does not replay its own traces")
-
     start = _KState(program, sigma, ())
     states: List[_KState] = [start]
     seen = {_digest(program)}
@@ -318,24 +288,19 @@ def run_ksearch(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
         if deadline.expired() and state is not start:
             timed_out = True
             continue
-        solutions = _solve_specs(state.specs, cache, cfg.pbe)
-        if solutions is None:
+        candidate = _close(state.program, state.specs, state.sigma, ts, ctx, retry_bound)
+        if candidate is None:
             continue
-        candidate = _instantiate(state.program, solutions)
-        if not check_psi(candidate, state.sigma, ts, retry_bound):
-            continue
-        stats.pbe_calls = cache.pbe_calls
-        stats.pbe_sat = cache.pbe_sat
+        stats.pbe_calls = ctx.cache.pbe_calls
+        stats.pbe_sat = ctx.cache.pbe_sat
         cost = cost_fn(candidate, state.sigma, ts)
         return SearchResult(candidate, state.sigma, cost, timed_out, stats)
     raise SearchError("no state satisfies replay, not even the initial program")
 
 
 def run_search(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
-    if cfg.strategy == "alternating":
-        return run_alternating(ts, cfg)
-    if cfg.strategy == "rts":
-        return run_rts(ts, cfg)
+    if cfg.strategy in ("alternating", "rts"):
+        return _run_phased(ts, cfg, alternate=cfg.strategy == "alternating")
     if cfg.strategy == "ksearch":
         return run_ksearch(ts, cfg)
     raise SearchError(f"unknown strategy {cfg.strategy!r}")

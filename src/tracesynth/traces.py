@@ -13,12 +13,11 @@ never binds; Absent is distinct from JSON null.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
-from . import dsl
-from .hidden import eval_hidden
-from .jsonvals import ABSENT, JsonValue, canonical_eq
+from .jsonvals import ABSENT, JsonValue
+from .terms import term_evaluator
 
 
 class TraceError(Exception):
@@ -129,16 +128,6 @@ class TraceValuation:
             return cell.value
         raise ValuationError(f"{var} is per-iteration on trace {trace_idx}")
 
-    def with_entries(self, new_entries: dict, params=None) -> "TraceValuation":
-        merged = dict(self.entries)
-        merged.update(new_entries)
-        return TraceValuation(
-            params=self.params if params is None else tuple(params), entries=merged
-        )
-
-    def with_params(self, params) -> "TraceValuation":
-        return TraceValuation(params=tuple(params), entries=dict(self.entries))
-
 
 BR = "br"
 
@@ -164,7 +153,6 @@ def eval_with_lookup(e, lookup, hidden_defs=None):
     """Value of an expression or predicate with variable reads resolved
     by the lookup function. Reads of absent values fail, except as
     hidden-function arguments, which tolerate absence."""
-    h = dict(hidden_defs) if hidden_defs else {}
 
     def read(name):
         v = lookup(name)
@@ -172,50 +160,7 @@ def eval_with_lookup(e, lookup, hidden_defs=None):
             raise ValuationError(f"{name} has no value here")
         return v
 
-    def ev_expr(e):
-        if isinstance(e, dsl.Const):
-            return e.value
-        if isinstance(e, dsl.VarRef):
-            return read(e.name)
-        if isinstance(e, dsl.Ternary):
-            return ev_expr(e.then_expr) if ev_pred(e.pred) else ev_expr(e.else_expr)
-        if isinstance(e, dsl.HiddenCall):
-            if e.fn_name not in h:
-                raise ValuationError(f"hidden function {e.fn_name} has no definition")
-            return eval_hidden(h[e.fn_name], [lookup(a) for a in e.args])
-        raise ValuationError(f"not an expression: {e!r}")
-
-    def ev_pred(p):
-        if isinstance(p, dsl.PTrue):
-            return True
-        if isinstance(p, dsl.PFalse):
-            return False
-        if isinstance(p, dsl.PAnd):
-            return ev_pred(p.left) and ev_pred(p.right)
-        if isinstance(p, dsl.POr):
-            return ev_pred(p.left) or ev_pred(p.right)
-        if isinstance(p, dsl.PNot):
-            return not ev_pred(p.inner)
-        if isinstance(p, dsl.ValueCheck):
-            return canonical_eq(read(p.var), p.const)
-        if isinstance(p, dsl.Compare):
-            lv, rv = read(p.left), read(p.right)
-            num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (num(lv) and num(rv)):
-                raise ValuationError("comparison needs numeric operands")
-            return {
-                ">=": lv >= rv,
-                ">": lv > rv,
-                "<=": lv <= rv,
-                "<": lv < rv,
-            }[p.op]
-        raise ValuationError(f"not a predicate: {p!r}")
-
-    if isinstance(
-        e, (dsl.PTrue, dsl.PFalse, dsl.PAnd, dsl.POr, dsl.PNot, dsl.ValueCheck, dsl.Compare)
-    ):
-        return ev_pred(e)
-    return ev_expr(e)
+    return term_evaluator(read, lookup, hidden_defs or {}, ValuationError)(e)
 
 
 def evaluate_in_trace(e, sigma: TraceValuation, trace_idx: int, hidden_defs=None):
@@ -228,21 +173,22 @@ def evaluate_in_trace(e, sigma: TraceValuation, trace_idx: int, hidden_defs=None
 
 @dataclass(frozen=True)
 class ValuationTransform:
-    """The σ update that accompanies a rewrite; apply may raise
-    ValuationError, which rejects the rewrite."""
+    """The σ update that accompanies a rewrite: every entry of the
+    drop_vars goes, new_entries are added, and params, when given,
+    becomes the parameter list."""
 
-    description: str
-    fn: Callable[[TraceValuation], TraceValuation]
+    drop_vars: Tuple[str, ...] = ()
+    new_entries: Dict[Tuple[str, int], object] = field(default_factory=dict)
+    params: Optional[Tuple[str, ...]] = None
 
     def apply(self, sigma: TraceValuation) -> TraceValuation:
-        return self.fn(sigma)
-
-
-IDENTITY_TRANSFORM = ValuationTransform("identity", lambda sigma: sigma)
-
-
-def apply_valuation_transform(sigma: TraceValuation, t: ValuationTransform) -> TraceValuation:
-    return t.apply(sigma)
+        drop = set(self.drop_vars)
+        entries = {k: v for k, v in sigma.entries.items() if k[0] not in drop}
+        entries.update(self.new_entries)
+        return TraceValuation(
+            params=sigma.params if self.params is None else self.params,
+            entries=entries,
+        )
 
 
 def extract_inputs(sigma: TraceValuation, trace_indices) -> Dict[str, Dict[int, JsonValue]]:

@@ -247,3 +247,13 @@ def test_every_fixture_run_is_deterministic(tmp_path, capsys):
             data.pop("seconds")
             runs.append((out.read_bytes(), data))
         assert runs[0] == runs[1], name
+
+        # The printed script is the one the search found: it parses back
+        # to the same program, which replays every trace.
+        ts = load(name)
+        result = search(name)
+        script = dsl.pretty_print(result.program)
+        assert script.encode() == runs[0][0], name
+        reparsed = parse_program(script)
+        assert dsl.equiv_mod_renaming(reparsed, result.program), name
+        assert check_psi(reparsed, result.sigma, ts, default_retry_bound(ts)), name

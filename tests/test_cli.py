@@ -1,7 +1,10 @@
 """End-to-end checks for the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from tracesynth.cli import main
 from tracesynth.parser import parse_program
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = BENCH.parent / "src"
 
 REPORT_KEYS = {
     "benchmark",
@@ -85,6 +89,18 @@ def test_missing_required_flag_is_a_usage_error(capsys):
         main(["synth"])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["tracesynth", "tracesynth.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "synth"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: tracesynth synth")
+    assert "--traces" in proc.stderr
 
 
 def test_unreadable_or_invalid_inputs_exit_1(tmp_path, capsys):

@@ -18,7 +18,6 @@ from tracesynth.dsl import (
     Program,
     Return,
     RetryUntil,
-    SubstitutionError,
     Ternary,
     ValueCheck,
     VarRef,
@@ -30,7 +29,6 @@ from tracesynth.dsl import (
     seq_binders,
     seq_loop_ids,
     seq_reads,
-    substitute,
     validate_program,
 )
 from tracesynth.hidden import Child, HiddenFnBody, Input
@@ -73,22 +71,6 @@ def test_rename_reads_leaves_binders_alone():
     assert count_reads(renamed, "old") == 0
     assert count_reads(renamed, "new") == 3
     assert seq_binders(renamed) == ["x", "y"]
-
-
-def test_substitute_rejects_capturing_rename():
-    seq = (let("x", a=VarRef("p")), let("y", b=VarRef("x")))
-    with pytest.raises(SubstitutionError):
-        substitute(seq, "p", "x")
-
-
-def test_substitute_renames_free_reads_only():
-    seq = (let("x", a=VarRef("p")), let("y", b=VarRef("p")))
-    out = substitute(seq, "p", "q")
-    assert count_reads(out, "q") == 2
-    assert count_reads(out, "p") == 0
-    assert seq_binders(out) == ["x", "y"]
-    with pytest.raises(SubstitutionError):
-        substitute(seq, "x", "z")
 
 
 def make_program(body, params=("p",), hidden=(), holes=()):

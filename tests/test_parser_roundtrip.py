@@ -101,6 +101,30 @@ CASES = [
         hidden_defs=(),
         holes=("f_1",),
     ),
+    Program(
+        params=("p", "q", "r"),
+        body=(
+            Ite(
+                POr(ValueCheck("p", 3), POr(ValueCheck("q", 4), PNot(ValueCheck("r", 5)))),
+                (Return(),),
+                (),
+            ),
+        ),
+        hidden_defs=(),
+        holes=(),
+    ),
+    Program(
+        params=("p", "q", "r"),
+        body=(
+            Ite(
+                PAnd(ValueCheck("p", 3), PAnd(ValueCheck("q", 4), POr(PTrue(), PFalse()))),
+                (Return(),),
+                (),
+            ),
+        ),
+        hidden_defs=(),
+        holes=(),
+    ),
 ]
 
 

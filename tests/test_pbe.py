@@ -27,7 +27,6 @@ from tracesynth.pbe import (
     GrammarConfig,
     IOExample,
     mine_pools,
-    split_subgrammars,
     synthesize,
 )
 
@@ -252,11 +251,3 @@ def test_cache_digest_ignores_example_order():
     cache.solve(a, "value", GrammarConfig(max_size=4))
     cache.solve(b, "value", GrammarConfig(max_size=4))
     assert cache.pbe_calls == 1
-
-
-def test_split_subgrammars_ends_at_full_budget():
-    stages = split_subgrammars(GrammarConfig(max_size=8), 3)
-    assert [s.max_size for s in stages][-1] == 8
-    assert all(a.max_size < b.max_size for a, b in zip(stages, stages[1:]))
-    with pytest.raises(ValueError):
-        split_subgrammars(GrammarConfig(), 0)

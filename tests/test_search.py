@@ -130,3 +130,38 @@ def test_search_is_deterministic_across_runs():
         assert dsl.pretty_print(a.program) == dsl.pretty_print(b.program)
         assert a.cost == b.cost
         assert a.stats.rewrites == b.stats.rewrites
+
+
+def stop_instances_traces(n):
+    """stop_instances_cond-shaped logs: trace t stops its own instance,
+    reads its state (running, stopped, shutting-down in turn), and
+    force-stops it unless it is stopped."""
+    ok = {"ResponseMetadata": {"HTTPStatusCode": 200}}
+    traces = []
+    for t in range(n):
+        ids = [f"i-{t:05d}"]
+        state = ("running", "stopped", "shutting-down")[t % 3]
+        trace = [
+            {"api": "ec2.StopInstances", "request": {"InstanceIds": ids, "Force": False},
+             "response": ok},
+            {"api": "ec2.DescribeInstanceStatus", "request": {"InstanceIds": ids},
+             "response": {"InstanceStatuses": [{"InstanceState": {"Name": state}}]}},
+        ]
+        if state != "stopped":
+            trace.append(
+                {"api": "ec2.StopInstances", "request": {"InstanceIds": ids, "Force": True},
+                 "response": ok}
+            )
+        traces.append(trace)
+    return parse_traces(json.dumps(traces))
+
+
+@pytest.mark.parametrize("strategy", ["alternating", "rts"])
+def test_ill_formed_rewrites_are_rejected_not_raised(strategy):
+    # At six traces a guard rewrite reads a binder of a sibling branch;
+    # the filled-in program fails validation and must only be skipped.
+    ts = stop_instances_traces(6)
+    result = run_search(ts, config(strategy))
+    assert verify_final(result.program, result.sigma, ts)
+    initial, sigma = build_initial(ts)
+    assert result.cost < make_cost_fn("syn")(initial, sigma, ts)
