@@ -152,48 +152,87 @@ def _descend(v, key, out):
             _descend(item, key, out)
 
 
+# One step per operator: the value of e given v, the value of e.base.
+# eval_path/eval_bool recurse through these, and the enumerator applies
+# them to the stored values of a candidate's base.
+
+
+def _child(e, v):
+    if isinstance(v, dict) and e.key in v:
+        return v[e.key]
+    return None
+
+
+def _descendants(e, v):
+    out = []
+    _descend(v, e.key, out)
+    return out
+
+
+def _index(e, v):
+    if isinstance(v, list) and 0 <= e.i < len(v):
+        return v[e.i]
+    return None
+
+
+def _slice(e, v):
+    if isinstance(v, list):
+        return v[e.i : e.j]
+    return None
+
+
+def _length(e, v):
+    if isinstance(v, (list, str, dict)):
+        return len(v)
+    return None
+
+
+def _add(e, v):
+    if is_int(v):
+        return e.const + v
+    return None
+
+
+def _concat(e, v):
+    if isinstance(v, str):
+        return e.const + v
+    return None
+
+
+def _eq(e, v) -> bool:
+    return canonical_eq(v, e.const)
+
+
+def _empty(e, v) -> bool:
+    if v is None:
+        return True
+    if isinstance(v, (str, list, dict)):
+        return len(v) == 0
+    return False
+
+
+PATH_STEPS = {
+    Child: _child,
+    Descendants: _descendants,
+    Index: _index,
+    Slice: _slice,
+    Length: _length,
+    Add: _add,
+    Concat: _concat,
+}
+BOOL_STEPS = {Eq: _eq, Empty: _empty}
+
+
 def eval_path(e, args):
     """Evaluate a path/value expression; misses yield None."""
+    step = PATH_STEPS.get(type(e))
+    if step is not None:
+        return step(e, eval_path(e.base, args))
     if isinstance(e, Input):
         if not 0 <= e.slot < len(args):
             raise HiddenEvalError(f"slot {e.slot} out of range for arity {len(args)}")
         v = args[e.slot]
         return None if v is ABSENT else v
-    if isinstance(e, Child):
-        v = eval_path(e.base, args)
-        if isinstance(v, dict) and e.key in v:
-            return v[e.key]
-        return None
-    if isinstance(e, Descendants):
-        v = eval_path(e.base, args)
-        out = []
-        _descend(v, e.key, out)
-        return out
-    if isinstance(e, Index):
-        v = eval_path(e.base, args)
-        if isinstance(v, list) and 0 <= e.i < len(v):
-            return v[e.i]
-        return None
-    if isinstance(e, Slice):
-        v = eval_path(e.base, args)
-        if isinstance(v, list):
-            return v[e.i : e.j]
-        return None
-    if isinstance(e, Length):
-        v = eval_path(e.base, args)
-        if isinstance(v, (list, str, dict)):
-            return len(v)
-        return None
-    if isinstance(e, Add):
-        v = eval_path(e.base, args)
-        if is_int(v):
-            return e.const + v
-        return None
-    if isinstance(e, Concat):
-        v = eval_path(e.base, args)
-        if isinstance(v, str):
-            return e.const + v
-        return None
     if isinstance(e, ConstVal):
         return e.value
     if isinstance(e, MakeList):
@@ -202,15 +241,9 @@ def eval_path(e, args):
 
 
 def eval_bool(e, args) -> bool:
-    if isinstance(e, Eq):
-        return canonical_eq(eval_path(e.base, args), e.const)
-    if isinstance(e, Empty):
-        v = eval_path(e.base, args)
-        if v is None:
-            return True
-        if isinstance(v, (str, list, dict)):
-            return len(v) == 0
-        return False
+    step = BOOL_STEPS.get(type(e))
+    if step is not None:
+        return step(e, eval_path(e.base, args))
     if isinstance(e, Not):
         return not eval_bool(e.inner, args)
     if isinstance(e, And):

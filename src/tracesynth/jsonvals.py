@@ -77,7 +77,8 @@ def _tag(v):
     if is_int(v):
         return ("i", v)
     if isinstance(v, float):
-        return ("f", v)
+        # -0.0 == 0.0, so both must dump alike.
+        return ("f", 0.0 if v == 0 else v)
     if isinstance(v, str):
         return ("s", v)
     if v is None:
@@ -90,7 +91,9 @@ def _tag(v):
 
 
 def canonical_dumps(v) -> str:
-    """Deterministic string key for a value; equal iff canonical_eq."""
+    """Deterministic string key for a value; equal iff canonical_eq,
+    except that every NaN dumps alike although canonical_eq equates no
+    NaN with anything."""
     return json.dumps(_tag(v), sort_keys=False, separators=(",", ":"))
 
 

@@ -13,10 +13,22 @@ part of the contract:
   smaller bases first, bases in table insertion order, mined constants
   in encounter order.
 
+Evaluation is incremental. The bank stores every kept expression with
+its output vector (one value per example) and that vector's key. A new
+candidate's outputs come from its base's stored outputs through the
+operator's step in hidden.PATH_STEPS / BOOL_STEPS, the steps eval_path
+itself recurses through; Not and And combine stored bool vectors. Only
+input slots are evaluated from the examples, and the winner is checked
+again with eval_path / eval_bool on every example before it is
+returned.
+
 Observational equivalence pruning keeps only the first expression per
-output vector. Constants, keys, indices, addends, and concatenation
-prefixes are mined from the examples (arguments before outputs, in
-encounter order).
+output vector. A value vector is keyed by the values' structural keys
+(_Keys), which are equal exactly when their canonical_dumps are; a bool
+vector is its own key. Constants, keys, indices, addends, and
+concatenation prefixes are mined from the examples (arguments before
+outputs, in encounter order), in time linear in the examples' size; the
+slice bounds are produced on demand.
 """
 
 from __future__ import annotations
@@ -24,9 +36,12 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .hidden import (
+    BOOL_STEPS,
+    PATH_STEPS,
     Add,
     And,
     Child,
@@ -44,8 +59,10 @@ from .hidden import (
     eval_path,
 )
 from .jsonvals import (
+    ABSENT,
     JsonValue,
     canonical_dumps,
+    canonical_eq,
     is_absent,
     structural_size,
 )
@@ -84,7 +101,70 @@ class SynthesisResult:
         return HiddenFnBody(arity=self.arity, body=self.expr)
 
 
+# --- structural keys ---------------------------------------------------------
+
+
+_BOOL_KEYS = {False: ("b", False), True: ("b", True)}
+_NAN_KEY = ("f", "nan")
+
+
+class _Keys:
+    """Structural keys of JSON values, for one synthesize or mine_pools
+    call.
+
+    Two keys are equal exactly when the values' canonical_dumps are.
+    Strings, ints, None and the absent marker are their own keys; bools
+    and floats are tagged tuples, every NaN sharing one (NaN dumps
+    alike); a list or dict is keyed by a small ("c", n) tuple interned
+    from its members' keys, so hashing a vector never walks a value.
+    Containers are memoized by id. The memo holds each container, so its
+    id cannot be reused while this object lives."""
+
+    def __init__(self):
+        self._by_id: Dict[int, tuple] = {}
+        self._interned: Dict[tuple, tuple] = {}
+
+    def of(self, v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, bool):
+            return _BOOL_KEYS[v]
+        if isinstance(v, int) or v is None or v is ABSENT:
+            return v
+        if isinstance(v, float):
+            return ("f", v) if v == v else _NAN_KEY
+        hit = self._by_id.get(id(v))
+        if hit is not None:
+            return hit[1]
+        if isinstance(v, list):
+            shape = ("l",) + tuple([self.of(x) for x in v])
+        elif isinstance(v, dict):
+            shape = ("d",) + tuple(sorted([(k, self.of(x)) for k, x in v.items()]))
+        else:
+            raise TypeError(f"not a JSON value: {v!r}")
+        key = self._interned.setdefault(shape, ("c", len(self._interned)))
+        self._by_id[id(v)] = (v, key)
+        return key
+
+    def vector(self, values) -> tuple:
+        return tuple([self.of(v) for v in values])
+
+
 # --- constant mining ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SlicePairs:
+    """The slice bounds (i, j), 0 <= i < j <= n, row by row. They are
+    produced on demand: a list of n items has n(n+1)/2 of them."""
+
+    n: int = 0
+
+    def __iter__(self):
+        return combinations(range(self.n + 1), 2)
+
+    def __len__(self) -> int:
+        return self.n * (self.n + 1) // 2
 
 
 @dataclass
@@ -92,7 +172,7 @@ class MinedPools:
     keys: List[str] = field(default_factory=list)
     eq_values_by_size: Dict[int, List[JsonValue]] = field(default_factory=dict)
     indices: List[int] = field(default_factory=list)
-    slices: List[Tuple[int, int]] = field(default_factory=list)
+    slices: SlicePairs = field(default_factory=SlicePairs)
     add_consts: List[JsonValue] = field(default_factory=list)
     concat_prefixes: List[str] = field(default_factory=list)
 
@@ -101,70 +181,86 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _add_consts(out_leaves, arg_leaves) -> List[JsonValue]:
+    """Every nonzero output - argument difference, in the order of the
+    pairs. Repeated numbers (same type, equal value) add no new
+    difference, so each side is taken once; a NaN difference, which
+    equals nothing, is therefore listed once per distinct pair."""
+    args = list(dict.fromkeys((type(a), a) for a in arg_leaves if _is_number(a)))
+    consts = {}
+    for _, out in dict.fromkeys((type(o), o) for o in out_leaves if _is_number(o)):
+        for _, arg in args:
+            diff = out - arg
+            if diff != 0:
+                consts.setdefault(diff, None)
+    return list(consts)
+
+
+def _concat_prefixes(out_leaves, arg_leaves) -> List[str]:
+    """For each output string, in order, the prefixes that some nonempty
+    argument string completes to it, in the order those arguments first
+    occur. A proper suffix of the output is looked up among the
+    arguments, so no output is compared with every argument."""
+    rank = {
+        a: i
+        for i, a in enumerate(dict.fromkeys(a for a in arg_leaves if isinstance(a, str) and a))
+    }
+    prefixes = {}
+    for out in dict.fromkeys(o for o in out_leaves if isinstance(o, str)):
+        for _, cut in sorted((rank[out[k:]], k) for k in range(1, len(out)) if out[k:] in rank):
+            prefixes.setdefault(out[:cut], None)
+    return list(prefixes)
+
+
+def _leaves(v, keys, lengths):
+    """v's scalar leaves, depth first. Object keys are added to the dict
+    keys in encounter order, list lengths to the list lengths."""
+    if isinstance(v, dict):
+        for k, sub in v.items():
+            keys.setdefault(k, None)
+            yield from _leaves(sub, keys, lengths)
+    elif isinstance(v, list):
+        lengths.append(len(v))
+        for sub in v:
+            yield from _leaves(sub, keys, lengths)
+    else:
+        yield v
+
+
 def mine_pools(examples: List[IOExample]) -> MinedPools:
     pools = MinedPools()
-    seen_keys = set()
+    value_keys = _Keys()
     seen_values = set()
-    seen_adds = set()
-    seen_prefixes = set()
-    max_list_len = 0
+    keys: Dict[str, None] = {}
+    lengths = [0]
     arg_leaves: List[JsonValue] = []
     out_leaves: List[JsonValue] = []
 
     def add_value(v):
-        d = canonical_dumps(v)
-        if d not in seen_values:
-            seen_values.add(d)
+        key = value_keys.of(v)
+        if key not in seen_values:
+            seen_values.add(key)
             pools.eq_values_by_size.setdefault(structural_size(v), []).append(v)
 
-    def walk(v, leaves):
-        nonlocal max_list_len
-        if isinstance(v, dict):
-            for k, sub in v.items():
-                if k not in seen_keys:
-                    seen_keys.add(k)
-                    pools.keys.append(k)
-                walk(sub, leaves)
-        elif isinstance(v, list):
-            max_list_len = max(max_list_len, len(v))
-            for sub in v:
-                walk(sub, leaves)
-        else:
-            leaves.append(v)
-            add_value(v)
+    def add_leaves(v, leaves):
+        for leaf in _leaves(v, keys, lengths):
+            leaves.append(leaf)
+            add_value(leaf)
 
     for ex in examples:
         for a in ex.args:
             if is_absent(a):
                 continue
             add_value(a)
-            walk(a, arg_leaves)
-        walk(ex.output, out_leaves)
+            add_leaves(a, arg_leaves)
+        add_leaves(ex.output, out_leaves)
 
+    max_list_len = max(lengths)
+    pools.keys = list(keys)
     pools.indices = list(range(max_list_len))
-    pools.slices = [
-        (i, j) for i in range(max_list_len + 1) for j in range(i + 1, max_list_len + 1)
-    ]
-    for out in out_leaves:
-        if _is_number(out):
-            for arg in arg_leaves:
-                if _is_number(arg):
-                    diff = out - arg
-                    if diff != 0 and diff not in seen_adds:
-                        seen_adds.add(diff)
-                        pools.add_consts.append(diff)
-        if isinstance(out, str):
-            for arg in arg_leaves:
-                if (
-                    isinstance(arg, str)
-                    and arg
-                    and out.endswith(arg)
-                    and len(out) > len(arg)
-                ):
-                    prefix = out[: -len(arg)]
-                    if prefix not in seen_prefixes:
-                        seen_prefixes.add(prefix)
-                        pools.concat_prefixes.append(prefix)
+    pools.slices = SlicePairs(max_list_len)
+    pools.add_consts = _add_consts(out_leaves, arg_leaves)
+    pools.concat_prefixes = _concat_prefixes(out_leaves, arg_leaves)
     return pools
 
 
@@ -183,11 +279,13 @@ class _Timeout(Exception):
     pass
 
 
-def _vector_digest(values) -> str:
-    parts = []
-    for v in values:
-        parts.append("miss" if v is None else canonical_dumps(v))
-    return "\x1f".join(parts)
+_STEPS = {**PATH_STEPS, **BOOL_STEPS}
+
+
+def _extend(expr, base_outs):
+    """expr with its outputs, computed from its base's outputs."""
+    step = _STEPS[type(expr)]
+    return expr, tuple([step(expr, v) for v in base_outs])
 
 
 def synthesize(
@@ -208,54 +306,37 @@ def synthesize(
         raise ValueError("bool synthesis needs boolean outputs")
 
     pools = mine_pools(examples)
-    arg_vectors = [ex.args for ex in examples]
+    arg_lists = [list(ex.args) for ex in examples]
     deadline = _Deadline(cfg.timeout)
+    keys = _Keys()
     enumerated = 0
 
-    # OE tables: per size, insertion-ordered lists of (expr, outputs).
-    path_by_size: Dict[int, List[Tuple[object, tuple]]] = {}
-    bool_by_size: Dict[int, List[Tuple[object, tuple]]] = {}
+    # The bank: per size, insertion-ordered (expr, outputs, vector key),
+    # the first expression of each distinct output vector.
+    path_by_size: Dict[int, List[tuple]] = {}
+    bool_by_size: Dict[int, List[tuple]] = {}
     seen_path_vectors = set()
     seen_bool_vectors = set()
 
     want_value = kind == "value"
-    expected = [ex.output for ex in examples]
-    expected_digest = _vector_digest(expected) if want_value else None
+    expected = tuple(ex.output for ex in examples)
+    goal = keys.vector(expected) if want_value else expected
 
     def check_budget():
         if deadline.expired():
             raise _Timeout()
 
-    def consider_path(expr, size):
-        """Returns the expression if it solves a value constraint."""
+    def admit(bank, seen, expr, outs, vec, size) -> bool:
+        """Count a candidate, and bank it if its vector is new."""
         nonlocal enumerated
         enumerated += 1
         if enumerated % 512 == 0:
             check_budget()
-        outs = tuple(eval_path(expr, list(args)) for args in arg_vectors)
-        digest = _vector_digest(outs)
-        if digest in seen_path_vectors:
-            return None
-        seen_path_vectors.add(digest)
-        path_by_size.setdefault(size, []).append((expr, outs))
-        if want_value and digest == expected_digest:
-            return expr
-        return None
-
-    def consider_bool(expr, size):
-        nonlocal enumerated
-        enumerated += 1
-        if enumerated % 512 == 0:
-            check_budget()
-        outs = tuple(eval_bool(expr, list(args)) for args in arg_vectors)
-        digest = _vector_digest(outs)
-        if digest in seen_bool_vectors:
-            return None
-        seen_bool_vectors.add(digest)
-        bool_by_size.setdefault(size, []).append((expr, outs))
-        if not want_value and outs == tuple(expected):
-            return expr
-        return None
+        if vec in seen:
+            return False
+        seen.add(vec)
+        bank.setdefault(size, []).append((expr, outs, vec))
+        return True
 
     def paths_of(size):
         return path_by_size.get(size, [])
@@ -263,82 +344,83 @@ def synthesize(
     def bools_of(size):
         return bool_by_size.get(size, [])
 
+    def path_candidates(size):
+        if size == 1:
+            for slot in range(arity):
+                expr = Input(slot)
+                yield expr, tuple(eval_path(expr, args) for args in arg_lists)
+            return
+        for base, outs, _ in paths_of(size - 1):
+            for key in pools.keys:
+                yield _extend(Child(base, key), outs)
+        for base, outs, _ in paths_of(size - 1):
+            for key in pools.keys:
+                yield _extend(Descendants(base, key), outs)
+        for base, outs, _ in paths_of(size - 1):
+            for i in pools.indices:
+                yield _extend(Index(base, i), outs)
+        for base, outs, _ in paths_of(size - 1):
+            for i, j in pools.slices:
+                yield _extend(Slice(base, i, j), outs)
+        for base, outs, _ in paths_of(size - 1):
+            yield _extend(Length(base), outs)
+        if size >= 3:
+            for base, outs, _ in paths_of(size - 2):
+                for c in pools.add_consts:
+                    yield _extend(Add(c, base), outs)
+            for base, outs, _ in paths_of(size - 2):
+                for c in pools.concat_prefixes:
+                    yield _extend(Concat(c, base), outs)
+
+    # Eq compares keys, which agrees with canonical_eq except on NaN; a
+    # constant holding a NaN, which canonical_eq equates with nothing,
+    # gets a key that equals nothing.
+    eq_consts = {
+        size: [(c, keys.of(c) if canonical_eq(c, c) else object()) for c in consts]
+        for size, consts in pools.eq_values_by_size.items()
+        if not want_value
+    }
+
+    def bool_candidates(size):
+        for j in range(1, size - 1):
+            consts = eq_consts.get(size - 1 - j, [])
+            if not consts:
+                continue
+            for base, _, vec in paths_of(j):
+                for c, ckey in consts:
+                    yield Eq(base, c), tuple([k == ckey for k in vec])
+        for base, outs, _ in paths_of(size - 1):
+            yield _extend(Empty(base), outs)
+        for inner, outs, _ in bools_of(size - 1):
+            yield Not(inner), tuple([not b for b in outs])
+        for j in range(1, size - 1):
+            for left, louts, _ in bools_of(j):
+                for right, routs, _ in bools_of(size - 1 - j):
+                    yield And(left, right), tuple([a and b for a, b in zip(louts, routs)])
+
     def found(expr, size):
+        """The winner, once the reference interpreter agrees with its
+        stored outputs on every example."""
+        for args, want in zip(arg_lists, goal):
+            got = keys.of(eval_path(expr, args)) if want_value else eval_bool(expr, args)
+            if got != want:
+                raise RuntimeError(f"incremental evaluation disagrees with eval on {expr!r}")
         return SynthesisResult("sat", expr, size, arity, enumerated)
 
     try:
         for size in range(1, cfg.max_size + 1):
             check_budget()
-            # path layer
-            if size == 1:
-                for slot in range(arity):
-                    hit = consider_path(Input(slot), 1)
-                    if hit is not None:
-                        return found(hit, size)
-            else:
-                for base, _ in paths_of(size - 1):
-                    for key in pools.keys:
-                        hit = consider_path(Child(base, key), size)
-                        if hit is not None:
-                            return found(hit, size)
-                for base, _ in paths_of(size - 1):
-                    for key in pools.keys:
-                        hit = consider_path(Descendants(base, key), size)
-                        if hit is not None:
-                            return found(hit, size)
-                for base, _ in paths_of(size - 1):
-                    for i in pools.indices:
-                        hit = consider_path(Index(base, i), size)
-                        if hit is not None:
-                            return found(hit, size)
-                for base, _ in paths_of(size - 1):
-                    for i, j in pools.slices:
-                        hit = consider_path(Slice(base, i, j), size)
-                        if hit is not None:
-                            return found(hit, size)
-                for base, _ in paths_of(size - 1):
-                    hit = consider_path(Length(base), size)
-                    if hit is not None:
-                        return found(hit, size)
-                if size >= 3:
-                    for base, _ in paths_of(size - 2):
-                        for c in pools.add_consts:
-                            hit = consider_path(Add(c, base), size)
-                            if hit is not None:
-                                return found(hit, size)
-                    for base, _ in paths_of(size - 2):
-                        for c in pools.concat_prefixes:
-                            hit = consider_path(Concat(c, base), size)
-                            if hit is not None:
-                                return found(hit, size)
+            for expr, outs in path_candidates(size):
+                vec = keys.vector(outs)
+                if admit(path_by_size, seen_path_vectors, expr, outs, vec, size) and (
+                    want_value and vec == goal
+                ):
+                    return found(expr, size)
             if want_value:
                 continue
-            # bool layer: eq, empty, not, and
-            for j in range(1, size - 1):
-                const_size = size - 1 - j
-                consts = pools.eq_values_by_size.get(const_size, [])
-                if not consts:
-                    continue
-                for base, _ in paths_of(j):
-                    for c in consts:
-                        hit = consider_bool(Eq(base, c), size)
-                        if hit is not None:
-                            return found(hit, size)
-            for base, _ in paths_of(size - 1):
-                hit = consider_bool(Empty(base), size)
-                if hit is not None:
-                    return found(hit, size)
-            for inner, _ in bools_of(size - 1):
-                hit = consider_bool(Not(inner), size)
-                if hit is not None:
-                    return found(hit, size)
-            for j in range(1, size - 1):
-                k = size - 1 - j
-                for left, _ in bools_of(j):
-                    for right, _ in bools_of(k):
-                        hit = consider_bool(And(left, right), size)
-                        if hit is not None:
-                            return found(hit, size)
+            for expr, outs in bool_candidates(size):
+                if admit(bool_by_size, seen_bool_vectors, expr, outs, outs, size) and outs == goal:
+                    return found(expr, size)
     except _Timeout:
         return SynthesisResult("timeout", None, 0, arity, enumerated)
 
@@ -380,14 +462,6 @@ class ConstraintCache:
         self.pbe_calls = 0
         self.pbe_sat = 0
 
-    def lookup(self, examples: List[IOExample], kind: str, max_size: int):
-        digest = constraint_digest(examples, kind)
-        if digest in self._sat:
-            return self._sat[digest]
-        if self._unsat_budget.get(digest, -1) >= max_size:
-            return SynthesisResult("unsat", None, 0, len(examples[0].args), 0)
-        return None
-
     def has_unsat(self, examples: List[IOExample], kind: str) -> bool:
         """Is this constraint set recorded unsat at any budget?"""
         return constraint_digest(examples, kind) in self._unsat_budget
@@ -395,10 +469,11 @@ class ConstraintCache:
     def solve(
         self, examples: List[IOExample], kind: str, cfg: GrammarConfig
     ) -> SynthesisResult:
-        hit = self.lookup(examples, kind, cfg.max_size)
-        if hit is not None:
-            return hit
         digest = constraint_digest(examples, kind)
+        if digest in self._sat:
+            return self._sat[digest]
+        if self._unsat_budget.get(digest, -1) >= cfg.max_size:
+            return SynthesisResult("unsat", None, 0, len(examples[0].args), 0)
         self.pbe_calls += 1
         result = synthesize(examples, kind, cfg)
         if result.sat:

@@ -1,5 +1,6 @@
 """Canonical JSON comparison, sizing, and the absent marker."""
 
+from tracesynth.hidden import ConstVal, Eq, Input
 from tracesynth.jsonvals import (
     ABSENT,
     canonical_dumps,
@@ -43,6 +44,19 @@ def test_canonical_dumps_is_order_insensitive_and_type_tagged():
     assert canonical_dumps(1) != canonical_dumps(1.0)
     assert canonical_dumps(True) != canonical_dumps(1)
     assert canonical_dumps([1, 2]) != canonical_dumps([2, 1])
+
+
+def test_float_zeros_of_either_sign_dump_and_hash_alike():
+    # canonical_eq(-0.0, 0.0) holds, so everything keyed by the dump
+    # must agree, or equal literal nodes would hash apart.
+    assert canonical_eq(-0.0, 0.0)
+    assert canonical_dumps(-0.0) == canonical_dumps(0.0)
+    assert canonical_dumps({"z": [-0.0]}) == canonical_dumps({"z": [0.0]})
+    assert canonical_dumps(-0.0) != canonical_dumps(0)
+    assert ConstVal(-0.0) == ConstVal(0.0)
+    assert hash(ConstVal(-0.0)) == hash(ConstVal(0.0))
+    assert hash(Eq(Input(0), [-0.0])) == hash(Eq(Input(0), [0.0]))
+    assert len({Eq(Input(0), -0.0), Eq(Input(0), 0.0)}) == 1
 
 
 def test_structural_size_scalars():
