@@ -203,29 +203,36 @@ def pred_reads(p) -> list:
     raise DslError(f"not a predicate: {p!r}")
 
 
-def instr_reads(instr) -> list:
-    if isinstance(instr, LetVisible):
-        out = []
-        for _, e in instr.args:
-            out.extend(expr_reads(e))
-        return out
-    if isinstance(instr, LetHidden):
-        return list(instr.args)
-    if isinstance(instr, Ite):
-        return pred_reads(instr.pred) + seq_reads(instr.then) + seq_reads(instr.els)
-    if isinstance(instr, RetryUntil):
-        return seq_reads(instr.body) + pred_reads(instr.pred)
-    if isinstance(instr, Foreach):
-        return expr_reads(instr.source) + seq_reads(instr.body)
-    if isinstance(instr, Return):
-        return []
-    raise DslError(f"not an instruction: {instr!r}")
-
-
 def seq_reads(seq) -> list:
+    """Variable names read anywhere in seq, in occurrence order: a
+    conditional's guard, then its branches; a loop's source or body,
+    then a retry loop's exit predicate. One accumulator and an explicit
+    stack, so the walk is linear and nesting depth is unbounded."""
     out = []
-    for instr in seq:
-        out.extend(instr_reads(instr))
+    # Instructions still to visit, the next on top. A retry loop's exit
+    # predicate waits below its body as a 1-tuple.
+    stack = list(reversed(seq))
+    while stack:
+        instr = stack.pop()
+        if isinstance(instr, tuple):
+            out.extend(pred_reads(instr[0]))
+        elif isinstance(instr, LetVisible):
+            for _, e in instr.args:
+                out.extend(expr_reads(e))
+        elif isinstance(instr, LetHidden):
+            out.extend(instr.args)
+        elif isinstance(instr, Ite):
+            out.extend(pred_reads(instr.pred))
+            stack.extend(reversed(instr.els))
+            stack.extend(reversed(instr.then))
+        elif isinstance(instr, RetryUntil):
+            stack.append((instr.pred,))
+            stack.extend(reversed(instr.body))
+        elif isinstance(instr, Foreach):
+            out.extend(expr_reads(instr.source))
+            stack.extend(reversed(instr.body))
+        elif not isinstance(instr, Return):
+            raise DslError(f"not an instruction: {instr!r}")
     return out
 
 
@@ -297,7 +304,7 @@ def free_vars(seq) -> set:
 
 def count_reads(seq, name: str) -> int:
     """Syntactic read occurrences of name anywhere in seq."""
-    return sum(1 for n in seq_reads(seq) if n == name)
+    return seq_reads(seq).count(name)
 
 
 # --- substitution (read renaming) ------------------------------------------

@@ -462,6 +462,10 @@ class ConstraintCache:
         self.pbe_calls = 0
         self.pbe_sat = 0
 
+    def records_unsat(self) -> bool:
+        """Is any constraint set recorded unsat?"""
+        return bool(self._unsat_budget)
+
     def has_unsat(self, examples: List[IOExample], kind: str) -> bool:
         """Is this constraint set recorded unsat at any budget?"""
         return constraint_digest(examples, kind) in self._unsat_budget

@@ -20,6 +20,8 @@ the search relies on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -76,23 +78,34 @@ class RewriteContext:
 #
 # An instruction site is a tuple of ints: index within its sequence,
 # then (branch, index) pairs while descending. Branch 0 is the
-# then-branch or loop body, branch 1 the else-branch. Lexicographic
-# order on sites is preorder.
+# then-branch or loop body, branch 1 the else-branch. Sites are visited
+# sequence by sequence (see iter_instr_sites), which is not
+# lexicographic order: (1,) comes before (0, 0, 0).
 
 
 def iter_seqs(seq, path=(), in_loop=False):
-    """All sequence locations: (seq_path, seq, in_loop)."""
-    yield path, seq, in_loop
-    for i, ins in enumerate(seq):
-        if isinstance(ins, dsl.Ite):
-            yield from iter_seqs(ins.then, path + (i, 0), in_loop)
-            yield from iter_seqs(ins.els, path + (i, 1), in_loop)
-        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-            yield from iter_seqs(ins.body, path + (i, 0), True)
+    """All sequence locations, (seq_path, seq, in_loop), in preorder
+    over sequences: a sequence, then each nested sequence of its
+    instructions in order, then-branch before else-branch. Uses an
+    explicit stack, so each item costs O(1) whatever the depth."""
+    stack = [(path, seq, in_loop)]
+    while stack:
+        path, seq, in_loop = stack.pop()
+        yield path, seq, in_loop
+        nested = []
+        for i, ins in enumerate(seq):
+            if isinstance(ins, dsl.Ite):
+                nested.append((path + (i, 0), ins.then, in_loop))
+                nested.append((path + (i, 1), ins.els, in_loop))
+            elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+                nested.append((path + (i, 0), ins.body, True))
+        stack.extend(reversed(nested))
 
 
 def iter_instr_sites(seq):
-    """All instruction sites in preorder: (path, instr, in_loop)."""
+    """All instruction sites, (path, instr, in_loop): every instruction
+    of a sequence before any instruction of a sequence nested in it,
+    sequences in iter_seqs order."""
     for seq_path, s, in_loop in iter_seqs(seq):
         for i, ins in enumerate(s):
             yield seq_path + (i,), ins, in_loop
@@ -155,18 +168,96 @@ def fresh_name(prefix: str, used: set) -> str:
     return name
 
 
-def scope_before(program: dsl.Program, site_path) -> List[str]:
-    """Input names usable at a site: parameters except br, then every
-    binder (lets and loop variables) whose site precedes this one."""
-    scope = [p for p in program.params if p != BR]
-    for path, ins, _ in iter_instr_sites(program.body):
-        if path >= tuple(site_path):
-            break
-        if isinstance(ins, (dsl.LetVisible, dsl.LetHidden)):
-            scope.append(ins.var)
-        elif isinstance(ins, dsl.Foreach):
-            scope.append(ins.var)
-    return scope
+class StateIndex:
+    """The analysis every rule reads of one (program, σ) state, done
+    once per enumerate_rewrites call: the instruction sites, the names
+    in scope at each site, how often each name is read, the names in
+    use, and the traces that reach each site."""
+
+    def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet):
+        self.program = program
+        self.sigma = sigma
+        self.ts = ts
+        self.hidden = program.hidden_map()
+        self.seqs = list(iter_seqs(program.body))
+        self.sites = [
+            (seq_path + (i,), ins, in_loop)
+            for seq_path, seq, in_loop in self.seqs
+            for i, ins in enumerate(seq)
+        ]
+        self.reads = Counter(dsl.seq_reads(program.body))
+        self._used = used_names(program)
+        # scope_before by bisection: _max_path[k] is the largest of the
+        # first k + 1 site paths, and _n_binders[k] counts the binders
+        # among the first k sites.
+        self._params = [p for p in program.params if p != BR]
+        self._binders: List[str] = []
+        self._n_binders = [0]
+        self._max_path = []
+        top = ()
+        for path, ins, _ in self.sites:
+            top = max(top, path)
+            self._max_path.append(top)
+            if isinstance(ins, (dsl.LetVisible, dsl.LetHidden, dsl.Foreach)):
+                self._binders.append(ins.var)
+            self._n_binders.append(len(self._binders))
+        self._seq_by_path = {path: seq for path, seq, _ in self.seqs}
+        self._reach = {(): list(ts.indices())}  # sequence path -> traces
+        self._guards = {}  # conditional's site path -> {trace: guard value}
+
+    def used_names(self) -> set:
+        """A fresh copy of used_names(program), for fresh_name to grow."""
+        return set(self._used)
+
+    def scope_before(self, site_path) -> List[str]:
+        """Input names usable at a site: the parameters except br, then
+        the binders (lets and loop variables) of the sites that the scan
+        in iter_instr_sites order meets before its first site whose path
+        is >= site_path. That order is not lexicographic, so a binder
+        enclosing a nested site may be left out of its scope, and a
+        binder in a sibling branch may be in it."""
+        k = bisect_left(self._max_path, tuple(site_path))
+        return self._params + self._binders[: self._n_binders[k]]
+
+    def reaching(self, site_path) -> List[int]:
+        """Traces whose control path arrives at a site: each enclosing
+        conditional's guard evaluates to the branch taken. A guard that
+        cannot be evaluated on a trace leaves the trace out, and no
+        trace reaches a site inside a loop (loops are handled
+        elsewhere). Each sequence's list is filtered once from its
+        enclosing sequence's; callers must not change it."""
+        seq_path = tuple(site_path[:-1])
+        missing = []
+        while seq_path not in self._reach:
+            missing.append(seq_path)
+            seq_path = seq_path[:-2]
+        reach = self._reach[seq_path]
+        for seq_path in reversed(missing):
+            owner_path = seq_path[:-1]
+            owner = self._seq_by_path[owner_path[:-1]][owner_path[-1]]
+            if isinstance(owner, dsl.Ite):
+                taken = seq_path[-1] == 0
+                guard = self._guard(owner_path, owner, reach)
+                reach = [i for i in reach if guard.get(i) is taken]
+            else:
+                reach = []
+            self._reach[seq_path] = reach
+        return reach
+
+    def _guard(self, path, ite, reach):
+        """{trace: guard value} of a conditional over the traces that
+        reach it; traces where the guard cannot be evaluated are left
+        out."""
+        values = self._guards.get(path)
+        if values is None:
+            values = {}
+            for i in reach:
+                try:
+                    values[i] = evaluate_in_trace(ite.pred, self.sigma, i, self.hidden)
+                except ValuationError:
+                    pass
+            self._guards[path] = values
+        return values
 
 
 def _non_absent(sigma, var, idx) -> bool:
@@ -212,13 +303,13 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
 
 
 def _merged_let_rewrite(
-    program, sigma, ts, rule, rule_index, path, keep: dsl.LetVisible,
-    drop: dsl.LetVisible, new_instrs,
+    ix, rule, rule_index, path, keep: dsl.LetVisible, drop: dsl.LetVisible, new_instrs
 ):
     """Shared tail of pull/push/merge: build the program with keep's
     name as the surviving binder and fold the two valuation columns."""
+    program, sigma = ix.program, ix.sigma
     new_entries = {}
-    for i in ts.indices():
+    for i in ix.ts.indices():
         cell = _merge_cells(sigma.lookup(keep.var, i), sigma.lookup(drop.var, i))
         if cell is None:
             return None
@@ -234,9 +325,9 @@ def _merged_let_rewrite(
     )
 
 
-def rule_pull(program, sigma, ctx, rule_index):
+def rule_pull(ix, ctx, rule_index):
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
             continue
         a, b = ins.then[0], ins.els[0]
@@ -249,17 +340,15 @@ def rule_pull(program, sigma, ctx, rule_index):
             dsl.LetVisible(a.var, a.api, merged_args),
             replace(ins, then=ins.then[1:], els=ins.els[1:]),
         )
-        rw = _merged_let_rewrite(
-            program, sigma, ctx.ts, "pull", rule_index, path, a, b, new
-        )
+        rw = _merged_let_rewrite(ix, "pull", rule_index, path, a, b, new)
         if rw:
             out.append(rw)
     return out
 
 
-def rule_push(program, sigma, ctx, rule_index):
+def rule_push(ix, ctx, rule_index):
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
             continue
         a, b = ins.then[-1], ins.els[-1]
@@ -272,9 +361,7 @@ def rule_push(program, sigma, ctx, rule_index):
             replace(ins, then=ins.then[:-1], els=ins.els[:-1]),
             dsl.LetVisible(a.var, a.api, merged_args),
         )
-        rw = _merged_let_rewrite(
-            program, sigma, ctx.ts, "push", rule_index, path, a, b, new
-        )
+        rw = _merged_let_rewrite(ix, "push", rule_index, path, a, b, new)
         if rw:
             out.append(rw)
     return out
@@ -283,9 +370,10 @@ def rule_push(program, sigma, ctx, rule_index):
 # --- conditional cleanup ------------------------------------------------------
 
 
-def rule_eliminate_empty_if(program, sigma, ctx, rule_index):
+def rule_eliminate_empty_if(ix, ctx, rule_index):
+    program = ix.program
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and not ins.els:
             out.append(
                 Rewrite(
@@ -300,9 +388,10 @@ def rule_eliminate_empty_if(program, sigma, ctx, rule_index):
     return out
 
 
-def rule_invert_empty_then(program, sigma, ctx, rule_index):
+def rule_invert_empty_then(ix, ctx, rule_index):
+    program = ix.program
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
             body = _splice(program.body, path, (flipped,))
@@ -319,13 +408,13 @@ def rule_invert_empty_then(program, sigma, ctx, rule_index):
     return out
 
 
-def rule_merge_nested(program, sigma, ctx, rule_index):
+def rule_merge_nested(ix, ctx, rule_index):
     """Two single-call branches separated by a nested conditional chain
     collapse into one guarded call: `if c1 {A} else { if c2 {B} else {} }`
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
     {B} }` becomes `if c1 || !c2 {merged}`."""
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite):
             continue
         if len(ins.then) != 1 or len(ins.els) != 1:
@@ -351,21 +440,20 @@ def rule_merge_nested(program, sigma, ctx, rule_index):
             if merged_args is None:
                 continue
             new = (dsl.Ite(new_pred, (dsl.LetVisible(a.var, a.api, merged_args),), ()),)
-            rw = _merged_let_rewrite(
-                program, sigma, ctx.ts, "merge_nested", rule_index, path, a, b, new
-            )
+            rw = _merged_let_rewrite(ix, "merge_nested", rule_index, path, a, b, new)
             if rw:
                 out.append(rw)
     return out
 
 
-def rule_sequence_nested(program, sigma, ctx, rule_index):
+def rule_sequence_nested(ix, ctx, rule_index):
     """A conditional whose then-branch ends in a nested conditional
     (else branches empty) splits into two sequential conditionals, the
     second guarded by the conjunction; when the nested conditional is
     the whole branch it simply flattens."""
+    program = ix.program
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or ins.els or not ins.then:
             continue
         inner = ins.then[-1]
@@ -393,10 +481,11 @@ def rule_sequence_nested(program, sigma, ctx, rule_index):
 # --- parameter and hidden-let housekeeping -----------------------------------
 
 
-def rule_eliminate_unused_param(program, sigma, ctx, rule_index):
+def rule_eliminate_unused_param(ix, ctx, rule_index):
+    program = ix.program
     out = []
     for pidx, p in enumerate(program.params):
-        if dsl.count_reads(program.body, p) == 0:
+        if ix.reads[p] == 0:
             params = tuple(q for q in program.params if q != p)
             out.append(
                 Rewrite(
@@ -510,14 +599,14 @@ def _hidden_call_names(e):
         yield from _hidden_call_names(e.else_expr)
 
 
-def rule_inline_trivial_hidden(program, sigma, ctx, rule_index):
+def rule_inline_trivial_hidden(ix, ctx, rule_index):
     """Hidden lets whose function is an input projection or ignores its
     inputs entirely inline away."""
     from .hidden import Input, eval_hidden, expr_uses_input
 
-    defs = program.hidden_map()
+    program, defs = ix.program, ix.hidden
     out = []
-    for path, ins, _ in iter_instr_sites(program.body):
+    for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.LetHidden) or ins.fn not in defs:
             continue
         fn_body = defs[ins.fn]
@@ -552,15 +641,15 @@ def rule_inline_trivial_hidden(program, sigma, ctx, rule_index):
 # --- introduce parameter -------------------------------------------------------
 
 
-def rule_introduce_parameter(program, sigma, ctx, rule_index):
+def rule_introduce_parameter(ix, ctx, rule_index):
     """A branch-dependent argument expression becomes a fresh input
     parameter when no bound variable could explain it instead: either
     nothing is in scope at its first occurrence, or deriving it from
     the scope is already recorded unsatisfiable."""
-    hidden = program.hidden_map()
+    program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     candidates = []  # (first_path, expr) distinct by structure
     seen = set()
-    for path, ins, in_loop in iter_instr_sites(program.body):
+    for path, ins, in_loop in ix.sites:
         if not isinstance(ins, dsl.LetVisible):
             continue
         for e in (expr for _, expr in ins.args):
@@ -574,11 +663,15 @@ def rule_introduce_parameter(program, sigma, ctx, rule_index):
                 candidates.append((path, ins, e))
     out = []
     for path, stmt, e in candidates:
-        scope = scope_before(program, path)
+        scope = ix.scope_before(path)
         if scope:
             # Something is in scope that might derive this value; hold
             # off until the derivation attempt is recorded unsolvable.
-            examples = _derivation_examples(program, sigma, ctx.ts, path, stmt, e)
+            # While the cache records no unsat verdict at all, it cannot
+            # hold this one, so the examples need not be built.
+            if not ctx.cache.records_unsat():
+                continue
+            examples = _derivation_examples(ix, scope, False, stmt, e)
             if examples is None or not ctx.cache.has_unsat(list(examples), "value"):
                 continue
         try:
@@ -587,7 +680,7 @@ def rule_introduce_parameter(program, sigma, ctx, rule_index):
             }
         except ValuationError:
             continue
-        used = used_names(program)
+        used = ix.used_names()
         q = fresh_name("i_", used)
         body = _replace_param_occurrences(program, sigma, ctx.ts, e, values, q, hidden)
         params = program.params + (q,)
@@ -668,77 +761,50 @@ def _scope_values(sigma, scope, trace_idx):
     return tuple(_cell_value(sigma.lookup(s, trace_idx)) for s in scope)
 
 
-def _ite_reaching(program, sigma, ts, site_path, hidden) -> Optional[List[int]]:
-    """Traces whose control path arrives at this site; None when a
-    guard on the way cannot be evaluated."""
-    reaching = []
-    for i in ts.indices():
-        ok = True
-        p = 0
-        while p + 1 < len(site_path):
-            ins = _seq_at(program.body, site_path[:p])[site_path[p]]
-            branch = site_path[p + 1]
-            if isinstance(ins, dsl.Ite):
-                try:
-                    val = evaluate_in_trace(ins.pred, sigma, i, hidden)
-                except ValuationError:
-                    ok = False
-                    break
-                if val is not (branch == 0):
-                    ok = False
-                    break
-            else:
-                ok = False  # loop ancestors are handled elsewhere
-                break
-            p += 2
-        if ok:
-            reaching.append(i)
-    return reaching
-
-
-def rule_eliminate_branch_condition(program, sigma, ctx, rule_index):
-    hidden = program.hidden_map()
+def rule_eliminate_branch_condition(ix, ctx, rule_index):
+    program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     out = []
-    for path, ins, in_loop in iter_instr_sites(program.body):
+    for path, ins, in_loop in ix.sites:
         if not isinstance(ins, dsl.Ite) or in_loop:
             continue
-        if BR not in dsl.pred_reads(ins.pred):
+        guard_reads = dsl.pred_reads(ins.pred)
+        if BR not in guard_reads:
             continue
-        scope = scope_before(program, path)
+        scope = ix.scope_before(path)
         if not scope:
             continue
-        reaching = _ite_reaching(program, sigma, ctx.ts, path, hidden)
+        reaching = ix.reaching(path)
         if not reaching:
             continue
         examples = []
+        guard = {}
         ok = True
         for i in reaching:
             try:
-                guard_val = evaluate_in_trace(ins.pred, sigma, i, hidden)
+                guard[i] = bool(evaluate_in_trace(ins.pred, sigma, i, hidden))
                 args = _scope_values(sigma, scope, i)
             except ValuationError:
                 ok = False
                 break
-            examples.append(IOExample(args=args, output=bool(guard_val)))
+            examples.append(IOExample(args=args, output=guard[i]))
         if not ok:
             continue
-        used = used_names(program)
+        used = ix.used_names()
         fn = fresh_name("f_", used)
         bvar = fresh_name("b_", used)
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
         body = _splice(program.body, path, (hidden_let, new_ite))
-        new_entries = {}
-        for i in ctx.ts.indices():
-            if i in reaching:
-                val = evaluate_in_trace(ins.pred, sigma, i, hidden)
-                new_entries[(bvar, i)] = Scalar(bool(val))
-            else:
-                new_entries[(bvar, i)] = Scalar(ABSENT)
+        new_entries = {
+            (bvar, i): Scalar(guard[i] if i in guard else ABSENT)
+            for i in ctx.ts.indices()
+        }
         # A branch selector that selected only this guard has no job
-        # left; retiring it is part of the same rewrite.
+        # left; retiring it is part of the same rewrite. The new body
+        # reads br as often as the old one, less the replaced guard's
+        # reads (scope never holds br).
         params = program.params
-        if BR in params and BR not in dsl.seq_reads(body):
+        if BR in params and ix.reads[BR] == guard_reads.count(BR):
             params = tuple(p for p in params if p != BR)
         out.append(
             Rewrite(
@@ -770,18 +836,11 @@ def _iteration_lookup(sigma, trace_idx, it, n):
     return lookup
 
 
-def _derivation_examples(program, sigma, ts, stmt_path, stmt, arg_expr):
-    """Examples for deriving one argument of a visible call from the
-    values in scope. None when they cannot be built."""
-    hidden = program.hidden_map()
-    scope = scope_before(program, stmt_path)
-    if not scope:
-        return None
-    in_loop = any(
-        isinstance(_seq_at(program.body, stmt_path[:p])[stmt_path[p]],
-                   (dsl.RetryUntil, dsl.Foreach))
-        for p in range(0, len(stmt_path) - 1, 2)
-    )
+def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
+    """Examples for deriving one argument of a visible call, at a site
+    with this non-empty scope, from the values in scope. None when they
+    cannot be built."""
+    sigma, ts, hidden = ix.sigma, ix.ts, ix.hidden
     examples = []
     try:
         if not in_loop:
@@ -807,22 +866,22 @@ def _derivation_examples(program, sigma, ts, stmt_path, stmt, arg_expr):
     return tuple(examples)
 
 
-def rule_eliminate_argument(program, sigma, ctx, rule_index):
-    hidden = program.hidden_map()
+def rule_eliminate_argument(ix, ctx, rule_index):
+    program, sigma = ix.program, ix.sigma
     out = []
-    for path, ins, in_loop in iter_instr_sites(program.body):
+    for path, ins, in_loop in ix.sites:
         if not isinstance(ins, dsl.LetVisible):
             continue
         for arg_idx, (name, e) in enumerate(ins.args):
             if BR not in dsl.expr_reads(e):
                 continue
-            scope = scope_before(program, path)
+            scope = ix.scope_before(path)
             if not scope:
                 continue
-            examples = _derivation_examples(program, sigma, ctx.ts, path, ins, e)
+            examples = _derivation_examples(ix, scope, in_loop, ins, e)
             if examples is None:
                 continue
-            used = used_names(program)
+            used = ix.used_names()
             fn = fresh_name("f_", used)
             vvar = fresh_name("v_", used)
             hidden_let = dsl.LetHidden(vvar, fn, tuple(scope))
@@ -908,13 +967,13 @@ def _tree_stmts(ite, path, api):
     return out
 
 
-def _find_spans(program) -> List[_Span]:
+def _find_spans(ix) -> List[_Span]:
     """Maximal runs of instructions that are all calls of one api,
     where conditionals whose contents are such calls count too. The
     statement list is in program order (preorder), which within any one
     trace is also execution order, since each trace takes one branch."""
     spans = []
-    for seq_path, seq, in_loop in iter_seqs(program.body):
+    for seq_path, seq, in_loop in ix.seqs:
         if in_loop:
             continue
         i = 0
@@ -1032,26 +1091,23 @@ def _pick_constant_exprs(span, values, sigma, ts, hidden, names, varying):
     return chosen
 
 
-def _span_outside_reads(program, span) -> bool:
+def _span_outside_reads(ix, span) -> bool:
     """Whether any variable bound inside the span is read outside the
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
-    seq = _seq_at(program.body, span.seq_path)
-    consumed = seq[span.start : span.start + span.length]
-    for v in (stmt.var for _, stmt in span.stmts):
-        if dsl.count_reads(program.body, v) > dsl.count_reads(consumed, v):
-            return True
-    return False
+    seq = _seq_at(ix.program.body, span.seq_path)
+    consumed = Counter(dsl.seq_reads(seq[span.start : span.start + span.length]))
+    return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
 
-def _loop_spans(program, sigma, ctx, n_varying):
+def _loop_spans(ix, ctx, n_varying):
     """Spans that some trace runs more than once, whose calls unify
     with exactly n_varying arguments varying within a trace, and whose
     binders are read only inside the span. Yields (span, runs, names,
     varying, values, chosen), chosen mapping each constant argument to
     an expression for it."""
-    hidden = program.hidden_map()
-    for span in _find_spans(program):
+    sigma, hidden = ix.sigma, ix.hidden
+    for span in _find_spans(ix):
         runs = _span_iterations(span, sigma, ctx.ts)
         if runs is None:
             continue
@@ -1063,7 +1119,7 @@ def _loop_spans(program, sigma, ctx, n_varying):
         names, varying, values = profile
         if len(varying) != n_varying:
             continue
-        if _span_outside_reads(program, span):
+        if _span_outside_reads(ix, span):
             continue
         chosen = _pick_constant_exprs(
             span, values, sigma, ctx.ts, hidden, names, varying
@@ -1091,12 +1147,13 @@ def _roll_span(program, span, rule, rule_index, loop_instrs, fn, new_entries, sp
     )
 
 
-def rule_introduce_retry(program, sigma, ctx, rule_index):
+def rule_introduce_retry(ix, ctx, rule_index):
+    program, sigma = ix.program, ix.sigma
     out = []
-    for span, runs, names, _, _, chosen in _loop_spans(program, sigma, ctx, 0):
+    for span, runs, names, _, _, chosen in _loop_spans(ix, ctx, 0):
         first_path, first = span.stmts[0]
-        scope = scope_before(program, first_path) + [first.var]
-        used = used_names(program)
+        scope = ix.scope_before(first_path) + [first.var]
+        used = ix.used_names()
         fn = fresh_name("f_", used)
         svar = fresh_name("s_", used)
         loop_id = fresh_name("loop_", used)
@@ -1131,15 +1188,16 @@ def rule_introduce_retry(program, sigma, ctx, rule_index):
     return out
 
 
-def rule_introduce_foreach(program, sigma, ctx, rule_index):
+def rule_introduce_foreach(ix, ctx, rule_index):
+    program, sigma = ix.program, ix.sigma
     out = []
-    for span, runs, names, varying, values, chosen in _loop_spans(program, sigma, ctx, 1):
+    for span, runs, names, varying, values, chosen in _loop_spans(ix, ctx, 1):
         vname = varying[0]
         first_path, first = span.stmts[0]
-        scope = scope_before(program, first_path)
+        scope = ix.scope_before(first_path)
         if not scope:
             continue
-        used = used_names(program)
+        used = ix.used_names()
         fn = fresh_name("f_", used)
         lvar = fresh_name("L_", used)
         uvar = fresh_name("u_", used)
@@ -1213,8 +1271,9 @@ def enumerate_rewrites(
         fns = _SYNTH_FNS
     else:
         raise ValueError(f"unknown rewrite kind {kind!r}")
+    ix = StateIndex(program, sigma, ctx.ts)
     out: List[Rewrite] = []
     for idx, fn in enumerate(fns.values()):
-        out.extend(fn(program, sigma, ctx, idx))
+        out.extend(fn(ix, ctx, idx))
     out.sort(key=Rewrite.order_key)
     return out

@@ -108,25 +108,68 @@ class PerIteration:
     values: Tuple[JsonValue, ...]
 
 
-@dataclass(frozen=True)
 class TraceValuation:
-    params: Tuple[str, ...]
-    entries: Dict[Tuple[str, int], object]
+    """The parameters and the (variable, trace index) cells of σ.
+
+    A valuation made by ValuationTransform.apply holds only its base and
+    the transform until a cell is first read; the cell table is built
+    then. A candidate whose valuation nobody reads (the syn cost reads
+    none) never pays for the copy."""
+
+    __slots__ = ("params", "_entries", "_pending")
+
+    def __init__(self, params: Tuple[str, ...], entries: Dict[Tuple[str, int], object]):
+        self.params = params
+        self._entries = entries
+        self._pending = None  # (base valuation, transform) until first read
+
+    @classmethod
+    def _after(cls, base: "TraceValuation", transform: "ValuationTransform"):
+        params = base.params if transform.params is None else transform.params
+        sigma = cls(params, None)
+        sigma._pending = (base, transform)
+        return sigma
+
+    @property
+    def entries(self) -> Dict[Tuple[str, int], object]:
+        if self._pending is not None:
+            self._build()
+        return self._entries
+
+    def _build(self) -> None:
+        """Build the cell tables of this valuation and of every unread
+        base below it, oldest first, without recursion."""
+        chain = []
+        sigma = self
+        while sigma._pending is not None:
+            chain.append(sigma)
+            sigma = sigma._pending[0]
+        for sigma in reversed(chain):
+            base, transform = sigma._pending
+            drop = set(transform.drop_vars)
+            entries = {k: v for k, v in base._entries.items() if k[0] not in drop}
+            entries.update(transform.new_entries)
+            sigma._entries, sigma._pending = entries, None
 
     def lookup(self, var: str, trace_idx: int):
+        entries = self.entries
         key = (var, trace_idx)
-        if key not in self.entries:
+        if key not in entries:
             raise ValuationError(f"no entry for {var} on trace {trace_idx}")
-        return self.entries[key]
+        return entries[key]
 
     def has(self, var: str, trace_idx: int) -> bool:
         return (var, trace_idx) in self.entries
 
-    def scalar(self, var: str, trace_idx: int):
-        cell = self.lookup(var, trace_idx)
-        if isinstance(cell, Scalar):
-            return cell.value
-        raise ValuationError(f"{var} is per-iteration on trace {trace_idx}")
+    def __eq__(self, other):
+        if not isinstance(other, TraceValuation):
+            return NotImplemented
+        return self.params == other.params and self.entries == other.entries
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TraceValuation(params={self.params!r}, entries={self.entries!r})"
 
 
 BR = "br"
@@ -182,13 +225,9 @@ class ValuationTransform:
     params: Optional[Tuple[str, ...]] = None
 
     def apply(self, sigma: TraceValuation) -> TraceValuation:
-        drop = set(self.drop_vars)
-        entries = {k: v for k, v in sigma.entries.items() if k[0] not in drop}
-        entries.update(self.new_entries)
-        return TraceValuation(
-            params=sigma.params if self.params is None else self.params,
-            entries=entries,
-        )
+        """The updated valuation. Its cells are copied from sigma only
+        when one is first read."""
+        return TraceValuation._after(sigma, self)
 
 
 def extract_inputs(sigma: TraceValuation, trace_indices) -> Dict[str, Dict[int, JsonValue]]:

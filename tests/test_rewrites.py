@@ -214,7 +214,7 @@ def test_merge_nested_collapses_or_chain():
     assert merged.pred == dsl.POr(c1, c2)
     assert len(merged.then) == 1 and merged.then[0].var == "x1" and not merged.els
     assert not sigma2.has("x3", 1)
-    assert sigma2.scalar("x1", 2) == {"r": 2}
+    assert sigma2.lookup("x1", 2).value == {"r": 2}
 
 
 def test_merge_nested_collapses_or_not_chain():
@@ -392,7 +392,7 @@ def test_introduce_parameter_with_empty_scope():
     prog2, sigma2 = apply_one(rws[0], sigma)
     assert prog2.params == ("br", "i_1")
     assert prog2.body[0].args[0][1] == dsl.VarRef("i_1")
-    assert sigma2.scalar("i_1", 1) == "a" and sigma2.scalar("i_1", 2) == "b"
+    assert sigma2.lookup("i_1", 1).value == "a" and sigma2.lookup("i_1", 2).value == "b"
     assert check_psi(prog2, sigma2, ts, default_retry_bound(ts))
 
 
@@ -495,8 +495,8 @@ def test_eliminate_argument_derives_value_from_scope():
     hidden_let = filled.body[1]
     assert isinstance(hidden_let, dsl.LetHidden)
     assert filled.body[2].args[0][1] == dsl.VarRef(hidden_let.var)
-    assert sigma2.scalar(hidden_let.var, 1) == "a"
-    assert sigma2.scalar(hidden_let.var, 2) == "b"
+    assert sigma2.lookup(hidden_let.var, 1).value == "a"
+    assert sigma2.lookup(hidden_let.var, 2).value == "b"
     assert check_psi(filled, sigma2, ts, default_retry_bound(ts))
 
 

@@ -1,0 +1,245 @@
+"""rewrites.StateIndex and the linear walks against the recursive,
+per-query versions they replaced (tests/sites_reference.py), the scope
+order they must keep, and lazily built valuations."""
+
+import json
+import random
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+import sites_reference as reference
+from randprog import generate_case
+from tracesynth import dsl
+from tracesynth.dsl import count_reads, seq_reads
+from tracesynth.jsonvals import ABSENT
+from tracesynth.pbe import ConstraintCache
+from tracesynth.rewrites import (
+    RewriteContext,
+    StateIndex,
+    enumerate_rewrites,
+    iter_instr_sites,
+    iter_seqs,
+)
+from tracesynth.search import build_initial
+from tracesynth.traces import Scalar, TraceValuation, ValuationTransform, parse_traces
+
+
+def make_ts(n, calls=1):
+    payload = [
+        [
+            {"api": f"Api{c}", "request": {"k": t, "c": c}, "response": {"r": t}}
+            for c in range(calls)
+        ]
+        for t in range(n)
+    ]
+    return parse_traces(json.dumps(payload))
+
+
+def let(n, arg=None):
+    return dsl.LetVisible(f"x{n}", "Api", (("a", arg or dsl.Const(n)),))
+
+
+# --- scope order ---------------------------------------------------------------
+
+
+def scopes_seen_by_eliminate_argument(body):
+    """The scope at each call site, as eliminate_argument passes it to
+    the hidden function it introduces, for a program whose calls all
+    take a br-dependent argument."""
+    names = [ins.var for _, ins, _ in iter_instr_sites(body) if isinstance(ins, dsl.LetVisible)]
+    entries = {}
+    for i in (1, 2):
+        entries[("br", i)] = Scalar(i)
+        entries[("q", i)] = Scalar(f"q{i}")
+        for v in names:
+            entries[(v, i)] = Scalar({"r": i})
+    sigma = TraceValuation(params=("br", "q"), entries=entries)
+    program = dsl.Program(params=("br", "q"), body=body)
+    ctx = RewriteContext(make_ts(2), ConstraintCache())
+    scopes = {}
+    for rw in enumerate_rewrites(program, sigma, "synth", ctx):
+        if rw.rule == "eliminate_argument":
+            site = rw.path[:-1]
+            hidden_let = dict((p, ins) for p, ins, _ in iter_instr_sites(rw.program.body))[site]
+            assert isinstance(hidden_let, dsl.LetHidden)
+            scopes[site] = list(hidden_let.args)
+    return scopes
+
+
+BR_ARG = dsl.Ternary(dsl.ValueCheck("br", 1), dsl.Const("u"), dsl.Const("v"))
+GUARD = dsl.ValueCheck("q", "q1")
+
+
+def test_scope_scans_whole_sequences_before_nested_ones():
+    # Sites are met in the order (0,), (1,), (0,0,0), (0,0,1), (0,1,0),
+    # and the scan stops at the first path >= the site, here (1,): the
+    # enclosing sequence's later call cuts the nested sites' scope short.
+    body = (dsl.Ite(GUARD, (let(1, BR_ARG), let(2, BR_ARG)), (let(3, BR_ARG),)), let(4, BR_ARG))
+    scopes = scopes_seen_by_eliminate_argument(body)
+    assert scopes[(0, 0, 1)] == ["q"]
+    assert scopes[(0, 1, 0)] == ["q"]
+    assert scopes[(1,)] == ["q"]
+
+
+def test_scope_takes_in_binders_of_a_sibling_branch():
+    body = (let(0, BR_ARG), dsl.Ite(GUARD, (let(1, BR_ARG), let(2, BR_ARG)), (let(3, BR_ARG),)))
+    scopes = scopes_seen_by_eliminate_argument(body)
+    assert scopes[(1, 0, 1)] == ["q", "x0", "x1"]
+    assert scopes[(1, 1, 0)] == ["q", "x0", "x1", "x2"]
+
+
+# --- the index against the per-query reference ---------------------------------------
+
+
+def every_query_path(body):
+    """Every site, every position just past a sequence's end, and a
+    path past the whole program."""
+    paths = [path for path, _, _ in reference.iter_instr_sites(body)]
+    paths += [seq_path + (len(seq),) for seq_path, seq, _ in reference.iter_seqs(body)]
+    return paths + [(len(body) + 1, 0, 0)]
+
+
+def assert_index_matches_reference(program, sigma, ts, order):
+    body = program.body
+    assert list(iter_seqs(body)) == list(reference.iter_seqs(body))
+    assert list(iter_instr_sites(body)) == list(reference.iter_instr_sites(body))
+    reads = reference.seq_reads(body)
+    assert seq_reads(body) == reads
+    for name in set(reads) | set(program.params) | {"nobody"}:
+        assert count_reads(body, name) == reference.count_reads(body, name)
+
+    ix = StateIndex(program, sigma, ts)
+    assert ix.seqs == list(reference.iter_seqs(body))
+    assert ix.sites == list(reference.iter_instr_sites(body))
+    assert ix.reads == Counter(reads)
+    for path in every_query_path(body):
+        assert ix.scope_before(path) == reference.scope_before(program, path), path
+    sites = [path for path, _, _ in ix.sites]
+    hidden = program.hidden_map()
+    for k in order(len(sites)):
+        path = sites[k]
+        want = reference._ite_reaching(program, sigma, ts, path, hidden)
+        assert ix.reaching(path) == want, path
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.randoms(use_true_random=False))
+def test_index_matches_reference_on_random_programs(seed, rnd):
+    program, sigma, ts = generate_case(random.Random(seed))
+    assert_index_matches_reference(
+        program, sigma, ts, lambda n: rnd.sample(range(n), n)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(1, 3),
+    st.sets(st.integers(1, 61)),
+    st.randoms(use_true_random=False),
+)
+def test_index_matches_reference_on_br_chains(n_ites, calls, unread, rnd):
+    """The initial program of an (n_ites + 1)-trace set: n_ites nested
+    conditionals on br. Dropping br's cell on some traces makes their
+    guards fail to evaluate, which must leave those traces out."""
+    ts = make_ts(n_ites + 1, calls)
+    program, sigma = build_initial(ts)
+    entries = {k: v for k, v in sigma.entries.items() if not (k[0] == "br" and k[1] in unread)}
+    sigma = TraceValuation(params=sigma.params, entries=entries)
+    assert_index_matches_reference(
+        program, sigma, ts, lambda n: rnd.sample(range(n), n)
+    )
+
+
+def test_index_matches_reference_on_every_instruction_kind():
+    ite = dsl.Ite(dsl.ValueCheck("x2", 1), (dsl.LetVisible("x6", "F", (("f", dsl.VarRef("x2")),)),), ())
+    body = (
+        dsl.LetVisible(
+            "x1",
+            "A",
+            (
+                (
+                    "a",
+                    dsl.Ternary(
+                        dsl.PAnd(dsl.ValueCheck("br", 1), dsl.Compare("p", ">=", "p")),
+                        dsl.VarRef("p"),
+                        dsl.HiddenCall("f_1", ("p", "br")),
+                    ),
+                ),
+            ),
+        ),
+        dsl.LetHidden("h1", "f_1", ("x1", "p")),
+        dsl.RetryUntil(
+            "loop_1",
+            (dsl.LetVisible("x2", "B", (("b", dsl.VarRef("h1")),)), ite, dsl.LetHidden("s1", "f_2", ("x2",))),
+            dsl.POr(dsl.ValueCheck("s1", True), dsl.PNot(dsl.ValueCheck("x1", 1))),
+        ),
+        dsl.Ite(
+            dsl.ValueCheck("br", 2),
+            (
+                dsl.Foreach("loop_2", "u1", dsl.VarRef("x1"), (dsl.LetVisible("x3", "C", (("c", dsl.VarRef("u1")),)),)),
+                dsl.Return(),
+            ),
+            (dsl.LetVisible("x4", "D", (("d", dsl.VarRef("br")),)),),
+        ),
+        dsl.LetVisible("x5", "E", (("e", dsl.VarRef("x3")),)),
+    )
+    program = dsl.Program(params=("br", "p"), body=body)
+    entries = {("p", i): Scalar(5) for i in (1, 2, 3)}
+    entries.update({("br", 1): Scalar(1), ("br", 2): Scalar(2)})
+    sigma = TraceValuation(params=("br", "p"), entries=entries)
+    assert_index_matches_reference(program, sigma, make_ts(3), lambda n: range(n))
+
+
+def test_sites_inside_loops_are_reached_by_no_trace():
+    loop = dsl.Foreach("loop_1", "u1", dsl.VarRef("p"), (let(1),))
+    body = (dsl.Ite(dsl.ValueCheck("p", 1), (loop,), ()),)
+    program = dsl.Program(params=("p",), body=body)
+    sigma = TraceValuation(params=("p",), entries={("p", 1): Scalar(1), ("p", 2): Scalar(2)})
+    ix = StateIndex(program, sigma, make_ts(2))
+    assert ix.reaching((0,)) == [1, 2]
+    assert ix.reaching((0, 0, 0)) == [1]
+    assert ix.reaching((0, 0, 0, 0, 0)) == []
+
+
+# --- depth ---------------------------------------------------------------------
+
+
+def test_walks_survive_a_1200_deep_conditional_chain():
+    """The initial program of a 1,201-trace set nests 1,200
+    conditionals; the recursive walks raised RecursionError on it."""
+    body = (let(0, dsl.VarRef("br")),)
+    for n in range(1, 1201):
+        body = (dsl.Ite(dsl.ValueCheck("br", n), (let(n, dsl.VarRef("br")),), body),)
+    sites = list(iter_instr_sites(body))
+    assert len(sites) == 2401
+    assert sites[-1][0] == (0, 1) * 1200 + (0,)
+    assert count_reads(body, "br") == 2401
+
+
+# --- lazily built valuations -------------------------------------------------------
+
+
+def test_applied_transforms_copy_nothing_until_read():
+    base = TraceValuation(
+        params=("br",), entries={("br", 1): Scalar(1), ("x", 1): Scalar(2), ("y", 1): Scalar(3)}
+    )
+    t = ValuationTransform(drop_vars=("x",), new_entries={("z", 1): Scalar(ABSENT)}, params=())
+    sigma = t.apply(base)
+    assert sigma._entries is None and sigma.params == ()
+    assert sigma.lookup("z", 1) == Scalar(ABSENT)
+    assert sigma.entries == {("br", 1): Scalar(1), ("y", 1): Scalar(3), ("z", 1): Scalar(ABSENT)}
+    assert list(sigma.entries) == [("br", 1), ("y", 1), ("z", 1)]
+    assert not sigma.has("x", 1)
+    assert base.has("x", 1)
+
+
+def test_a_long_chain_of_unread_valuations_builds_without_recursion():
+    sigma = TraceValuation(params=(), entries={("v0", 1): Scalar(0)})
+    for n in range(1, 3001):
+        sigma = ValuationTransform(
+            drop_vars=(f"v{n - 1}",), new_entries={(f"v{n}", 1): Scalar(n)}
+        ).apply(sigma)
+    assert sigma.entries == {("v3000", 1): Scalar(3000)}
+    assert sigma == TraceValuation(params=(), entries={("v3000", 1): Scalar(3000)})

@@ -70,16 +70,14 @@ def test_initial_valuation_binds_branch_selector():
     ts = two_trace_set()
     sigma = initial_valuation(ts)
     assert sigma.params == ("br",)
-    assert sigma.scalar("br", 1) == 1
-    assert sigma.scalar("br", 2) == 2
+    assert sigma.lookup("br", 1).value == 1
+    assert sigma.lookup("br", 2).value == 2
 
 
 def test_lookup_and_scalar_errors():
     sigma = TraceValuation(params=(), entries={("x", 1): PerIteration((1, 2))})
     with pytest.raises(ValuationError):
         sigma.lookup("x", 2)
-    with pytest.raises(ValuationError):
-        sigma.scalar("x", 1)
     assert sigma.has("x", 1) and not sigma.has("y", 1)
 
 
