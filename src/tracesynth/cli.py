@@ -227,6 +227,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TraceError, ParseError, SearchError, ValueError, OSError) as exc:
         print(f"tracesynth: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError as exc:
+        # Validation, replay and printing still recurse once per nesting
+        # level, so a large enough trace set nests too deeply for them.
+        print(
+            f"tracesynth: the traces give a program nested too deeply to process ({exc})",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
 
 
 def entry() -> None:

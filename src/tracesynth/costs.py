@@ -46,21 +46,27 @@ class CostWeights:
 
 def count_statements(seq) -> int:
     """Statements for the syntactic cost: visible-call lets,
-    conditionals, loop headers, returns. Hidden-call lets are free."""
+    conditionals, loop headers, returns. Hidden-call lets are free.
+    Walks with an explicit stack, so nesting depth is unbounded."""
     n = 0
-    for ins in seq:
-        if isinstance(ins, dsl.LetVisible):
-            n += 1
-        elif isinstance(ins, dsl.LetHidden):
-            pass
-        elif isinstance(ins, dsl.Ite):
-            n += 1 + count_statements(ins.then) + count_statements(ins.els)
-        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-            n += 1 + count_statements(ins.body)
-        elif isinstance(ins, dsl.Return):
-            n += 1
-        else:
-            raise TypeError(f"not an instruction: {ins!r}")
+    stack = [seq]  # sequences still to count
+    while stack:
+        for ins in stack.pop():
+            if isinstance(ins, dsl.LetVisible):
+                n += 1
+            elif isinstance(ins, dsl.LetHidden):
+                pass
+            elif isinstance(ins, dsl.Ite):
+                n += 1
+                stack.append(ins.then)
+                stack.append(ins.els)
+            elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+                n += 1
+                stack.append(ins.body)
+            elif isinstance(ins, dsl.Return):
+                n += 1
+            else:
+                raise TypeError(f"not an instruction: {ins!r}")
     return n
 
 

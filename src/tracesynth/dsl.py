@@ -303,8 +303,53 @@ def free_vars(seq) -> set:
 
 
 def count_reads(seq, name: str) -> int:
-    """Syntactic read occurrences of name anywhere in seq."""
-    return seq_reads(seq).count(name)
+    """Syntactic read occurrences of name anywhere in seq. Counts with
+    explicit stacks and builds no list of reads, so the walk is linear
+    and nesting depth is unbounded."""
+    n = 0
+    stack = [seq]  # sequences still to visit
+    terms = []  # expressions and predicates still to visit
+    while stack:
+        for instr in stack.pop():
+            if isinstance(instr, LetVisible):
+                for _, e in instr.args:
+                    if not isinstance(e, Const):
+                        terms.append(e)
+            elif isinstance(instr, Ite):
+                terms.append(instr.pred)
+                stack.append(instr.then)
+                stack.append(instr.els)
+            elif isinstance(instr, LetHidden):
+                n += instr.args.count(name)
+            elif isinstance(instr, RetryUntil):
+                terms.append(instr.pred)
+                stack.append(instr.body)
+            elif isinstance(instr, Foreach):
+                terms.append(instr.source)
+                stack.append(instr.body)
+            elif not isinstance(instr, Return):
+                raise DslError(f"not an instruction: {instr!r}")
+        while terms:
+            t = terms.pop()
+            if isinstance(t, VarRef):
+                n += t.name == name
+            elif isinstance(t, ValueCheck):
+                n += t.var == name
+            elif isinstance(t, (Const, PTrue, PFalse)):
+                pass
+            elif isinstance(t, HiddenCall):
+                n += t.args.count(name)
+            elif isinstance(t, Ternary):
+                terms += (t.pred, t.then_expr, t.else_expr)
+            elif isinstance(t, (PAnd, POr)):
+                terms += (t.left, t.right)
+            elif isinstance(t, PNot):
+                terms.append(t.inner)
+            elif isinstance(t, Compare):
+                n += (t.left == name) + (t.right == name)
+            else:
+                raise DslError(f"not an expression or predicate: {t!r}")
+    return n
 
 
 # --- substitution (read renaming) ------------------------------------------

@@ -12,10 +12,11 @@ branch guard with a hidden predicate, deriving an API argument from
 values already in scope, and rolling repeated calls into retry or
 foreach loops.
 
-Every rule computes the successor valuation eagerly; a candidate whose
-valuation cannot be built is simply not offered. Candidates come back
-sorted by (site path, rule order), which is the deterministic tie-break
-the search relies on.
+Every rule computes the successor valuation's transform eagerly; a
+candidate whose transform cannot be built is simply not offered. The
+valuation itself is built from the transform when a cell is first read.
+Candidates come back sorted by (site path, rule order), which is the
+deterministic tie-break the search relies on.
 """
 
 from __future__ import annotations
@@ -112,20 +113,33 @@ def iter_instr_sites(seq):
 
 
 def replace_seq_at(seq, seq_path, new_seq):
-    if not seq_path:
-        return tuple(new_seq)
-    i, branch = seq_path[0], seq_path[1]
-    ins = seq[i]
-    if isinstance(ins, dsl.Ite):
-        if branch == 0:
-            ins2 = replace(ins, then=replace_seq_at(ins.then, seq_path[2:], new_seq))
+    """seq with the sequence at seq_path replaced by new_seq. Only the
+    ancestors on the path are rebuilt, each with its node constructor,
+    and the descent uses no recursion."""
+    ancestors = []  # (enclosing sequence, index, instruction, branch)
+    for p in range(0, len(seq_path), 2):
+        i, branch = seq_path[p], seq_path[p + 1]
+        ins = seq[i]
+        ancestors.append((seq, i, ins, branch))
+        if isinstance(ins, dsl.Ite):
+            seq = ins.then if branch == 0 else ins.els
+        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+            seq = ins.body
         else:
-            ins2 = replace(ins, els=replace_seq_at(ins.els, seq_path[2:], new_seq))
-    elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-        ins2 = replace(ins, body=replace_seq_at(ins.body, seq_path[2:], new_seq))
-    else:
-        raise ValueError(f"path descends into a leaf at {seq_path}")
-    return seq[:i] + (ins2,) + seq[i + 1 :]
+            raise ValueError(f"path descends into a leaf at {seq_path[p:]}")
+    new = tuple(new_seq)
+    for seq, i, ins, branch in reversed(ancestors):
+        if isinstance(ins, dsl.Ite):
+            if branch == 0:
+                ins = dsl.Ite(ins.pred, new, ins.els)
+            else:
+                ins = dsl.Ite(ins.pred, ins.then, new)
+        elif isinstance(ins, dsl.RetryUntil):
+            ins = dsl.RetryUntil(ins.loop_id, new, ins.pred)
+        else:
+            ins = dsl.Foreach(ins.loop_id, ins.var, ins.source, new)
+        new = seq[:i] + (ins,) + seq[i + 1 :]
+    return new
 
 
 def _seq_at(seq, seq_path):
@@ -314,7 +328,11 @@ def _merged_let_rewrite(
         if cell is None:
             return None
         new_entries[(keep.var, i)] = cell
-    body = dsl.rename_reads(_splice(program.body, path, new_instrs), drop.var, keep.var)
+    body = _splice(program.body, path, new_instrs)
+    # Every expression in the spliced body copies one of the state's,
+    # so drop's name is read in it only if the state reads it.
+    if ix.reads[drop.var]:
+        body = dsl.rename_reads(body, drop.var, keep.var)
     return Rewrite(
         rule=rule,
         site=_site_str(path),
@@ -613,7 +631,9 @@ def rule_inline_trivial_hidden(ix, ctx, rule_index):
         body = _splice(program.body, path, ())
         if isinstance(fn_body.body, Input):
             target = ins.args[fn_body.body.slot]
-            body2 = dsl.rename_reads(body, ins.var, target)
+            body2 = body
+            if ix.reads[ins.var]:
+                body2 = dsl.rename_reads(body, ins.var, target)
         elif not expr_uses_input(fn_body.body):
             value = eval_hidden(fn_body, [None] * fn_body.arity)
             try:

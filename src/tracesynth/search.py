@@ -91,6 +91,7 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
     the last trace's branch is the unguarded else."""
     sigma = initial_valuation(ts)
     entries = dict(sigma.entries)
+    absent = Scalar(ABSENT)  # cells are immutable, so all may share it
     counter = [0]
 
     def straight_line(idx: int):
@@ -101,7 +102,7 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
             args = tuple((k, dsl.Const(v)) for k, v in rec.request)
             stmts.append(dsl.LetVisible(var, rec.api, args))
             for j in ts.indices():
-                entries[(var, j)] = Scalar(rec.response if j == idx else ABSENT)
+                entries[(var, j)] = Scalar(rec.response) if j == idx else absent
         return tuple(stmts)
 
     indices = list(ts.indices())

@@ -111,33 +111,54 @@ class PerIteration:
 class TraceValuation:
     """The parameters and the (variable, trace index) cells of σ.
 
-    A valuation made by ValuationTransform.apply holds only its base and
-    the transform until a cell is first read; the cell table is built
-    then. A candidate whose valuation nobody reads (the syn cost reads
-    none) never pays for the copy."""
+    Cells are kept by variable: _entries maps each variable to its
+    column, a {trace index: cell} dict, and no column is empty. A
+    valuation made by ValuationTransform.apply holds only its base and
+    the transform until a cell is first read. It then shares every
+    column of the base that the transform leaves alone and copies only
+    the columns it writes, so building it costs one reference per
+    variable plus the cells written, and a base is never changed. A
+    candidate whose valuation nobody reads (the syn cost reads none)
+    never pays even that."""
 
     __slots__ = ("params", "_entries", "_pending")
 
     def __init__(self, params: Tuple[str, ...], entries: Dict[Tuple[str, int], object]):
         self.params = params
-        self._entries = entries
+        columns: Dict[str, Dict[int, object]] = {}
+        for (var, trace_idx), cell in entries.items():
+            column = columns.get(var)
+            if column is None:
+                column = columns[var] = {}
+            column[trace_idx] = cell
+        self._entries = columns
         self._pending = None  # (base valuation, transform) until first read
 
     @classmethod
     def _after(cls, base: "TraceValuation", transform: "ValuationTransform"):
-        params = base.params if transform.params is None else transform.params
-        sigma = cls(params, None)
+        sigma = cls.__new__(cls)
+        sigma.params = base.params if transform.params is None else transform.params
+        sigma._entries = None
         sigma._pending = (base, transform)
         return sigma
 
-    @property
-    def entries(self) -> Dict[Tuple[str, int], object]:
+    def _columns(self) -> Dict[str, Dict[int, object]]:
         if self._pending is not None:
             self._build()
         return self._entries
 
+    @property
+    def entries(self) -> Dict[Tuple[str, int], object]:
+        """A new flat {(variable, trace index): cell} dict, variable by
+        variable."""
+        return {
+            (var, trace_idx): cell
+            for var, column in self._columns().items()
+            for trace_idx, cell in column.items()
+        }
+
     def _build(self) -> None:
-        """Build the cell tables of this valuation and of every unread
+        """Build the column tables of this valuation and of every unread
         base below it, oldest first, without recursion."""
         chain = []
         sigma = self
@@ -146,25 +167,37 @@ class TraceValuation:
             sigma = sigma._pending[0]
         for sigma in reversed(chain):
             base, transform = sigma._pending
-            drop = set(transform.drop_vars)
-            entries = {k: v for k, v in base._entries.items() if k[0] not in drop}
-            entries.update(transform.new_entries)
-            sigma._entries, sigma._pending = entries, None
+            columns = dict(base._entries)
+            for var in transform.drop_vars:
+                columns.pop(var, None)
+            copied = set()  # columns of this valuation's own
+            for (var, trace_idx), cell in transform.new_entries.items():
+                if var not in copied:
+                    copied.add(var)
+                    columns[var] = dict(columns.get(var, ()))
+                columns[var][trace_idx] = cell
+            sigma._entries, sigma._pending = columns, None
 
+    # lookup and has are the hot readers, so they test _pending inline.
     def lookup(self, var: str, trace_idx: int):
-        entries = self.entries
-        key = (var, trace_idx)
-        if key not in entries:
-            raise ValuationError(f"no entry for {var} on trace {trace_idx}")
-        return entries[key]
+        if self._pending is not None:
+            self._build()
+        try:
+            return self._entries[var][trace_idx]
+        except KeyError:
+            raise ValuationError(f"no entry for {var} on trace {trace_idx}") from None
 
     def has(self, var: str, trace_idx: int) -> bool:
-        return (var, trace_idx) in self.entries
+        if self._pending is not None:
+            self._build()
+        column = self._entries.get(var)
+        return column is not None and trace_idx in column
 
     def __eq__(self, other):
         if not isinstance(other, TraceValuation):
             return NotImplemented
-        return self.params == other.params and self.entries == other.entries
+        # No column is empty, so equal columns mean equal cells.
+        return self.params == other.params and self._columns() == other._columns()
 
     __hash__ = None
 

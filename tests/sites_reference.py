@@ -1,9 +1,10 @@
 """The recursive program walks and per-site analyses as they were before
 rewrites.StateIndex: every rule re-walked the program for each site,
 scope_before scanned all sites for each query, and _ite_reaching walked
-from the root for every site and trace. Kept verbatim as the reference
-the index and the linear walks are tested against; nothing in src/ uses
-it."""
+from the root for every site and trace. Also the recursive statement
+counter the syntactic cost used before it counted with a stack. Kept
+verbatim as the reference the index and the linear walks are tested
+against; nothing in src/ uses it."""
 
 from __future__ import annotations
 
@@ -129,3 +130,26 @@ def seq_reads(seq) -> list:
 def count_reads(seq, name: str) -> int:
     """Syntactic read occurrences of name anywhere in seq."""
     return sum(1 for n in seq_reads(seq) if n == name)
+
+
+# --- costs.py --------------------------------------------------------------------
+
+
+def count_statements(seq) -> int:
+    """Statements for the syntactic cost: visible-call lets,
+    conditionals, loop headers, returns. Hidden-call lets are free."""
+    n = 0
+    for ins in seq:
+        if isinstance(ins, dsl.LetVisible):
+            n += 1
+        elif isinstance(ins, dsl.LetHidden):
+            pass
+        elif isinstance(ins, dsl.Ite):
+            n += 1 + count_statements(ins.then) + count_statements(ins.els)
+        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+            n += 1 + count_statements(ins.body)
+        elif isinstance(ins, dsl.Return):
+            n += 1
+        else:
+            raise TypeError(f"not an instruction: {ins!r}")
+    return n

@@ -113,6 +113,34 @@ def test_unreadable_or_invalid_inputs_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
+    """The initial program nests one conditional per trace, and
+    validation still recurses per level, so at the default recursion
+    limit 600 one-call traces already raise RecursionError. A lowered
+    limit reaches the same failure with 200 traces, which are far
+    cheaper to build."""
+    traces = tmp_path / "deep.json"
+    traces.write_text(
+        json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(200)])
+    )
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        code = main(["synth", "--traces", str(traces)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tracesynth: ")
+    assert captured.err.count("\n") == 1
+    assert "recursion" in captured.err and "Traceback" not in captured.err
+
+
 def test_nonpositive_numeric_flags_exit_1(capsys):
     traces = fixture("create_table")
     assert main(["synth", "--traces", traces, "--timeout", "0"]) == 1

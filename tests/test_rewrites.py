@@ -3,6 +3,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from tracesynth import dsl
 from tracesynth.costs import count_statements
 from tracesynth.evaluator import check_psi, default_retry_bound
@@ -267,6 +269,64 @@ def test_merge_nested_rejects_per_iteration_columns():
         "merge_nested",
     )
     assert not rws
+
+
+# --- readers of the dropped binder -----------------------------------------------
+
+
+ON_1 = dsl.ValueCheck("br", 1)
+CALL_X1 = dsl.LetVisible("x1", "A", (("k", dsl.Const(1)),))
+CALL_X2 = dsl.LetVisible("x2", "A", (("k", dsl.Const(1)),))
+P, Q = dsl.LetVisible("x3", "P", ()), dsl.LetVisible("x4", "Q", ())
+# Read after the conditional: x1 on trace 1, x2 on trace 2.
+READER = dsl.LetVisible(
+    "x9", "Z", (("k", dsl.Ternary(ON_1, dsl.VarRef("x1"), dsl.VarRef("x2"))),)
+)
+# rule -> (conditional, APIs before and after A on trace 1 and trace 2)
+MERGE_CASES = {
+    "pull": (dsl.Ite(ON_1, (CALL_X1, P), (CALL_X2, Q)), ((), ("P",)), ((), ("Q",))),
+    "push": (dsl.Ite(ON_1, (P, CALL_X1), (Q, CALL_X2)), (("P",), ()), (("Q",), ())),
+    "merge_nested": (
+        dsl.Ite(ON_1, (CALL_X1,), (dsl.Ite(dsl.ValueCheck("br", 2), (CALL_X2,), ()),)),
+        ((), ()),
+        ((), ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MERGE_CASES))
+def test_merging_rules_point_readers_of_the_dropped_binder_at_the_survivor(rule):
+    """x2 is read after the conditional, so the rule must rename that
+    read to x1, the binder it keeps."""
+    ite, (before1, after1), (before2, after2) = MERGE_CASES[rule]
+    ts = make_ts(
+        [*((api, {}, {}) for api in before1), ("A", {"k": 1}, "u"),
+         *((api, {}, {}) for api in after1), ("Z", {"k": "u"}, {})],
+        [*((api, {}, {}) for api in before2), ("A", {"k": 1}, "v"),
+         *((api, {}, {}) for api in after2), ("Z", {"k": "v"}, {})],
+    )
+    program = dsl.Program(params=("br",), body=(ite, READER))
+    entries = {
+        ("br", 1): Scalar(1), ("br", 2): Scalar(2),
+        ("x1", 1): Scalar("u"), ("x1", 2): Scalar(ABSENT),
+        ("x2", 1): Scalar(ABSENT), ("x2", 2): Scalar("v"),
+        ("x3", 1): Scalar({}), ("x3", 2): Scalar(ABSENT),
+        ("x4", 1): Scalar(ABSENT), ("x4", 2): Scalar({}),
+        ("x9", 1): Scalar({}), ("x9", 2): Scalar({}),
+    }
+    sigma = TraceValuation(params=("br",), entries=entries)
+    dsl.validate_program(program)
+    assert check_psi(program, sigma, ts, default_retry_bound(ts))
+
+    rws = by_rule(enumerate_rewrites(program, sigma, "refine", ctx_for(ts)), rule)
+    assert len(rws) == 1
+    prog2, sigma2 = apply_one(rws[0], sigma)
+    reader = prog2.body[-1]
+    assert reader.var == "x9"
+    assert dsl.seq_reads((reader,)) == ["br", "x1", "x1"]
+    assert "x2" not in dsl.seq_reads(prog2.body)
+    dsl.validate_program(prog2)
+    assert check_psi(prog2, sigma2, ts, default_retry_bound(ts))
 
 
 # --- parameter and hidden-let housekeeping -------------------------------------

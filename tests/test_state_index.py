@@ -1,16 +1,18 @@
-"""rewrites.StateIndex and the linear walks against the recursive,
-per-query versions they replaced (tests/sites_reference.py), the scope
-order they must keep, and lazily built valuations."""
+"""rewrites.StateIndex and the linear walks and counters against the
+recursive, per-query versions they replaced (tests/sites_reference.py),
+the scope order they must keep, and lazily built valuations."""
 
 import json
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sites_reference as reference
 from randprog import generate_case
 from tracesynth import dsl
+from tracesynth.costs import count_statements
 from tracesynth.dsl import count_reads, seq_reads
 from tracesynth.jsonvals import ABSENT
 from tracesynth.pbe import ConstraintCache
@@ -20,9 +22,17 @@ from tracesynth.rewrites import (
     enumerate_rewrites,
     iter_instr_sites,
     iter_seqs,
+    replace_seq_at,
 )
 from tracesynth.search import build_initial
-from tracesynth.traces import Scalar, TraceValuation, ValuationTransform, parse_traces
+from tracesynth.traces import (
+    PerIteration,
+    Scalar,
+    TraceValuation,
+    ValuationError,
+    ValuationTransform,
+    parse_traces,
+)
 
 
 def make_ts(n, calls=1):
@@ -108,6 +118,7 @@ def assert_index_matches_reference(program, sigma, ts, order):
     assert seq_reads(body) == reads
     for name in set(reads) | set(program.params) | {"nobody"}:
         assert count_reads(body, name) == reference.count_reads(body, name)
+    assert count_statements(body) == reference.count_statements(body)
 
     ix = StateIndex(program, sigma, ts)
     assert ix.seqs == list(reference.iter_seqs(body))
@@ -208,7 +219,8 @@ def test_sites_inside_loops_are_reached_by_no_trace():
 
 def test_walks_survive_a_1200_deep_conditional_chain():
     """The initial program of a 1,201-trace set nests 1,200
-    conditionals; the recursive walks raised RecursionError on it."""
+    conditionals; the recursive walks, counters and replace_seq_at
+    raised RecursionError on it."""
     body = (let(0, dsl.VarRef("br")),)
     for n in range(1, 1201):
         body = (dsl.Ite(dsl.ValueCheck("br", n), (let(n, dsl.VarRef("br")),), body),)
@@ -216,6 +228,12 @@ def test_walks_survive_a_1200_deep_conditional_chain():
     assert len(sites) == 2401
     assert sites[-1][0] == (0, 1) * 1200 + (0,)
     assert count_reads(body, "br") == 2401
+    assert count_statements(body) == 2401
+    with pytest.raises(RecursionError):
+        reference.count_statements(body)
+    replaced = list(iter_instr_sites(replace_seq_at(body, (0, 1) * 1200, (let(-1),))))
+    assert [path for path, _, _ in replaced] == [path for path, _, _ in sites]
+    assert replaced[-1][1] == let(-1)
 
 
 # --- lazily built valuations -------------------------------------------------------
@@ -243,3 +261,65 @@ def test_a_long_chain_of_unread_valuations_builds_without_recursion():
         ).apply(sigma)
     assert sigma.entries == {("v3000", 1): Scalar(3000)}
     assert sigma == TraceValuation(params=(), entries={("v3000", 1): Scalar(3000)})
+
+
+# --- per-variable cells against a flat model -------------------------------------------
+
+VARS = ("a", "b", "c", "d")
+TRACES = (1, 2, 3)
+cells = st.one_of(
+    st.integers(0, 3).map(Scalar),
+    st.just(Scalar(ABSENT)),
+    st.lists(st.integers(0, 3), max_size=2).map(lambda vs: PerIteration(tuple(vs))),
+)
+flat_entries = st.dictionaries(st.tuples(st.sampled_from(VARS), st.sampled_from(TRACES)), cells)
+transforms = st.builds(
+    ValuationTransform,
+    drop_vars=st.lists(st.sampled_from(VARS), max_size=2).map(tuple),
+    new_entries=flat_entries,
+    params=st.none() | st.lists(st.sampled_from(VARS), max_size=2, unique=True).map(tuple),
+)
+
+
+def assert_matches_model(sigma, params, model):
+    assert sigma.params == params
+    for var in VARS + ("z",):
+        for i in TRACES + (9,):
+            assert sigma.has(var, i) == ((var, i) in model)
+            if (var, i) in model:
+                assert sigma.lookup(var, i) == model[(var, i)]
+            else:
+                with pytest.raises(ValuationError):
+                    sigma.lookup(var, i)
+    entries = sigma.entries
+    assert entries == model
+    order = [var for var, _ in entries]
+    assert order == sorted(order, key=order.index), "entries not grouped by variable"
+    assert sigma == TraceValuation(params, dict(model))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(VARS), max_size=2, unique=True).map(tuple),
+    flat_entries,
+    st.lists(transforms, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_per_variable_cells_match_a_flat_model(params, entries, chain, rnd):
+    """Drops, partial overwrites of surviving columns, interleaved
+    variables and parameter changes give the same valuation as the
+    flat drop-then-update model, whatever order the chain is read in,
+    and building a valuation never changes its base."""
+    sigmas = [TraceValuation(params, dict(entries))]
+    models = [(params, dict(entries))]
+    for t in chain:
+        sigmas.append(t.apply(sigmas[-1]))
+        base_params, base = models[-1]
+        model = {k: v for k, v in base.items() if k[0] not in t.drop_vars}
+        model.update(t.new_entries)
+        models.append((base_params if t.params is None else t.params, model))
+    order = rnd.sample(range(len(sigmas)), len(sigmas))
+    for k in order:
+        assert_matches_model(sigmas[k], *models[k])
+    for sigma, model in zip(sigmas, models):
+        assert_matches_model(sigma, *model)
