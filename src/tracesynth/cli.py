@@ -130,6 +130,7 @@ def _run_one(name: str, ts: TraceSet, cfg: SearchConfig, golden):
         "seconds": round(seconds, 3),
         "pbe_calls": result.stats.pbe_calls,
         "pbe_sat": result.stats.pbe_sat,
+        "states_seen": result.stats.states_seen,
         "rewrites": result.stats.rewrites,
     }
     code = EXIT_TIMEOUT if result.timed_out else EXIT_OK

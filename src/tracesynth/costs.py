@@ -5,7 +5,10 @@ Two built-in objectives:
 * ``syn`` scores syntactic complexity: 10 per statement (visible-call
   lets, conditionals, loop headers, return; hidden-call lets are free),
   1 per program parameter, and 1 per usage of the synthetic branch
-  selector br.
+  selector br. Both counts come from the instruction nodes, which keep
+  their subtree's statement and br-read counts from construction (see
+  dsl.py), so scoring a program sums only its top-level sequence and a
+  rewrite candidate pays only for the nodes its edit built.
 
 * ``traces`` scores agreement with the input traces: total recorded
   events, plus one per visible-call statement, minus how many events
@@ -24,7 +27,8 @@ from typing import Callable
 
 from . import dsl
 from .jsonvals import ABSENT
-from .traces import BR, PerIteration, Scalar, TraceSet, TraceValuation
+from .dsl import BR
+from .traces import PerIteration, Scalar, TraceSet, TraceValuation
 
 
 @dataclass(frozen=True)
@@ -47,31 +51,12 @@ class CostWeights:
 def count_statements(seq) -> int:
     """Statements for the syntactic cost: visible-call lets,
     conditionals, loop headers, returns. Hidden-call lets are free.
-    Walks with an explicit stack, so nesting depth is unbounded."""
-    n = 0
-    stack = [seq]  # sequences still to count
-    while stack:
-        for ins in stack.pop():
-            if isinstance(ins, dsl.LetVisible):
-                n += 1
-            elif isinstance(ins, dsl.LetHidden):
-                pass
-            elif isinstance(ins, dsl.Ite):
-                n += 1
-                stack.append(ins.then)
-                stack.append(ins.els)
-            elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-                n += 1
-                stack.append(ins.body)
-            elif isinstance(ins, dsl.Return):
-                n += 1
-            else:
-                raise TypeError(f"not an instruction: {ins!r}")
-    return n
+    Sums the counts each node keeps of its subtree."""
+    return sum(ins.n_statements for ins in seq)
 
 
 def count_br_usages(program: dsl.Program) -> int:
-    return dsl.count_reads(program.body, BR)
+    return sum(ins.n_br for ins in program.body)
 
 
 def cost_syn(program: dsl.Program, w: CostWeights) -> float:
@@ -82,15 +67,21 @@ def cost_syn(program: dsl.Program, w: CostWeights) -> float:
     )
 
 
-def _visible_let_vars(seq):
-    for ins in seq:
+def _visible_let_vars(seq) -> list:
+    """Visible-call binders in preorder, then-branch before
+    else-branch. Walks with an explicit stack."""
+    out = []
+    stack = list(reversed(seq))
+    while stack:
+        ins = stack.pop()
         if isinstance(ins, dsl.LetVisible):
-            yield ins.var
+            out.append(ins.var)
         elif isinstance(ins, dsl.Ite):
-            yield from _visible_let_vars(ins.then)
-            yield from _visible_let_vars(ins.els)
+            stack.extend(reversed(ins.els))
+            stack.extend(reversed(ins.then))
         elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-            yield from _visible_let_vars(ins.body)
+            stack.extend(reversed(ins.body))
+    return out
 
 
 def _executions(sigma: TraceValuation, var: str, trace_idx: int) -> int:
@@ -111,7 +102,7 @@ def cost_traces(
     events reproduced per statement. Execution counts come from the
     valuation, so holed programs rank the same way solved ones do."""
     total_events = sum(len(t) for t in ts.traces)
-    let_vars = list(_visible_let_vars(program.body))
+    let_vars = _visible_let_vars(program.body)
     reproduced = sum(
         _executions(sigma, v, i) for v in let_vars for i in ts.indices()
     )

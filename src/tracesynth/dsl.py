@@ -12,8 +12,9 @@ and hidden functions are unique program-wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, Tuple
 
 from .hidden import HiddenFnBody, print_hidden_fn
 from .jsonvals import canonical_dumps, canonical_eq, dumps_pretty
@@ -21,6 +22,42 @@ from .jsonvals import canonical_dumps, canonical_eq, dumps_pretty
 
 class DslError(Exception):
     pass
+
+
+# The synthetic branch-selector parameter of the initial program, whose
+# conditionals test br == i to select trace i's branch.
+BR = "br"
+
+# Every composite term and every instruction node keeps counts of its
+# subtree for the syntactic cost, set once at construction from its
+# children's counts, so building a node costs O(its width) and no walk
+# is ever needed: n_br, the reads of br, and on instructions also
+# n_statements (visible-call lets, conditionals, loop headers and
+# returns; hidden-call lets are free). The counts are fields that take
+# no part in equality, hashing or repr.
+
+_set = object.__setattr__  # writes a field of a frozen node
+
+
+def _counted():
+    return field(init=False, repr=False, compare=False)
+
+
+def term_br(t) -> int:
+    """Reads of br in an expression or predicate."""
+    if isinstance(t, (Ternary, PAnd, POr, PNot)):
+        return t.n_br
+    if isinstance(t, VarRef):
+        return t.name == BR
+    if isinstance(t, ValueCheck):
+        return t.var == BR
+    if isinstance(t, (Const, PTrue, PFalse)):
+        return 0
+    if isinstance(t, HiddenCall):
+        return t.args.count(BR)
+    if isinstance(t, Compare):
+        return (t.left == BR) + (t.right == BR)
+    raise DslError(f"not an expression or predicate: {t!r}")
 
 
 # --- expressions -----------------------------------------------------------
@@ -52,6 +89,10 @@ class Ternary:
     pred: object
     then_expr: object
     else_expr: object
+    n_br: int = _counted()
+
+    def __post_init__(self):
+        _set(self, "n_br", term_br(self.pred) + term_br(self.then_expr) + term_br(self.else_expr))
 
 
 @dataclass(frozen=True)
@@ -77,17 +118,29 @@ class PFalse:
 class PAnd:
     left: object
     right: object
+    n_br: int = _counted()
+
+    def __post_init__(self):
+        _set(self, "n_br", term_br(self.left) + term_br(self.right))
 
 
 @dataclass(frozen=True)
 class POr:
     left: object
     right: object
+    n_br: int = _counted()
+
+    def __post_init__(self):
+        _set(self, "n_br", term_br(self.left) + term_br(self.right))
 
 
 @dataclass(frozen=True)
 class PNot:
     inner: object
+    n_br: int = _counted()
+
+    def __post_init__(self):
+        _set(self, "n_br", term_br(self.inner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,47 +169,115 @@ COMPARE_OPS = (">=", ">", "<=", "<")
 
 
 # --- instructions ----------------------------------------------------------
+#
+# Instructions are rebuilt on the path of every rewrite candidate's
+# splice, so they set their fields in a constructor of their own rather
+# than through a generated one plus __post_init__.
 
 
-@dataclass(frozen=True)
+def _subtree_counts(own_br, body, els=()):
+    """(statements, br reads) of a node with own_br reads of its own,
+    counting itself as one statement, over its child sequences."""
+    stmts, br = 1, own_br
+    for ins in body:
+        stmts += ins.n_statements
+        br += ins.n_br
+    for ins in els:
+        stmts += ins.n_statements
+        br += ins.n_br
+    return stmts, br
+
+
+@dataclass(frozen=True, init=False)
 class LetVisible:
     var: str
     api: str
     args: Tuple[Tuple[str, object], ...]
+    n_statements: ClassVar[int] = 1
+    n_br: int = _counted()
+
+    def __init__(self, var, api, args):
+        br = 0
+        for _, e in args:
+            br += term_br(e)
+        _set(self, "var", var)
+        _set(self, "api", api)
+        _set(self, "args", args)
+        _set(self, "n_br", br)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LetHidden:
     var: str
     fn: str
     args: Tuple[str, ...]
+    n_statements: ClassVar[int] = 0
+    n_br: int = _counted()
+
+    def __init__(self, var, fn, args):
+        _set(self, "var", var)
+        _set(self, "fn", fn)
+        _set(self, "args", args)
+        _set(self, "n_br", args.count(BR))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ite:
     pred: object
     then: Tuple[object, ...]
     els: Tuple[object, ...]
+    n_statements: int = _counted()
+    n_br: int = _counted()
+
+    def __init__(self, pred, then, els):
+        stmts, br = _subtree_counts(term_br(pred), then, els)
+        _set(self, "pred", pred)
+        _set(self, "then", then)
+        _set(self, "els", els)
+        _set(self, "n_statements", stmts)
+        _set(self, "n_br", br)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RetryUntil:
     loop_id: str
     body: Tuple[object, ...]
     pred: object
+    n_statements: int = _counted()
+    n_br: int = _counted()
+
+    def __init__(self, loop_id, body, pred):
+        stmts, br = _subtree_counts(term_br(pred), body)
+        _set(self, "loop_id", loop_id)
+        _set(self, "body", body)
+        _set(self, "pred", pred)
+        _set(self, "n_statements", stmts)
+        _set(self, "n_br", br)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Foreach:
     loop_id: str
     var: str
     source: object
     body: Tuple[object, ...]
+    n_statements: int = _counted()
+    n_br: int = _counted()
+
+    def __init__(self, loop_id, var, source, body):
+        stmts, br = _subtree_counts(term_br(source), body)
+        _set(self, "loop_id", loop_id)
+        _set(self, "var", var)
+        _set(self, "source", source)
+        _set(self, "body", body)
+        _set(self, "n_statements", stmts)
+        _set(self, "n_br", br)
 
 
 @dataclass(frozen=True)
 class Return:
-    pass
+    n_statements: ClassVar[int] = 1
+    n_br: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -236,120 +357,89 @@ def seq_reads(seq) -> list:
     return out
 
 
-def instr_binders(instr) -> list:
-    if isinstance(instr, (LetVisible, LetHidden)):
-        return [instr.var]
-    if isinstance(instr, Ite):
-        return seq_binders(instr.then) + seq_binders(instr.els)
-    if isinstance(instr, RetryUntil):
-        return seq_binders(instr.body)
-    if isinstance(instr, Foreach):
-        return [instr.var] + seq_binders(instr.body)
-    return []
-
-
 def seq_binders(seq) -> list:
+    """Names bound in seq (lets and loop variables), in preorder: a
+    conditional's then-branch before its else-branch, a loop variable
+    before its body. Walks with an explicit stack, so nesting depth is
+    unbounded."""
     out = []
-    for instr in seq:
-        out.extend(instr_binders(instr))
+    stack = list(reversed(seq))  # instructions still to visit, next on top
+    while stack:
+        instr = stack.pop()
+        if isinstance(instr, (LetVisible, LetHidden)):
+            out.append(instr.var)
+        elif isinstance(instr, Ite):
+            stack.extend(reversed(instr.els))
+            stack.extend(reversed(instr.then))
+        elif isinstance(instr, RetryUntil):
+            stack.extend(reversed(instr.body))
+        elif isinstance(instr, Foreach):
+            out.append(instr.var)
+            stack.extend(reversed(instr.body))
     return out
 
 
 def free_vars(seq) -> set:
-    """Names read in seq before any binding of them within seq."""
+    """Names read in seq before any binding of them within seq. A
+    conditional's branches start from the same bound names, and after
+    it the names bound in either branch stay bound. Walks with an
+    explicit stack, and undoes a then-branch's bindings from a log
+    rather than copying the bound set, so the walk is linear."""
     free: set = set()
     bound: set = set()
-
-    def walk_seq(s):
-        for instr in s:
-            walk_instr(instr)
+    log: list = []  # names in the order they became bound
+    # Work items, next on top: ("ins", instruction), ("pred", guard read
+    # after a loop body), ("else", (log mark, then-branch's names)) once
+    # the then-branch is done, ("join", then-branch's names) after the
+    # else-branch.
+    stack = [("ins", instr) for instr in reversed(seq)]
 
     def note(names):
         for n in names:
             if n not in bound:
                 free.add(n)
 
-    def walk_instr(instr):
-        if isinstance(instr, LetVisible):
-            for _, e in instr.args:
-                note(expr_reads(e))
-            bound.add(instr.var)
-        elif isinstance(instr, LetHidden):
-            note(instr.args)
-            bound.add(instr.var)
-        elif isinstance(instr, Ite):
-            note(pred_reads(instr.pred))
-            snapshot = set(bound)
-            walk_seq(instr.then)
-            after_then = set(bound)
-            bound.clear()
-            bound.update(snapshot)
-            walk_seq(instr.els)
-            bound.update(after_then)
-        elif isinstance(instr, RetryUntil):
-            walk_seq(instr.body)
-            note(pred_reads(instr.pred))
-        elif isinstance(instr, Foreach):
-            note(expr_reads(instr.source))
-            bound.add(instr.var)
-            walk_seq(instr.body)
-        elif isinstance(instr, Return):
-            pass
-        else:
-            raise DslError(f"not an instruction: {instr!r}")
+    def bind(n):
+        if n not in bound:
+            bound.add(n)
+            log.append(n)
 
-    walk_seq(seq)
-    return free
-
-
-def count_reads(seq, name: str) -> int:
-    """Syntactic read occurrences of name anywhere in seq. Counts with
-    explicit stacks and builds no list of reads, so the walk is linear
-    and nesting depth is unbounded."""
-    n = 0
-    stack = [seq]  # sequences still to visit
-    terms = []  # expressions and predicates still to visit
     while stack:
-        for instr in stack.pop():
-            if isinstance(instr, LetVisible):
-                for _, e in instr.args:
-                    if not isinstance(e, Const):
-                        terms.append(e)
-            elif isinstance(instr, Ite):
-                terms.append(instr.pred)
-                stack.append(instr.then)
-                stack.append(instr.els)
-            elif isinstance(instr, LetHidden):
-                n += instr.args.count(name)
-            elif isinstance(instr, RetryUntil):
-                terms.append(instr.pred)
-                stack.append(instr.body)
-            elif isinstance(instr, Foreach):
-                terms.append(instr.source)
-                stack.append(instr.body)
-            elif not isinstance(instr, Return):
-                raise DslError(f"not an instruction: {instr!r}")
-        while terms:
-            t = terms.pop()
-            if isinstance(t, VarRef):
-                n += t.name == name
-            elif isinstance(t, ValueCheck):
-                n += t.var == name
-            elif isinstance(t, (Const, PTrue, PFalse)):
-                pass
-            elif isinstance(t, HiddenCall):
-                n += t.args.count(name)
-            elif isinstance(t, Ternary):
-                terms += (t.pred, t.then_expr, t.else_expr)
-            elif isinstance(t, (PAnd, POr)):
-                terms += (t.left, t.right)
-            elif isinstance(t, PNot):
-                terms.append(t.inner)
-            elif isinstance(t, Compare):
-                n += (t.left == name) + (t.right == name)
-            else:
-                raise DslError(f"not an expression or predicate: {t!r}")
-    return n
+        op, x = stack.pop()
+        if op == "pred":
+            note(pred_reads(x))
+        elif op == "else":
+            mark, then_names = x
+            then_names.extend(log[mark:])
+            del log[mark:]
+            bound.difference_update(then_names)
+        elif op == "join":
+            for n in x:
+                bind(n)
+        elif isinstance(x, LetVisible):
+            for _, e in x.args:
+                note(expr_reads(e))
+            bind(x.var)
+        elif isinstance(x, LetHidden):
+            note(x.args)
+            bind(x.var)
+        elif isinstance(x, Ite):
+            note(pred_reads(x.pred))
+            then_names: list = []
+            stack.append(("join", then_names))
+            stack.extend(("ins", i) for i in reversed(x.els))
+            stack.append(("else", (len(log), then_names)))
+            stack.extend(("ins", i) for i in reversed(x.then))
+        elif isinstance(x, RetryUntil):
+            stack.append(("pred", x.pred))
+            stack.extend(("ins", i) for i in reversed(x.body))
+        elif isinstance(x, Foreach):
+            note(expr_reads(x.source))
+            bind(x.var)
+            stack.extend(("ins", i) for i in reversed(x.body))
+        elif not isinstance(x, Return):
+            raise DslError(f"not an instruction: {x!r}")
+    return free
 
 
 # --- substitution (read renaming) ------------------------------------------
@@ -427,24 +517,52 @@ def rename_reads(seq, old: str, new: str):
 
 
 def seq_loop_ids(seq) -> list:
+    """Loop ids in seq, in preorder. Walks with an explicit stack."""
     out = []
-    for instr in seq:
+    stack = list(reversed(seq))
+    while stack:
+        instr = stack.pop()
         if isinstance(instr, Ite):
-            out.extend(seq_loop_ids(instr.then))
-            out.extend(seq_loop_ids(instr.els))
-        elif isinstance(instr, RetryUntil):
+            stack.extend(reversed(instr.els))
+            stack.extend(reversed(instr.then))
+        elif isinstance(instr, (RetryUntil, Foreach)):
             out.append(instr.loop_id)
-            out.extend(seq_loop_ids(instr.body))
-        elif isinstance(instr, Foreach):
-            out.append(instr.loop_id)
-            out.extend(seq_loop_ids(instr.body))
+            stack.extend(reversed(instr.body))
     return out
 
 
+def check_calls(seq, known) -> None:
+    """Raise DslError at the first call, in preorder, of a hidden
+    function not in known: a hidden let, or a hidden call in a visible
+    call's arguments (through ternary branches, not guards). Walks with
+    explicit stacks."""
+    stack = list(reversed(seq))
+    while stack:
+        instr = stack.pop()
+        if isinstance(instr, LetHidden) and instr.fn not in known:
+            raise DslError(f"call to undefined hidden function {instr.fn}")
+        if isinstance(instr, LetVisible):
+            for _, e in instr.args:
+                exprs = [e]
+                while exprs:
+                    x = exprs.pop()
+                    if isinstance(x, HiddenCall) and x.fn_name not in known:
+                        raise DslError(f"call to undefined hidden function {x.fn_name}")
+                    if isinstance(x, Ternary):
+                        exprs += (x.else_expr, x.then_expr)
+        elif isinstance(instr, Ite):
+            stack.extend(reversed(instr.els))
+            stack.extend(reversed(instr.then))
+        elif isinstance(instr, (RetryUntil, Foreach)):
+            stack.extend(reversed(instr.body))
+
+
 def validate_program(p: Program) -> None:
-    """Raise DslError on name clashes or dangling references."""
-    names = list(p.params) + seq_binders(p.body)
-    dupes = {n for n in names if names.count(n) > 1}
+    """Raise DslError on name clashes or dangling references. Every
+    check is linear in the program and none recurses."""
+    counts = Counter(p.params)
+    counts.update(seq_binders(p.body))
+    dupes = {n for n, c in counts.items() if c > 1}
     if dupes:
         raise DslError(f"duplicate binders: {sorted(dupes)}")
     loops = seq_loop_ids(p.body)
@@ -453,29 +571,7 @@ def validate_program(p: Program) -> None:
     fnames = [n for n, _ in p.hidden_defs] + list(p.holes)
     if len(set(fnames)) != len(fnames):
         raise DslError("hidden function name declared twice")
-    known = set(fnames)
-
-    def check_calls(seq):
-        for instr in seq:
-            if isinstance(instr, LetHidden) and instr.fn not in known:
-                raise DslError(f"call to undefined hidden function {instr.fn}")
-            if isinstance(instr, LetVisible):
-                for _, e in instr.args:
-                    check_expr(e)
-            if isinstance(instr, Ite):
-                check_calls(instr.then)
-                check_calls(instr.els)
-            if isinstance(instr, (RetryUntil, Foreach)):
-                check_calls(instr.body)
-
-    def check_expr(e):
-        if isinstance(e, HiddenCall) and e.fn_name not in known:
-            raise DslError(f"call to undefined hidden function {e.fn_name}")
-        if isinstance(e, Ternary):
-            check_expr(e.then_expr)
-            check_expr(e.else_expr)
-
-    check_calls(p.body)
+    check_calls(p.body, set(fnames))
     unbound = free_vars(p.body) - set(p.params)
     if unbound:
         raise DslError(f"unbound variables: {sorted(unbound)}")

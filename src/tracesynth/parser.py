@@ -133,7 +133,12 @@ def _tokenize(text: str):
 
 
 class _RawLet:
-    """let statement before visible/hidden resolution."""
+    """let statement before visible/hidden resolution. The conditionals
+    and loops built around it take their subtree counts from it; they
+    are rebuilt by _resolve, so these counts are never read."""
+
+    n_statements = 0
+    n_br = 0
 
     def __init__(self, var, name, kwargs, posargs):
         self.var = var

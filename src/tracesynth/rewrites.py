@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from . import dsl
+from .dsl import BR
 from .jsonvals import ABSENT, canonical_eq
 from .pbe import ConstraintCache, GrammarConfig, IOExample
 from .traces import (
-    BR,
     PerIteration,
     Scalar,
     TraceSet,
@@ -69,6 +69,13 @@ class RewriteContext:
     ts: TraceSet
     cache: ConstraintCache
     pbe_cfg: GrammarConfig = None
+    # introduce_parameter's duplicate key of each br-reading argument of
+    # the last state it saw: id(expr) -> (expr, key). Holding the
+    # expression keeps its id from being reused. An accepted state's
+    # nodes carry over to its successors, so an argument is printed
+    # once per search, not once per state, and keeping only the last
+    # state's arguments bounds the memo by one program.
+    param_keys: Dict[int, Tuple[object, str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.pbe_cfg is None:
@@ -164,15 +171,6 @@ def _site_str(path) -> str:
     return "/".join(str(p) for p in path) or "top"
 
 
-def used_names(program: dsl.Program) -> set:
-    names = set(program.params)
-    names.update(dsl.seq_binders(program.body))
-    names.update(dsl.seq_loop_ids(program.body))
-    names.update(n for n, _ in program.hidden_defs)
-    names.update(program.holes)
-    return names
-
-
 def fresh_name(prefix: str, used: set) -> str:
     n = 1
     while f"{prefix}{n}" in used:
@@ -186,41 +184,71 @@ class StateIndex:
     """The analysis every rule reads of one (program, σ) state, done
     once per enumerate_rewrites call: the instruction sites, the names
     in scope at each site, how often each name is read, the names in
-    use, and the traces that reach each site."""
+    use, and the traces that reach each site.
+
+    One pass over iter_seqs gathers all of it: each sequence and its
+    sites, the names each instruction reads of its own (a guard, a loop
+    source, arguments; nested sequences are visited as sequences of
+    their own), the binders and loop ids, and the bisection arrays of
+    scope_before. Reaching traces are filtered on first query."""
 
     def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet):
         self.program = program
         self.sigma = sigma
         self.ts = ts
         self.hidden = program.hidden_map()
-        self.seqs = list(iter_seqs(program.body))
-        self.sites = [
-            (seq_path + (i,), ins, in_loop)
-            for seq_path, seq, in_loop in self.seqs
-            for i, ins in enumerate(seq)
-        ]
-        self.reads = Counter(dsl.seq_reads(program.body))
-        self._used = used_names(program)
+        self.seqs = []
+        self.sites = []
+        self._seq_by_path = {}
+        reads = []
+        used = set(program.params)
+        used.update(n for n, _ in program.hidden_defs)
+        used.update(program.holes)
         # scope_before by bisection: _max_path[k] is the largest of the
         # first k + 1 site paths, and _n_binders[k] counts the binders
         # among the first k sites.
         self._params = [p for p in program.params if p != BR]
-        self._binders: List[str] = []
-        self._n_binders = [0]
-        self._max_path = []
+        binders = self._binders = []
+        n_binders = self._n_binders = [0]
+        max_path = self._max_path = []
         top = ()
-        for path, ins, _ in self.sites:
-            top = max(top, path)
-            self._max_path.append(top)
-            if isinstance(ins, (dsl.LetVisible, dsl.LetHidden, dsl.Foreach)):
-                self._binders.append(ins.var)
-            self._n_binders.append(len(self._binders))
-        self._seq_by_path = {path: seq for path, seq, _ in self.seqs}
+        expr_reads, pred_reads = dsl.expr_reads, dsl.pred_reads
+        for seq_path, seq, in_loop in iter_seqs(program.body):
+            self.seqs.append((seq_path, seq, in_loop))
+            self._seq_by_path[seq_path] = seq
+            for i, ins in enumerate(seq):
+                path = seq_path + (i,)
+                self.sites.append((path, ins, in_loop))
+                if path > top:
+                    top = path
+                max_path.append(top)
+                if isinstance(ins, dsl.LetVisible):
+                    binders.append(ins.var)
+                    for _, e in ins.args:
+                        if not isinstance(e, dsl.Const):
+                            reads += expr_reads(e)
+                elif isinstance(ins, dsl.LetHidden):
+                    binders.append(ins.var)
+                    reads += ins.args
+                elif isinstance(ins, dsl.Ite):
+                    reads += pred_reads(ins.pred)
+                elif isinstance(ins, dsl.RetryUntil):
+                    used.add(ins.loop_id)
+                    reads += pred_reads(ins.pred)
+                elif isinstance(ins, dsl.Foreach):
+                    used.add(ins.loop_id)
+                    binders.append(ins.var)
+                    reads += expr_reads(ins.source)
+                n_binders.append(len(binders))
+        used.update(binders)
+        self._used = used
+        self.reads = Counter(reads)
         self._reach = {(): list(ts.indices())}  # sequence path -> traces
         self._guards = {}  # conditional's site path -> {trace: guard value}
 
     def used_names(self) -> set:
-        """A fresh copy of used_names(program), for fresh_name to grow."""
+        """A fresh copy of the names in use (parameters, binders, loop
+        ids, hidden functions and holes), for fresh_name to grow."""
         return set(self._used)
 
     def scope_before(self, site_path) -> List[str]:
@@ -667,22 +695,25 @@ def rule_introduce_parameter(ix, ctx, rule_index):
     nothing is in scope at its first occurrence, or deriving it from
     the scope is already recorded unsatisfiable."""
     program, sigma, hidden = ix.program, ix.sigma, ix.hidden
-    candidates = []  # (first_path, expr) distinct by structure
+    keys, kept = ctx.param_keys, {}
+    candidates = []  # (first_path, stmt, expr, key), distinct by printed form
     seen = set()
     for path, ins, in_loop in ix.sites:
-        if not isinstance(ins, dsl.LetVisible):
+        if not isinstance(ins, dsl.LetVisible) or not ins.n_br:
             continue
-        for e in (expr for _, expr in ins.args):
-            if not isinstance(e, dsl.Ternary) or BR not in dsl.expr_reads(e):
+        for _, e in ins.args:
+            if not isinstance(e, dsl.Ternary) or not e.n_br:
                 continue
-            key = dsl.print_expr(e)
+            hit = kept[id(e)] = keys.get(id(e)) or (e, dsl.print_expr(e))
+            key = hit[1]
             if key in seen:
                 continue
             seen.add(key)
             if not in_loop:
-                candidates.append((path, ins, e))
+                candidates.append((path, ins, e, key))
+    ctx.param_keys = kept
     out = []
-    for path, stmt, e in candidates:
+    for path, stmt, e, key in candidates:
         scope = ix.scope_before(path)
         if scope:
             # Something is in scope that might derive this value; hold
@@ -708,7 +739,7 @@ def rule_introduce_parameter(ix, ctx, rule_index):
         out.append(
             Rewrite(
                 rule="introduce_parameter",
-                site=f"{dsl.print_expr(e)} at {_site_str(path)}",
+                site=f"{key} at {_site_str(path)}",
                 path=tuple(path),
                 rule_index=rule_index,
                 program=replace(program, params=params, body=body),
@@ -746,11 +777,7 @@ def _replace_param_occurrences(program, sigma, ts, e, values, q, hidden):
                 new_args.append((k, target))
             elif isinstance(a, dsl.Const) and value_matches(a, ins.var):
                 new_args.append((k, target))
-            elif (
-                not in_loop
-                and BR in dsl.expr_reads(a)
-                and value_matches(a, ins.var)
-            ):
+            elif not in_loop and dsl.term_br(a) and value_matches(a, ins.var):
                 new_args.append((k, target))
             else:
                 new_args.append((k, a))
@@ -787,8 +814,8 @@ def rule_eliminate_branch_condition(ix, ctx, rule_index):
     for path, ins, in_loop in ix.sites:
         if not isinstance(ins, dsl.Ite) or in_loop:
             continue
-        guard_reads = dsl.pred_reads(ins.pred)
-        if BR not in guard_reads:
+        guard_br = dsl.term_br(ins.pred)
+        if not guard_br:
             continue
         scope = ix.scope_before(path)
         if not scope:
@@ -824,7 +851,7 @@ def rule_eliminate_branch_condition(ix, ctx, rule_index):
         # reads br as often as the old one, less the replaced guard's
         # reads (scope never holds br).
         params = program.params
-        if BR in params and ix.reads[BR] == guard_reads.count(BR):
+        if BR in params and ix.reads[BR] == guard_br:
             params = tuple(p for p in params if p != BR)
         out.append(
             Rewrite(
@@ -890,10 +917,10 @@ def rule_eliminate_argument(ix, ctx, rule_index):
     program, sigma = ix.program, ix.sigma
     out = []
     for path, ins, in_loop in ix.sites:
-        if not isinstance(ins, dsl.LetVisible):
+        if not isinstance(ins, dsl.LetVisible) or not ins.n_br:
             continue
         for arg_idx, (name, e) in enumerate(ins.args):
-            if BR not in dsl.expr_reads(e):
+            if not dsl.term_br(e):
                 continue
             scope = ix.scope_before(path)
             if not scope:

@@ -32,12 +32,12 @@ from typing import List, Optional, Tuple
 
 from . import dsl
 from .costs import CostFn
+from .dsl import BR
 from .evaluator import check_psi, default_retry_bound
 from .jsonvals import ABSENT
 from .pbe import ConstraintCache, GrammarConfig, _Deadline
 from .rewrites import Rewrite, RewriteContext, SynthesisSpec, enumerate_rewrites
 from .traces import (
-    BR,
     Scalar,
     TraceSet,
     TraceValuation,
@@ -63,6 +63,9 @@ class SearchConfig:
 class SearchStats:
     pbe_calls: int = 0
     pbe_sat: int = 0
+    # ksearch: the states it generated, the initial one included.
+    # alternating and rts: the states whose rewrites were enumerated,
+    # once per enumeration (refinement and synthesis count separately).
     states_seen: int = 0
     rewrites: List[dict] = field(default_factory=list)
 
@@ -143,6 +146,7 @@ def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline)
         if deadline.expired():
             return program, sigma, cost, True
         best = None
+        stats.states_seen += 1
         for rw in enumerate_rewrites(program, sigma, "refine", ctx):
             sigma2 = rw.transform.apply(sigma)
             c = cost_fn(rw.program, sigma2, ts)
@@ -161,6 +165,7 @@ def _try_synth(program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bo
     the first fully solvable one that replays. Returns the new state or
     None, plus a timed-out flag."""
     scored = []
+    stats.states_seen += 1
     for order, rw in enumerate(enumerate_rewrites(program, sigma, "synth", ctx)):
         sigma2 = rw.transform.apply(sigma)
         c = cost_fn(rw.program, sigma2, ts)

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from .dsl import BR  # re-exported: callers import br's name from here too
 from .jsonvals import ABSENT, JsonValue
 from .terms import term_evaluator
 
@@ -203,9 +204,6 @@ class TraceValuation:
 
     def __repr__(self):
         return f"TraceValuation(params={self.params!r}, entries={self.entries!r})"
-
-
-BR = "br"
 
 
 def initial_valuation(ts: TraceSet) -> TraceValuation:

@@ -1,9 +1,12 @@
 """The recursive program walks and per-site analyses as they were before
 rewrites.StateIndex: every rule re-walked the program for each site,
 scope_before scanned all sites for each query, and _ite_reaching walked
-from the root for every site and trace. Also the recursive statement
-counter the syntactic cost used before it counted with a stack. Kept
-verbatim as the reference the index and the linear walks are tested
+from the root for every site and trace. Also the recursive walks that
+validation, the cost functions and the index used before they counted
+with stacks or read the counts kept on program nodes: the statement and
+read counters, binders, loop ids, free variables, hidden-call checks,
+visible-let binders and the names in use. Kept verbatim as the
+reference the index, the node counts and the linear walks are tested
 against; nothing in src/ uses it."""
 
 from __future__ import annotations
@@ -132,6 +135,124 @@ def count_reads(seq, name: str) -> int:
     return sum(1 for n in seq_reads(seq) if n == name)
 
 
+def instr_binders(instr) -> list:
+    if isinstance(instr, (LetVisible, LetHidden)):
+        return [instr.var]
+    if isinstance(instr, Ite):
+        return seq_binders(instr.then) + seq_binders(instr.els)
+    if isinstance(instr, RetryUntil):
+        return seq_binders(instr.body)
+    if isinstance(instr, Foreach):
+        return [instr.var] + seq_binders(instr.body)
+    return []
+
+
+def seq_binders(seq) -> list:
+    out = []
+    for instr in seq:
+        out.extend(instr_binders(instr))
+    return out
+
+
+def free_vars(seq) -> set:
+    """Names read in seq before any binding of them within seq."""
+    free: set = set()
+    bound: set = set()
+
+    def walk_seq(s):
+        for instr in s:
+            walk_instr(instr)
+
+    def note(names):
+        for n in names:
+            if n not in bound:
+                free.add(n)
+
+    def walk_instr(instr):
+        if isinstance(instr, LetVisible):
+            for _, e in instr.args:
+                note(expr_reads(e))
+            bound.add(instr.var)
+        elif isinstance(instr, LetHidden):
+            note(instr.args)
+            bound.add(instr.var)
+        elif isinstance(instr, Ite):
+            note(pred_reads(instr.pred))
+            snapshot = set(bound)
+            walk_seq(instr.then)
+            after_then = set(bound)
+            bound.clear()
+            bound.update(snapshot)
+            walk_seq(instr.els)
+            bound.update(after_then)
+        elif isinstance(instr, RetryUntil):
+            walk_seq(instr.body)
+            note(pred_reads(instr.pred))
+        elif isinstance(instr, Foreach):
+            note(expr_reads(instr.source))
+            bound.add(instr.var)
+            walk_seq(instr.body)
+        elif isinstance(instr, Return):
+            pass
+        else:
+            raise DslError(f"not an instruction: {instr!r}")
+
+    walk_seq(seq)
+    return free
+
+
+def seq_loop_ids(seq) -> list:
+    out = []
+    for instr in seq:
+        if isinstance(instr, Ite):
+            out.extend(seq_loop_ids(instr.then))
+            out.extend(seq_loop_ids(instr.els))
+        elif isinstance(instr, RetryUntil):
+            out.append(instr.loop_id)
+            out.extend(seq_loop_ids(instr.body))
+        elif isinstance(instr, Foreach):
+            out.append(instr.loop_id)
+            out.extend(seq_loop_ids(instr.body))
+    return out
+
+
+def check_calls(seq, known) -> None:
+    """validate_program's nested check_calls and check_expr, with the
+    hidden-function names passed in."""
+
+    def check_calls(seq):
+        for instr in seq:
+            if isinstance(instr, LetHidden) and instr.fn not in known:
+                raise DslError(f"call to undefined hidden function {instr.fn}")
+            if isinstance(instr, LetVisible):
+                for _, e in instr.args:
+                    check_expr(e)
+            if isinstance(instr, Ite):
+                check_calls(instr.then)
+                check_calls(instr.els)
+            if isinstance(instr, (RetryUntil, Foreach)):
+                check_calls(instr.body)
+
+    def check_expr(e):
+        if isinstance(e, dsl.HiddenCall) and e.fn_name not in known:
+            raise DslError(f"call to undefined hidden function {e.fn_name}")
+        if isinstance(e, dsl.Ternary):
+            check_expr(e.then_expr)
+            check_expr(e.else_expr)
+
+    check_calls(seq)
+
+
+def used_names(program: dsl.Program) -> set:
+    """rewrites.used_names."""
+    names = set(program.params)
+    names.update(seq_binders(program.body))
+    names.update(seq_loop_ids(program.body))
+    names.update(n for n, _ in program.hidden_defs)
+    names.update(program.holes)
+    return names
+
+
 # --- costs.py --------------------------------------------------------------------
 
 
@@ -153,3 +274,14 @@ def count_statements(seq) -> int:
         else:
             raise TypeError(f"not an instruction: {ins!r}")
     return n
+
+
+def _visible_let_vars(seq):
+    for ins in seq:
+        if isinstance(ins, dsl.LetVisible):
+            yield ins.var
+        elif isinstance(ins, dsl.Ite):
+            yield from _visible_let_vars(ins.then)
+            yield from _visible_let_vars(ins.els)
+        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+            yield from _visible_let_vars(ins.body)

@@ -22,6 +22,7 @@ REPORT_KEYS = {
     "seconds",
     "pbe_calls",
     "pbe_sat",
+    "states_seen",
     "rewrites",
 }
 
@@ -114,9 +115,9 @@ def test_unreadable_or_invalid_inputs_exit_1(tmp_path, capsys):
 
 
 def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
-    """The initial program nests one conditional per trace, and
-    validation still recurses per level, so at the default recursion
-    limit 600 one-call traces already raise RecursionError. A lowered
+    """The initial program nests one conditional per trace, and replay
+    still recurses twice per level, so at the default recursion limit
+    600 one-call traces still raise RecursionError. A lowered
     limit reaches the same failure with 200 traces, which are far
     cheaper to build."""
     traces = tmp_path / "deep.json"

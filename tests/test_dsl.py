@@ -21,7 +21,6 @@ from tracesynth.dsl import (
     Ternary,
     ValueCheck,
     VarRef,
-    count_reads,
     equiv_mod_renaming,
     free_vars,
     pretty_print,
@@ -52,8 +51,8 @@ def test_reads_and_binders():
     assert "p" in reads and "u" in reads and "z" in reads
     assert seq_loop_ids(seq) == ["loop_1", "loop_2"]
     assert free_vars(seq) == {"p"}
-    assert count_reads(seq, "x") == 2
-    assert count_reads(seq, "u") == 1
+    assert seq_reads(seq).count("x") == 2
+    assert seq_reads(seq).count("u") == 1
 
 
 def test_ternary_and_hidden_call_reads():
@@ -68,8 +67,8 @@ def test_rename_reads_leaves_binders_alone():
         Ite(ValueCheck("old", 1), (let("y", b=VarRef("old")),), ()),
     )
     renamed = rename_reads(seq, "old", "new")
-    assert count_reads(renamed, "old") == 0
-    assert count_reads(renamed, "new") == 3
+    assert seq_reads(renamed).count("old") == 0
+    assert seq_reads(renamed).count("new") == 3
     assert seq_binders(renamed) == ["x", "y"]
 
 

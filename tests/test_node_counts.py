@@ -1,0 +1,206 @@
+"""The subtree counts kept on instruction nodes, and the stack-based walks
+of validation and the cost functions, against the recursive references
+in tests/sites_reference.py: on programs of every shape, including
+ill-formed ones, parsed ones, and every candidate the search scores on
+the checked-in fixtures."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sites_reference as reference
+from tracesynth import dsl, search
+from tracesynth.costs import CostWeights, _visible_let_vars, cost_syn, count_statements, make_cost_fn
+from tracesynth.dsl import check_calls, free_vars, seq_binders, seq_loop_ids
+from tracesynth.parser import parse_program
+from tracesynth.search import SearchConfig, run_search
+from tracesynth.traces import parse_traces
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
+
+
+def reference_cost_syn(program, w=CostWeights()):
+    return (
+        w.statement * reference.count_statements(program.body)
+        + w.parameter * len(program.params)
+        + w.br_usage * reference.count_reads(program.body, "br")
+    )
+
+
+def call_error(check, seq, known):
+    try:
+        check(seq, known)
+    except dsl.DslError as exc:
+        return str(exc)
+    return None
+
+
+def assert_walks_match_reference(body):
+    """Every nested sequence and every suffix of one (whose free
+    variables include the binders before it) walks as the recursive
+    reference does, and every instruction's node counts equal the
+    reference counters over its subtree."""
+    for _, seq, _ in reference.iter_seqs(body):
+        for start in range(len(seq) + 1):
+            part = seq[start:]
+            assert seq_binders(part) == reference.seq_binders(part)
+            assert seq_loop_ids(part) == reference.seq_loop_ids(part)
+            assert free_vars(part) == reference.free_vars(part)
+            assert _visible_let_vars(part) == list(reference._visible_let_vars(part))
+            assert count_statements(part) == reference.count_statements(part)
+        fns = {ins.fn for _, ins, _ in reference.iter_instr_sites(seq) if isinstance(ins, dsl.LetHidden)}
+        fns.update(e.fn_name for e in hidden_calls(seq))
+        for known in [fns, set()] + [fns - {f} for f in sorted(fns)]:
+            assert call_error(check_calls, seq, known) == call_error(reference.check_calls, seq, known)
+    for _, ins, _ in reference.iter_instr_sites(body):
+        assert ins.n_statements == reference.count_statements((ins,)), ins
+        assert ins.n_br == reference.count_reads((ins,), "br"), ins
+
+
+def hidden_calls(seq):
+    """Every HiddenCall in the visible calls' arguments of seq."""
+    out = []
+    for _, ins, _ in reference.iter_instr_sites(seq):
+        if isinstance(ins, dsl.LetVisible):
+            terms = [e for _, e in ins.args]
+            while terms:
+                t = terms.pop()
+                if isinstance(t, dsl.HiddenCall):
+                    out.append(t)
+                elif isinstance(t, dsl.Ternary):
+                    terms += (t.then_expr, t.else_expr)
+    return out
+
+
+# --- arbitrary programs over a small name pool -------------------------------------
+#
+# Names are drawn from a pool of three plus br, so that binders repeat,
+# branches rebind what the other branch binds, and reads come before,
+# inside and after the bindings: the cases where free_vars' undo log
+# must agree with the reference's copied snapshots.
+
+NAMES = st.sampled_from(("a", "b", "c", "br"))
+FNS = st.sampled_from(("f", "g"))
+
+leaf_preds = st.one_of(
+    st.builds(dsl.ValueCheck, NAMES, st.integers(0, 2)),
+    st.builds(dsl.Compare, NAMES, st.just(">="), NAMES),
+    st.just(dsl.PTrue()),
+)
+preds = st.recursive(
+    leaf_preds,
+    lambda p: st.one_of(st.builds(dsl.PAnd, p, p), st.builds(dsl.POr, p, p), st.builds(dsl.PNot, p)),
+    max_leaves=4,
+)
+leaf_exprs = st.one_of(
+    st.builds(dsl.VarRef, NAMES),
+    st.builds(dsl.Const, st.integers(0, 2)),
+    st.builds(dsl.HiddenCall, FNS, st.lists(NAMES, max_size=2).map(tuple)),
+)
+exprs = st.recursive(leaf_exprs, lambda e: st.builds(dsl.Ternary, preds, e, e), max_leaves=4)
+args = st.lists(st.tuples(st.sampled_from(("k", "m")), exprs), max_size=2).map(tuple)
+leaf_instrs = st.one_of(
+    st.builds(dsl.LetVisible, NAMES, st.just("Api"), args),
+    st.builds(dsl.LetHidden, NAMES, FNS, st.lists(NAMES, max_size=2).map(tuple)),
+    st.just(dsl.Return()),
+)
+
+
+def _nested(seq):
+    return st.one_of(
+        st.builds(dsl.Ite, preds, seq, seq),
+        st.builds(dsl.RetryUntil, st.sampled_from(("l1", "l2")), seq, preds),
+        st.builds(dsl.Foreach, st.sampled_from(("l1", "l2")), NAMES, exprs, seq),
+    )
+
+
+seqs = st.recursive(
+    st.lists(leaf_instrs, max_size=3).map(tuple),
+    lambda seq: st.lists(st.one_of(leaf_instrs, _nested(seq)), max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seqs)
+def test_walks_and_counts_match_reference_on_arbitrary_programs(body):
+    assert_walks_match_reference(body)
+    program = dsl.Program(params=("br",), body=body)
+    assert cost_syn(program, CostWeights()) == reference_cost_syn(program)
+
+
+def test_counts_follow_a_rebuilt_ancestor():
+    """A node rebuilt around a shared guard and an edited branch counts
+    the guard, the edit and the untouched branch; renaming br away
+    leaves no br read in the rebuilt nodes."""
+    guard = dsl.POr(dsl.ValueCheck("br", 1), dsl.PNot(dsl.ValueCheck("br", 2)))
+    arg = dsl.Ternary(guard, dsl.VarRef("br"), dsl.Const(0))
+    let = dsl.LetVisible("x1", "Api", (("k", arg),))
+    ite = dsl.Ite(guard, (let,), (dsl.LetHidden("h1", "f", ("br", "x1")),))
+    assert (ite.n_statements, ite.n_br) == (2, 2 + 3 + 1)
+    rebuilt = dsl.Ite(guard, ite.then + (dsl.Return(),), ())
+    assert (rebuilt.n_statements, rebuilt.n_br) == (3, 2 + 3)
+    renamed = dsl.rename_reads((rebuilt,), "br", "q")[0]
+    assert (renamed.n_statements, renamed.n_br) == (3, 0)
+
+
+# --- parsed programs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [n for n in FIXTURES if (BENCH / n / "golden.txt").is_file()])
+def test_parsed_programs_carry_the_reference_counts(name):
+    """The parser builds its conditionals and loops around unresolved
+    lets first, then rebuilds them; the rebuilt nodes' counts must hold."""
+    program = parse_program((BENCH / name / "golden.txt").read_text())
+    assert_walks_match_reference(program.body)
+    reparsed = parse_program(dsl.pretty_print(program))
+    assert_walks_match_reference(reparsed.body)
+    assert cost_syn(reparsed, CostWeights()) == reference_cost_syn(program)
+
+
+def test_parsed_br_reads_are_counted_in_guards_arguments_and_loops():
+    program = parse_program(
+        "LAMBDA f_1. lambda br, p.\n"
+        "  let x1 = Api(k=(br == 1 && p >= br) ? br : f_1(br, p))\n"
+        "  if !(br == 2) {\n"
+        "    let h1 = f_1(br, x1)\n"
+        "  }\n"
+        "  for loop_1 (u1) in br {\n"
+        "    let x2 = Api(k=u1)\n"
+        "  }\n"
+        "  retry loop_2 {\n"
+        "    let x3 = Api(k=br)\n"
+        "  } until br == 3\n"
+    )
+    assert [ins.n_br for ins in program.body] == [4, 2, 1, 2]
+    assert [ins.n_statements for ins in program.body] == [1, 1, 2, 2]
+    assert_walks_match_reference(program.body)
+
+
+# --- every candidate the search scores ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_candidate_costs_what_the_full_walk_gives(name, monkeypatch):
+    """Every rewrite candidate of every state the alternating search
+    enumerates on a fixture: its syn cost from the node counts equals
+    the recursive full walk over the candidate."""
+    ts = parse_traces((BENCH / name / "traces.json").read_text())
+    enumerate_rewrites = search.enumerate_rewrites
+    checked = []
+
+    def checking(program, sigma, kind, ctx):
+        out = enumerate_rewrites(program, sigma, kind, ctx)
+        for rw in out:
+            assert cost_syn(rw.program, CostWeights()) == reference_cost_syn(rw.program), rw.rule
+            for _, ins, _ in reference.iter_instr_sites(rw.program.body):
+                assert ins.n_statements == reference.count_statements((ins,))
+                assert ins.n_br == reference.count_reads((ins,), "br")
+        checked.append(len(out))
+        return out
+
+    monkeypatch.setattr(search, "enumerate_rewrites", checking)
+    run_search(ts, SearchConfig(cost_fn=make_cost_fn("syn")))
+    assert sum(checked) > 0

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tracesynth import dsl
+from tracesynth import dsl, search
 from tracesynth.costs import make_cost_fn
 from tracesynth.evaluator import default_retry_bound
 from tracesynth.search import (
@@ -81,6 +81,39 @@ def test_ksearch_zero_steps_returns_initial_program():
     result = run_search(ts, config("ksearch", k=0))
     assert dsl.pretty_print(result.program) == dsl.pretty_print(initial)
     assert result.stats.states_seen == 1
+
+
+@pytest.mark.parametrize("strategy", ["alternating", "rts"])
+def test_phased_strategies_count_every_enumerated_state(strategy, monkeypatch):
+    ts = load("backup_then_delete_table")
+    enumerate_rewrites = search.enumerate_rewrites
+    kinds = []
+
+    def counting(program, sigma, kind, ctx):
+        kinds.append(kind)
+        return enumerate_rewrites(program, sigma, kind, ctx)
+
+    monkeypatch.setattr(search, "enumerate_rewrites", counting)
+    result = run_search(ts, config(strategy))
+    assert result.stats.states_seen == len(kinds)
+    assert {"refine", "synth"} <= set(kinds)
+    # Every accepted rewrite came from a distinct enumerated state.
+    assert result.stats.states_seen > len(result.stats.rewrites)
+
+
+def test_initial_program_of_1200_one_call_traces_validates():
+    """The initial program nests one conditional per trace. Validation
+    walks with stacks, so no depth is too deep for it; the recursive
+    binder walk raised RecursionError from 600 traces on."""
+    ts = parse_traces(
+        json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(1200)])
+    )
+    program, sigma = build_initial(ts)
+    dsl.validate_program(program)
+    assert program.params == ("br",)
+    assert program.body[0].n_statements == 2 * 1200 - 1
+    assert program.body[0].n_br == 1199
+    assert sigma.lookup("x1", 1200).value == {"r": 1199}
 
 
 def test_alternating_on_motivating_fixture_matches_golden():

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import sites_reference as reference
 from randprog import generate_case
+from test_node_counts import assert_walks_match_reference
 from tracesynth import dsl
-from tracesynth.costs import count_statements
-from tracesynth.dsl import count_reads, seq_reads
+from tracesynth.costs import _visible_let_vars, count_br_usages, count_statements
+from tracesynth.dsl import free_vars, seq_binders, seq_loop_ids, seq_reads
 from tracesynth.jsonvals import ABSENT
 from tracesynth.pbe import ConstraintCache
 from tracesynth.rewrites import (
@@ -116,14 +117,14 @@ def assert_index_matches_reference(program, sigma, ts, order):
     assert list(iter_instr_sites(body)) == list(reference.iter_instr_sites(body))
     reads = reference.seq_reads(body)
     assert seq_reads(body) == reads
-    for name in set(reads) | set(program.params) | {"nobody"}:
-        assert count_reads(body, name) == reference.count_reads(body, name)
-    assert count_statements(body) == reference.count_statements(body)
+    assert_walks_match_reference(body)
+    assert count_br_usages(program) == reference.count_reads(body, "br")
 
     ix = StateIndex(program, sigma, ts)
     assert ix.seqs == list(reference.iter_seqs(body))
     assert ix.sites == list(reference.iter_instr_sites(body))
     assert ix.reads == Counter(reads)
+    assert ix.used_names() == reference.used_names(program)
     for path in every_query_path(body):
         assert ix.scope_before(path) == reference.scope_before(program, path), path
     sites = [path for path, _, _ in ix.sites]
@@ -227,10 +228,18 @@ def test_walks_survive_a_1200_deep_conditional_chain():
     sites = list(iter_instr_sites(body))
     assert len(sites) == 2401
     assert sites[-1][0] == (0, 1) * 1200 + (0,)
-    assert count_reads(body, "br") == 2401
+    program = dsl.Program(params=("br",), body=body)
+    assert count_br_usages(program) == 2401
     assert count_statements(body) == 2401
     with pytest.raises(RecursionError):
         reference.count_statements(body)
+    assert seq_binders(body) == [f"x{n}" for n in range(1200, -1, -1)]
+    assert free_vars(body) == {"br"}
+    assert seq_loop_ids(body) == []
+    assert len(_visible_let_vars(body)) == 1201
+    dsl.validate_program(program)
+    with pytest.raises(RecursionError):
+        reference.seq_binders(body)
     replaced = list(iter_instr_sites(replace_seq_at(body, (0, 1) * 1200, (let(-1),))))
     assert [path for path, _, _ in replaced] == [path for path, _, _ in sites]
     assert replaced[-1][1] == let(-1)
