@@ -196,12 +196,14 @@ def cmd_pbe(args) -> int:
     _positive("max-size", args.max_size)
     _positive("timeout", args.timeout)
     data = json.loads(Path(args.examples).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "kind" not in data or "examples" not in data:
-        raise ValueError("examples file must be {kind, examples: [{args, output}]}")
-    examples = [
-        IOExample(args=tuple(ex["args"]), output=ex["output"])
-        for ex in data["examples"]
-    ]
+    shape = "examples file must be {kind, examples: [{args: [...], output}]}"
+    examples = data.get("examples") if isinstance(data, dict) else None
+    if not isinstance(examples, list) or "kind" not in data:
+        raise ValueError(shape)
+    for ex in examples:
+        if not isinstance(ex, dict) or not isinstance(ex.get("args"), list) or "output" not in ex:
+            raise ValueError(shape)
+    examples = [IOExample(args=tuple(ex["args"]), output=ex["output"]) for ex in examples]
     cfg = GrammarConfig(max_size=args.max_size, timeout=args.timeout)
     result = synthesize(examples, data["kind"], cfg)
     if result.status == "timeout":
@@ -229,8 +231,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"tracesynth: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError as exc:
-        # Validation, replay and printing still recurse once per nesting
-        # level, so a large enough trace set nests too deeply for them.
+        # Replay, pretty_print, the parser's descent and
+        # rewrites._tree_stmts still recurse once per nesting level, and
+        # the term walks (reads, printing, map_term) once per nested
+        # ternary or predicate, so a large enough trace set nests too
+        # deeply for them.
         print(
             f"tracesynth: the traces give a program nested too deeply to process ({exc})",
             file=sys.stderr,

@@ -23,6 +23,7 @@ Weights are a dataclass so a config file can override any of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Callable
 
 from . import dsl
@@ -42,9 +43,15 @@ class CostWeights:
 
     @staticmethod
     def from_dict(d: dict) -> "CostWeights":
+        if not isinstance(d, dict):
+            raise ValueError("weights must be a JSON object of numbers")
         unknown = set(d) - {f for f in CostWeights.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown weight names: {sorted(unknown)}")
+        # bool is not in the tuple; NaN would make every cost comparison false.
+        bad = sorted(k for k, v in d.items() if type(v) not in (int, float) or not isfinite(v))
+        if bad:
+            raise ValueError(f"weights must be finite numbers: {bad}")
         return replace(CostWeights(), **{k: float(v) for k, v in d.items()})
 
 
@@ -68,20 +75,8 @@ def cost_syn(program: dsl.Program, w: CostWeights) -> float:
 
 
 def _visible_let_vars(seq) -> list:
-    """Visible-call binders in preorder, then-branch before
-    else-branch. Walks with an explicit stack."""
-    out = []
-    stack = list(reversed(seq))
-    while stack:
-        ins = stack.pop()
-        if isinstance(ins, dsl.LetVisible):
-            out.append(ins.var)
-        elif isinstance(ins, dsl.Ite):
-            stack.extend(reversed(ins.els))
-            stack.extend(reversed(ins.then))
-        elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-            stack.extend(reversed(ins.body))
-    return out
+    """Visible-call binders in dsl.walk order."""
+    return [ins.var for ins in dsl.walk(seq) if isinstance(ins, dsl.LetVisible)]
 
 
 def _executions(sigma: TraceValuation, var: str, trace_idx: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import is_ as _is
 from typing import ClassVar, Dict, Tuple
 
 from .hidden import HiddenFnBody, print_hidden_fn
@@ -297,6 +298,109 @@ class Program:
 # --- traversal helpers -----------------------------------------------------
 
 
+def walk(seq):
+    """Every instruction of seq and of the sequences nested in it, in
+    preorder: an instruction before its nested sequences, a
+    conditional's then-branch before its else-branch. Uses an explicit
+    stack, so nesting depth is unbounded."""
+    stack = list(reversed(seq))  # instructions still to visit, next on top
+    while stack:
+        instr = stack.pop()
+        yield instr
+        if isinstance(instr, Ite):
+            stack.extend(reversed(instr.els))
+            stack.extend(reversed(instr.then))
+        elif isinstance(instr, (RetryUntil, Foreach)):
+            stack.extend(reversed(instr.body))
+
+
+def map_instrs(seq, f, in_loop=False):
+    """seq with every instruction, nested ones included, replaced by
+    f(instr, in_loop), where instr's nested sequences are already mapped
+    and in_loop tells whether a loop encloses it. A node is rebuilt only
+    when one of its sequences changed, and an unchanged sequence is
+    returned as it is. Does not recurse: the sequences are collected
+    breadth-first, then mapped innermost first."""
+    seqs = [(seq, in_loop)]
+    first_child = []  # index in seqs of each sequence's first nested one
+    for s, loop in seqs:
+        first_child.append(len(seqs))
+        for instr in s:
+            if isinstance(instr, Ite):
+                seqs += ((instr.then, loop), (instr.els, loop))
+            elif isinstance(instr, (RetryUntil, Foreach)):
+                seqs.append((instr.body, True))
+    mapped = [None] * len(seqs)
+    for k in range(len(seqs) - 1, -1, -1):
+        s, loop = seqs[k]
+        c = first_child[k]
+        out = []
+        for instr in s:
+            if isinstance(instr, Ite):
+                then, els = mapped[c], mapped[c + 1]
+                c += 2
+                if then is not instr.then or els is not instr.els:
+                    instr = Ite(instr.pred, then, els)
+            elif isinstance(instr, (RetryUntil, Foreach)):
+                body = mapped[c]
+                c += 1
+                if body is not instr.body and isinstance(instr, RetryUntil):
+                    instr = RetryUntil(instr.loop_id, body, instr.pred)
+                elif body is not instr.body:
+                    instr = Foreach(instr.loop_id, instr.var, instr.source, body)
+            out.append(f(instr, loop))
+        mapped[k] = s if all(map(_is, out, s)) else tuple(out)
+    return mapped[0]
+
+
+def map_term(t, leaf):
+    """t with leaf applied to each of its leaves (a read, constant,
+    hidden call, value check, comparison, true or false); a ternary or
+    connective is rebuilt only when a part of it changed."""
+    if isinstance(t, Ternary):
+        p, a, b = map_term(t.pred, leaf), map_term(t.then_expr, leaf), map_term(t.else_expr, leaf)
+        if p is t.pred and a is t.then_expr and b is t.else_expr:
+            return t
+        return Ternary(p, a, b)
+    if isinstance(t, (PAnd, POr)):
+        a, b = map_term(t.left, leaf), map_term(t.right, leaf)
+        return t if a is t.left and b is t.right else type(t)(a, b)
+    if isinstance(t, PNot):
+        a = map_term(t.inner, leaf)
+        return t if a is t.inner else PNot(a)
+    return leaf(t)
+
+
+def map_terms(instr, leaf):
+    """instr with map_term applied to the terms it holds itself: a
+    visible call's arguments, a hidden let's arguments (which reach leaf
+    as a HiddenCall), a guard, an exit predicate, a loop source. Nested
+    sequences are left alone, and instr is returned as it is when no
+    term changed."""
+    if isinstance(instr, LetVisible):
+        args = [(k, map_term(e, leaf)) for k, e in instr.args]
+        for (_, new), (_, old) in zip(args, instr.args):
+            if new is not old:
+                return LetVisible(instr.var, instr.api, tuple(args))
+        return instr
+    if isinstance(instr, LetHidden):
+        call = HiddenCall(instr.fn, instr.args)
+        new = leaf(call)
+        return instr if new is call else LetHidden(instr.var, new.fn_name, new.args)
+    if isinstance(instr, Ite):
+        pred = map_term(instr.pred, leaf)
+        return instr if pred is instr.pred else Ite(pred, instr.then, instr.els)
+    if isinstance(instr, RetryUntil):
+        pred = map_term(instr.pred, leaf)
+        return instr if pred is instr.pred else RetryUntil(instr.loop_id, instr.body, pred)
+    if isinstance(instr, Foreach):
+        src = map_term(instr.source, leaf)
+        return instr if src is instr.source else Foreach(instr.loop_id, instr.var, src, instr.body)
+    if isinstance(instr, Return):
+        return instr
+    raise DslError(f"not an instruction: {instr!r}")
+
+
 def expr_reads(e) -> list:
     """Variable names read by an expression, in occurrence order."""
     if isinstance(e, Const):
@@ -358,25 +462,8 @@ def seq_reads(seq) -> list:
 
 
 def seq_binders(seq) -> list:
-    """Names bound in seq (lets and loop variables), in preorder: a
-    conditional's then-branch before its else-branch, a loop variable
-    before its body. Walks with an explicit stack, so nesting depth is
-    unbounded."""
-    out = []
-    stack = list(reversed(seq))  # instructions still to visit, next on top
-    while stack:
-        instr = stack.pop()
-        if isinstance(instr, (LetVisible, LetHidden)):
-            out.append(instr.var)
-        elif isinstance(instr, Ite):
-            stack.extend(reversed(instr.els))
-            stack.extend(reversed(instr.then))
-        elif isinstance(instr, RetryUntil):
-            stack.extend(reversed(instr.body))
-        elif isinstance(instr, Foreach):
-            out.append(instr.var)
-            stack.extend(reversed(instr.body))
-    return out
+    """Names bound in seq (lets and loop variables), in walk order."""
+    return [i.var for i in walk(seq) if isinstance(i, (LetVisible, LetHidden, Foreach))]
 
 
 def free_vars(seq) -> set:
@@ -445,116 +532,57 @@ def free_vars(seq) -> set:
 # --- substitution (read renaming) ------------------------------------------
 
 
-def _subst_expr(e, old, new):
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, VarRef):
-        return VarRef(new) if e.name == old else e
-    if isinstance(e, Ternary):
-        return Ternary(
-            _subst_pred(e.pred, old, new),
-            _subst_expr(e.then_expr, old, new),
-            _subst_expr(e.else_expr, old, new),
-        )
-    if isinstance(e, HiddenCall):
-        return HiddenCall(e.fn_name, tuple(new if a == old else a for a in e.args))
-    raise DslError(f"not an expression: {e!r}")
-
-
-def _subst_pred(p, old, new):
-    if isinstance(p, (PTrue, PFalse)):
-        return p
-    if isinstance(p, PAnd):
-        return PAnd(_subst_pred(p.left, old, new), _subst_pred(p.right, old, new))
-    if isinstance(p, POr):
-        return POr(_subst_pred(p.left, old, new), _subst_pred(p.right, old, new))
-    if isinstance(p, PNot):
-        return PNot(_subst_pred(p.inner, old, new))
-    if isinstance(p, ValueCheck):
-        return ValueCheck(new, p.const) if p.var == old else p
-    if isinstance(p, Compare):
-        return Compare(
-            new if p.left == old else p.left, p.op, new if p.right == old else p.right
-        )
-    raise DslError(f"not a predicate: {p!r}")
-
-
 def rename_reads(seq, old: str, new: str):
     """Rename reads of old to new, leaving binders alone. The caller is
     responsible for hygiene (rewrite rules remove the old binder and
     point its readers at the surviving one)."""
 
-    def walk(s):
-        return tuple(walk_instr(i) for i in s)
+    def leaf(t):
+        if isinstance(t, VarRef):
+            return VarRef(new) if t.name == old else t
+        if isinstance(t, ValueCheck):
+            return ValueCheck(new, t.const) if t.var == old else t
+        if isinstance(t, HiddenCall) and old in t.args:
+            return HiddenCall(t.fn_name, tuple(new if a == old else a for a in t.args))
+        if isinstance(t, Compare) and old in (t.left, t.right):
+            return Compare(
+                new if t.left == old else t.left, t.op, new if t.right == old else t.right
+            )
+        return t
 
-    def walk_instr(instr):
-        if isinstance(instr, LetVisible):
-            return LetVisible(
-                instr.var,
-                instr.api,
-                tuple((k, _subst_expr(e, old, new)) for k, e in instr.args),
-            )
-        if isinstance(instr, LetHidden):
-            return LetHidden(
-                instr.var, instr.fn, tuple(new if a == old else a for a in instr.args)
-            )
-        if isinstance(instr, Ite):
-            return Ite(_subst_pred(instr.pred, old, new), walk(instr.then), walk(instr.els))
-        if isinstance(instr, RetryUntil):
-            return RetryUntil(instr.loop_id, walk(instr.body), _subst_pred(instr.pred, old, new))
-        if isinstance(instr, Foreach):
-            return Foreach(
-                instr.loop_id, instr.var, _subst_expr(instr.source, old, new), walk(instr.body)
-            )
-        if isinstance(instr, Return):
-            return instr
-        raise DslError(f"not an instruction: {instr!r}")
-
-    return walk(seq)
+    return map_instrs(seq, lambda ins, _: map_terms(ins, leaf))
 
 
 # --- validation ------------------------------------------------------------
 
 
 def seq_loop_ids(seq) -> list:
-    """Loop ids in seq, in preorder. Walks with an explicit stack."""
+    """Loop ids in seq, in walk order."""
+    return [i.loop_id for i in walk(seq) if isinstance(i, (RetryUntil, Foreach))]
+
+
+def called_fns(seq) -> list:
+    """Names of the hidden functions seq calls, in walk order: a hidden
+    let, or a hidden call in any term an instruction holds (a visible
+    call's arguments, a loop's source)."""
     out = []
-    stack = list(reversed(seq))
-    while stack:
-        instr = stack.pop()
-        if isinstance(instr, Ite):
-            stack.extend(reversed(instr.els))
-            stack.extend(reversed(instr.then))
-        elif isinstance(instr, (RetryUntil, Foreach)):
-            out.append(instr.loop_id)
-            stack.extend(reversed(instr.body))
+
+    def note(t):
+        if isinstance(t, HiddenCall):
+            out.append(t.fn_name)
+        return t
+
+    for instr in walk(seq):
+        map_terms(instr, note)
     return out
 
 
 def check_calls(seq, known) -> None:
-    """Raise DslError at the first call, in preorder, of a hidden
-    function not in known: a hidden let, or a hidden call in a visible
-    call's arguments (through ternary branches, not guards). Walks with
-    explicit stacks."""
-    stack = list(reversed(seq))
-    while stack:
-        instr = stack.pop()
-        if isinstance(instr, LetHidden) and instr.fn not in known:
-            raise DslError(f"call to undefined hidden function {instr.fn}")
-        if isinstance(instr, LetVisible):
-            for _, e in instr.args:
-                exprs = [e]
-                while exprs:
-                    x = exprs.pop()
-                    if isinstance(x, HiddenCall) and x.fn_name not in known:
-                        raise DslError(f"call to undefined hidden function {x.fn_name}")
-                    if isinstance(x, Ternary):
-                        exprs += (x.else_expr, x.then_expr)
-        elif isinstance(instr, Ite):
-            stack.extend(reversed(instr.els))
-            stack.extend(reversed(instr.then))
-        elif isinstance(instr, (RetryUntil, Foreach)):
-            stack.extend(reversed(instr.body))
+    """Raise DslError at the first call, in walk order, of a hidden
+    function not in known."""
+    for fn in called_fns(seq):
+        if fn not in known:
+            raise DslError(f"call to undefined hidden function {fn}")
 
 
 def validate_program(p: Program) -> None:

@@ -42,6 +42,7 @@ from .dsl import (
     Ternary,
     ValueCheck,
     VarRef,
+    map_instrs,
     validate_program,
 )
 from .hidden import parse_hidden_fn
@@ -135,7 +136,8 @@ def _tokenize(text: str):
 class _RawLet:
     """let statement before visible/hidden resolution. The conditionals
     and loops built around it take their subtree counts from it; they
-    are rebuilt by _resolve, so these counts are never read."""
+    are rebuilt around the resolved lets by map_instrs, so these counts
+    are never read."""
 
     n_statements = 0
     n_br = 0
@@ -436,61 +438,29 @@ class _Parser:
         raise ParseError(f"expected a JSON literal at offset {off}, got {v!r}")
 
 
-def _resolve(seq, hidden_names) -> Tuple:
-    out = []
-    for instr in seq:
-        if isinstance(instr, _RawLet):
-            if instr.name in hidden_names:
-                if instr.kwargs:
-                    raise ParseError(
-                        f"hidden function {instr.name} takes positional arguments"
-                    )
-                args = []
-                for e in instr.posargs or []:
-                    if not isinstance(e, VarRef):
-                        raise ParseError(
-                            f"hidden function {instr.name} arguments must be variables"
-                        )
-                    args.append(e.name)
-                out.append(LetHidden(instr.var, instr.name, tuple(args)))
-            else:
-                if instr.posargs:
-                    raise ParseError(
-                        f"visible call {instr.name} requires named arguments"
-                    )
-                args = tuple(instr.kwargs or [])
-                resolved_args = []
-                for k, e in args:
-                    resolved_args.append((k, _resolve_expr(e, hidden_names)))
-                out.append(LetVisible(instr.var, instr.name, tuple(resolved_args)))
-        elif isinstance(instr, Ite):
-            out.append(
-                Ite(instr.pred, _resolve(instr.then, hidden_names), _resolve(instr.els, hidden_names))
+def _resolve(instr, hidden_names):
+    """A parsed let as a hidden or a visible call, by its callee's name;
+    any other instruction as it is."""
+    if not isinstance(instr, _RawLet):
+        return instr
+    if instr.name in hidden_names:
+        if instr.kwargs:
+            raise ParseError(
+                f"hidden function {instr.name} takes positional arguments"
             )
-        elif isinstance(instr, RetryUntil):
-            out.append(RetryUntil(instr.loop_id, _resolve(instr.body, hidden_names), instr.pred))
-        elif isinstance(instr, Foreach):
-            out.append(
-                Foreach(
-                    instr.loop_id,
-                    instr.var,
-                    _resolve_expr(instr.source, hidden_names),
-                    _resolve(instr.body, hidden_names),
+        args = []
+        for e in instr.posargs or []:
+            if not isinstance(e, VarRef):
+                raise ParseError(
+                    f"hidden function {instr.name} arguments must be variables"
                 )
-            )
-        else:
-            out.append(instr)
-    return tuple(out)
-
-
-def _resolve_expr(e, hidden_names):
-    if isinstance(e, Ternary):
-        return Ternary(
-            e.pred,
-            _resolve_expr(e.then_expr, hidden_names),
-            _resolve_expr(e.else_expr, hidden_names),
+            args.append(e.name)
+        return LetHidden(instr.var, instr.name, tuple(args))
+    if instr.posargs:
+        raise ParseError(
+            f"visible call {instr.name} requires named arguments"
         )
-    return e
+    return LetVisible(instr.var, instr.name, tuple(instr.kwargs or []))
 
 
 def parse_program(text: str) -> Program:
@@ -531,7 +501,7 @@ def parse_program(text: str) -> Program:
             hidden_defs.append((name, parse_hidden_fn(rhs.strip())))
 
     hidden_names = set(holes) | {n for n, _ in hidden_defs}
-    body = _resolve(body, hidden_names)
+    body = map_instrs(body, lambda instr, _: _resolve(instr, hidden_names))
     program = Program(
         params=params, body=body, hidden_defs=tuple(hidden_defs), holes=holes
     )

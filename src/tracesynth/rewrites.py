@@ -87,7 +87,7 @@ class RewriteContext:
 # An instruction site is a tuple of ints: index within its sequence,
 # then (branch, index) pairs while descending. Branch 0 is the
 # then-branch or loop body, branch 1 the else-branch. Sites are visited
-# sequence by sequence (see iter_instr_sites), which is not
+# sequence by sequence (see StateIndex.sites), which is not
 # lexicographic order: (1,) comes before (0, 0, 0).
 
 
@@ -108,15 +108,6 @@ def iter_seqs(seq, path=(), in_loop=False):
             elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
                 nested.append((path + (i, 0), ins.body, True))
         stack.extend(reversed(nested))
-
-
-def iter_instr_sites(seq):
-    """All instruction sites, (path, instr, in_loop): every instruction
-    of a sequence before any instruction of a sequence nested in it,
-    sequences in iter_seqs order."""
-    for seq_path, s, in_loop in iter_seqs(seq):
-        for i, ins in enumerate(s):
-            yield seq_path + (i,), ins, in_loop
 
 
 def replace_seq_at(seq, seq_path, new_seq):
@@ -254,7 +245,7 @@ class StateIndex:
     def scope_before(self, site_path) -> List[str]:
         """Input names usable at a site: the parameters except br, then
         the binders (lets and loop variables) of the sites that the scan
-        in iter_instr_sites order meets before its first site whose path
+        in self.sites order meets before its first site whose path
         is >= site_path. That order is not lexicographic, so a binder
         enclosing a nested site may be left out of its scope, and a
         binder in a sibling branch may be in it."""
@@ -550,99 +541,24 @@ class _InlineReject(Exception):
     pass
 
 
-def _fold_const_pred(p, var, value):
-    if isinstance(p, dsl.ValueCheck) and p.var == var:
-        return dsl.PTrue() if canonical_eq(value, p.const) else dsl.PFalse()
-    if isinstance(p, dsl.PAnd):
-        return dsl.PAnd(_fold_const_pred(p.left, var, value), _fold_const_pred(p.right, var, value))
-    if isinstance(p, dsl.POr):
-        return dsl.POr(_fold_const_pred(p.left, var, value), _fold_const_pred(p.right, var, value))
-    if isinstance(p, dsl.PNot):
-        return dsl.PNot(_fold_const_pred(p.inner, var, value))
-    if isinstance(p, dsl.Compare) and var in (p.left, p.right):
-        raise _InlineReject()
-    return p
+def _inline_const(seq, var, value):
+    """seq with every read of var replaced by the constant value and
+    every guard var == c folded to true or false. Raises _InlineReject
+    where a comparison or a hidden call reads var: neither takes a
+    constant."""
 
+    def leaf(t):
+        if isinstance(t, dsl.VarRef) and t.name == var:
+            return dsl.Const(value)
+        if isinstance(t, dsl.ValueCheck) and t.var == var:
+            return dsl.PTrue() if canonical_eq(value, t.const) else dsl.PFalse()
+        if isinstance(t, dsl.Compare) and var in (t.left, t.right):
+            raise _InlineReject()
+        if isinstance(t, dsl.HiddenCall) and var in t.args:
+            raise _InlineReject()
+        return t
 
-def _inline_const_expr(e, var, value):
-    if isinstance(e, dsl.VarRef):
-        return dsl.Const(value) if e.name == var else e
-    if isinstance(e, dsl.Ternary):
-        return dsl.Ternary(
-            _fold_const_pred(e.pred, var, value),
-            _inline_const_expr(e.then_expr, var, value),
-            _inline_const_expr(e.else_expr, var, value),
-        )
-    if isinstance(e, dsl.HiddenCall) and var in e.args:
-        raise _InlineReject()
-    return e
-
-
-def _inline_const_seq(seq, var, value):
-    new = []
-    for ins in seq:
-        if isinstance(ins, dsl.LetVisible):
-            new.append(
-                replace(
-                    ins,
-                    args=tuple((k, _inline_const_expr(e, var, value)) for k, e in ins.args),
-                )
-            )
-        elif isinstance(ins, dsl.LetHidden):
-            if var in ins.args:
-                raise _InlineReject()
-            new.append(ins)
-        elif isinstance(ins, dsl.Ite):
-            new.append(
-                dsl.Ite(
-                    _fold_const_pred(ins.pred, var, value),
-                    _inline_const_seq(ins.then, var, value),
-                    _inline_const_seq(ins.els, var, value),
-                )
-            )
-        elif isinstance(ins, dsl.RetryUntil):
-            new.append(
-                replace(
-                    ins,
-                    body=_inline_const_seq(ins.body, var, value),
-                    pred=_fold_const_pred(ins.pred, var, value),
-                )
-            )
-        elif isinstance(ins, dsl.Foreach):
-            new.append(
-                replace(
-                    ins,
-                    source=_inline_const_expr(ins.source, var, value),
-                    body=_inline_const_seq(ins.body, var, value),
-                )
-            )
-        else:
-            new.append(ins)
-    return tuple(new)
-
-
-def _fn_still_used(body, fn) -> bool:
-    for _, ins, _ in iter_instr_sites(body):
-        if isinstance(ins, dsl.LetHidden) and ins.fn == fn:
-            return True
-        if isinstance(ins, dsl.LetVisible):
-            for _, e in ins.args:
-                for n in _hidden_call_names(e):
-                    if n == fn:
-                        return True
-        if isinstance(ins, dsl.Foreach):
-            for n in _hidden_call_names(ins.source):
-                if n == fn:
-                    return True
-    return False
-
-
-def _hidden_call_names(e):
-    if isinstance(e, dsl.HiddenCall):
-        yield e.fn_name
-    elif isinstance(e, dsl.Ternary):
-        yield from _hidden_call_names(e.then_expr)
-        yield from _hidden_call_names(e.else_expr)
+    return dsl.map_instrs(seq, lambda ins, _: dsl.map_terms(ins, leaf))
 
 
 def rule_inline_trivial_hidden(ix, ctx, rule_index):
@@ -665,13 +581,13 @@ def rule_inline_trivial_hidden(ix, ctx, rule_index):
         elif not expr_uses_input(fn_body.body):
             value = eval_hidden(fn_body, [None] * fn_body.arity)
             try:
-                body2 = _inline_const_seq(body, ins.var, value)
+                body2 = _inline_const(body, ins.var, value)
             except _InlineReject:
                 continue
         else:
             continue
         hidden_defs = program.hidden_defs
-        if not _fn_still_used(body2, ins.fn):
+        if ins.fn not in dsl.called_fns(body2):
             hidden_defs = tuple((n, f) for n, f in hidden_defs if n != ins.fn)
         out.append(
             Rewrite(
@@ -771,6 +687,8 @@ def _replace_param_occurrences(program, sigma, ts, e, values, q, hidden):
         return True
 
     def replace_in_stmt(ins, in_loop):
+        if not isinstance(ins, dsl.LetVisible):
+            return ins
         new_args = []
         for k, a in ins.args:
             if a == e:
@@ -783,22 +701,7 @@ def _replace_param_occurrences(program, sigma, ts, e, values, q, hidden):
                 new_args.append((k, a))
         return replace(ins, args=tuple(new_args))
 
-    def walk(seq, in_loop):
-        out = []
-        for ins in seq:
-            if isinstance(ins, dsl.LetVisible):
-                out.append(replace_in_stmt(ins, in_loop))
-            elif isinstance(ins, dsl.Ite):
-                out.append(
-                    dsl.Ite(ins.pred, walk(ins.then, in_loop), walk(ins.els, in_loop))
-                )
-            elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-                out.append(replace(ins, body=walk(ins.body, True)))
-            else:
-                out.append(ins)
-        return tuple(out)
-
-    return walk(program.body, False)
+    return dsl.map_instrs(program.body, replace_in_stmt)
 
 
 # --- synthesis rules -----------------------------------------------------------
@@ -984,15 +887,9 @@ class _Span:
 
 
 def _first_leaf_api(ite) -> Optional[str]:
-    for branch in (ite.then, ite.els):
-        for ins in branch:
-            if isinstance(ins, dsl.LetVisible):
-                return ins.api
-            if isinstance(ins, dsl.Ite):
-                api = _first_leaf_api(ins)
-                if api is not None:
-                    return api
-    return None
+    """The api of a conditional's first call in dsl.walk order. A call
+    in a loop counts too: _tree_stmts then rejects the tree anyway."""
+    return next((i.api for i in dsl.walk((ite,)) if isinstance(i, dsl.LetVisible)), None)
 
 
 def _tree_stmts(ite, path, api):

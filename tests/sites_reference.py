@@ -5,26 +5,41 @@ from the root for every site and trace. Also the recursive walks that
 validation, the cost functions and the index used before they counted
 with stacks or read the counts kept on program nodes: the statement and
 read counters, binders, loop ids, free variables, hidden-call checks,
-visible-let binders and the names in use. Kept verbatim as the
-reference the index, the node counts and the linear walks are tested
-against; nothing in src/ uses it."""
+visible-let binders and the names in use. And the recursive rebuilders
+that dsl.map_instrs replaced: read renaming and const-inlining. Kept
+verbatim as the reference the index, the node counts, the linear walks
+and the rebuilds are tested against; nothing in src/ uses it."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
 from tracesynth import dsl
 from tracesynth.dsl import (
+    Compare,
+    Const,
     DslError,
     Foreach,
+    HiddenCall,
     Ite,
     LetHidden,
     LetVisible,
+    PAnd,
+    PFalse,
+    PNot,
+    POr,
+    PTrue,
     Return,
     RetryUntil,
+    Ternary,
+    ValueCheck,
+    VarRef,
     expr_reads,
     pred_reads,
 )
+from tracesynth.jsonvals import canonical_eq
+from tracesynth.rewrites import _InlineReject
 from tracesynth.traces import BR, ValuationError, evaluate_in_trace
 
 
@@ -251,6 +266,148 @@ def used_names(program: dsl.Program) -> set:
     names.update(n for n, _ in program.hidden_defs)
     names.update(program.holes)
     return names
+
+
+# --- read renaming and const-inlining, before dsl.map_instrs -------------------
+
+
+def _subst_expr(e, old, new):
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, VarRef):
+        return VarRef(new) if e.name == old else e
+    if isinstance(e, Ternary):
+        return Ternary(
+            _subst_pred(e.pred, old, new),
+            _subst_expr(e.then_expr, old, new),
+            _subst_expr(e.else_expr, old, new),
+        )
+    if isinstance(e, HiddenCall):
+        return HiddenCall(e.fn_name, tuple(new if a == old else a for a in e.args))
+    raise DslError(f"not an expression: {e!r}")
+
+
+def _subst_pred(p, old, new):
+    if isinstance(p, (PTrue, PFalse)):
+        return p
+    if isinstance(p, PAnd):
+        return PAnd(_subst_pred(p.left, old, new), _subst_pred(p.right, old, new))
+    if isinstance(p, POr):
+        return POr(_subst_pred(p.left, old, new), _subst_pred(p.right, old, new))
+    if isinstance(p, PNot):
+        return PNot(_subst_pred(p.inner, old, new))
+    if isinstance(p, ValueCheck):
+        return ValueCheck(new, p.const) if p.var == old else p
+    if isinstance(p, Compare):
+        return Compare(
+            new if p.left == old else p.left, p.op, new if p.right == old else p.right
+        )
+    raise DslError(f"not a predicate: {p!r}")
+
+
+def rename_reads(seq, old: str, new: str):
+    """Rename reads of old to new, leaving binders alone. The caller is
+    responsible for hygiene (rewrite rules remove the old binder and
+    point its readers at the surviving one)."""
+
+    def walk(s):
+        return tuple(walk_instr(i) for i in s)
+
+    def walk_instr(instr):
+        if isinstance(instr, LetVisible):
+            return LetVisible(
+                instr.var,
+                instr.api,
+                tuple((k, _subst_expr(e, old, new)) for k, e in instr.args),
+            )
+        if isinstance(instr, LetHidden):
+            return LetHidden(
+                instr.var, instr.fn, tuple(new if a == old else a for a in instr.args)
+            )
+        if isinstance(instr, Ite):
+            return Ite(_subst_pred(instr.pred, old, new), walk(instr.then), walk(instr.els))
+        if isinstance(instr, RetryUntil):
+            return RetryUntil(instr.loop_id, walk(instr.body), _subst_pred(instr.pred, old, new))
+        if isinstance(instr, Foreach):
+            return Foreach(
+                instr.loop_id, instr.var, _subst_expr(instr.source, old, new), walk(instr.body)
+            )
+        if isinstance(instr, Return):
+            return instr
+        raise DslError(f"not an instruction: {instr!r}")
+
+    return walk(seq)
+
+
+def _fold_const_pred(p, var, value):
+    if isinstance(p, dsl.ValueCheck) and p.var == var:
+        return dsl.PTrue() if canonical_eq(value, p.const) else dsl.PFalse()
+    if isinstance(p, dsl.PAnd):
+        return dsl.PAnd(_fold_const_pred(p.left, var, value), _fold_const_pred(p.right, var, value))
+    if isinstance(p, dsl.POr):
+        return dsl.POr(_fold_const_pred(p.left, var, value), _fold_const_pred(p.right, var, value))
+    if isinstance(p, dsl.PNot):
+        return dsl.PNot(_fold_const_pred(p.inner, var, value))
+    if isinstance(p, dsl.Compare) and var in (p.left, p.right):
+        raise _InlineReject()
+    return p
+
+
+def _inline_const_expr(e, var, value):
+    if isinstance(e, dsl.VarRef):
+        return dsl.Const(value) if e.name == var else e
+    if isinstance(e, dsl.Ternary):
+        return dsl.Ternary(
+            _fold_const_pred(e.pred, var, value),
+            _inline_const_expr(e.then_expr, var, value),
+            _inline_const_expr(e.else_expr, var, value),
+        )
+    if isinstance(e, dsl.HiddenCall) and var in e.args:
+        raise _InlineReject()
+    return e
+
+
+def _inline_const_seq(seq, var, value):
+    new = []
+    for ins in seq:
+        if isinstance(ins, dsl.LetVisible):
+            new.append(
+                replace(
+                    ins,
+                    args=tuple((k, _inline_const_expr(e, var, value)) for k, e in ins.args),
+                )
+            )
+        elif isinstance(ins, dsl.LetHidden):
+            if var in ins.args:
+                raise _InlineReject()
+            new.append(ins)
+        elif isinstance(ins, dsl.Ite):
+            new.append(
+                dsl.Ite(
+                    _fold_const_pred(ins.pred, var, value),
+                    _inline_const_seq(ins.then, var, value),
+                    _inline_const_seq(ins.els, var, value),
+                )
+            )
+        elif isinstance(ins, dsl.RetryUntil):
+            new.append(
+                replace(
+                    ins,
+                    body=_inline_const_seq(ins.body, var, value),
+                    pred=_fold_const_pred(ins.pred, var, value),
+                )
+            )
+        elif isinstance(ins, dsl.Foreach):
+            new.append(
+                replace(
+                    ins,
+                    source=_inline_const_expr(ins.source, var, value),
+                    body=_inline_const_seq(ins.body, var, value),
+                )
+            )
+        else:
+            new.append(ins)
+    return tuple(new)
 
 
 # --- costs.py --------------------------------------------------------------------

@@ -208,6 +208,16 @@ def test_weights_flag_steers_the_search_objective(tmp_path, capsys):
     assert "unknown weight names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "weights", ["null", '{"statement": null}', '{"statement": true}', '{"statement": NaN}', "[1]"]
+)
+def test_weights_that_are_not_an_object_of_numbers_exit_1(weights, capsys):
+    assert main(["synth", "--traces", fixture("create_table"), "--weights", weights]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tracesynth: ") and "weights must be" in err
+    assert "Traceback" not in err
+
+
 def test_synth_output_and_report_are_deterministic(tmp_path, capsys):
     runs = []
     for tag in ("one", "two"):
@@ -300,3 +310,20 @@ def test_pbe_subcommand_solves_and_reports_unsat(tmp_path, capsys):
     bad.write_text(json.dumps({"examples": []}))
     assert main(["pbe", "--examples", str(bad)]) == 1
     assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "value", "examples": [{"args": [1]}]},
+        {"kind": "value", "examples": [{"args": 1, "output": 1}]},
+        {"kind": "value", "examples": "x"},
+    ],
+)
+def test_pbe_rejects_a_malformed_examples_file(data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["pbe", "--examples", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tracesynth: examples file must be")
+    assert "Traceback" not in err

@@ -1,21 +1,24 @@
-"""The subtree counts kept on instruction nodes, and the stack-based walks
-of validation and the cost functions, against the recursive references
-in tests/sites_reference.py: on programs of every shape, including
+"""The subtree counts kept on instruction nodes, the stack-based walks of
+validation and the cost functions, and the rebuilds over dsl.map_instrs
+(read renaming, const-inlining), against the recursive references in
+tests/sites_reference.py: on programs of every shape, including
 ill-formed ones, parsed ones, and every candidate the search scores on
 the checked-in fixtures."""
 
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sites_reference as reference
-from tracesynth import dsl, search
+from tracesynth import dsl, rewrites, search
 from tracesynth.costs import CostWeights, _visible_let_vars, cost_syn, count_statements, make_cost_fn
 from tracesynth.dsl import check_calls, free_vars, seq_binders, seq_loop_ids
 from tracesynth.parser import parse_program
 from tracesynth.search import SearchConfig, run_search
-from tracesynth.traces import parse_traces
+from tracesynth.traces import TraceValuation, parse_traces
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
@@ -52,25 +55,33 @@ def assert_walks_match_reference(body):
             assert count_statements(part) == reference.count_statements(part)
         fns = {ins.fn for _, ins, _ in reference.iter_instr_sites(seq) if isinstance(ins, dsl.LetHidden)}
         fns.update(e.fn_name for e in hidden_calls(seq))
+        in_sources = {e.fn_name for e in hidden_calls(seq, sources=True)}
+        fns |= in_sources
         for known in [fns, set()] + [fns - {f} for f in sorted(fns)]:
-            assert call_error(check_calls, seq, known) == call_error(reference.check_calls, seq, known)
-    for _, ins, _ in reference.iter_instr_sites(body):
-        assert ins.n_statements == reference.count_statements((ins,)), ins
-        assert ins.n_br == reference.count_reads((ins,), "br"), ins
+            if in_sources <= known:
+                assert call_error(check_calls, seq, known) == call_error(reference.check_calls, seq, known)
+            else:
+                # The reference never looked into a loop's source.
+                assert call_error(check_calls, seq, known) is not None
+    assert_counts_match_reference(body)
 
 
-def hidden_calls(seq):
-    """Every HiddenCall in the visible calls' arguments of seq."""
+def hidden_calls(seq, sources=False):
+    """Every HiddenCall in the visible calls' arguments of seq, or with
+    sources, in its loops' sources."""
     out = []
     for _, ins, _ in reference.iter_instr_sites(seq):
-        if isinstance(ins, dsl.LetVisible):
+        terms = []
+        if isinstance(ins, dsl.LetVisible) and not sources:
             terms = [e for _, e in ins.args]
-            while terms:
-                t = terms.pop()
-                if isinstance(t, dsl.HiddenCall):
-                    out.append(t)
-                elif isinstance(t, dsl.Ternary):
-                    terms += (t.then_expr, t.else_expr)
+        elif isinstance(ins, dsl.Foreach) and sources:
+            terms = [ins.source]
+        while terms:
+            t = terms.pop()
+            if isinstance(t, dsl.HiddenCall):
+                out.append(t)
+            elif isinstance(t, dsl.Ternary):
+                terms += (t.then_expr, t.else_expr)
     return out
 
 
@@ -123,12 +134,91 @@ seqs = st.recursive(
 )
 
 
+def inline_outcome(inline, body, var, value):
+    try:
+        return inline(body, var, value)
+    except rewrites._InlineReject:
+        return "rejected"
+
+
+def assert_counts_match_reference(body):
+    for _, ins, _ in reference.iter_instr_sites(body):
+        assert ins.n_statements == reference.count_statements((ins,)), ins
+        assert ins.n_br == reference.count_reads((ins,), "br"), ins
+
+
+def assert_rebuilds_match_reference(body):
+    """Renaming every name of the pool, to a name of the pool or a new
+    one, and inlining every constant a guard may test for every name,
+    give the reference's program and counts, and reject where it
+    rejects. map_instrs shows each instruction once, with whether a loop
+    encloses it, and gives back the same body when nothing changed."""
+    seen = []
+    assert dsl.map_instrs(body, lambda ins, in_loop: seen.append((ins, in_loop)) or ins) is body
+    assert Counter(seen) == Counter((ins, loop) for _, ins, loop in reference.iter_instr_sites(body))
+    for old in ("a", "b", "br"):
+        for new in ("a", "c", "q"):
+            renamed = dsl.rename_reads(body, old, new)
+            assert renamed == reference.rename_reads(body, old, new)
+            assert_counts_match_reference(renamed)
+    for var in ("a", "br"):
+        for value in (0, 2, "x"):
+            got = inline_outcome(rewrites._inline_const, body, var, value)
+            assert got == inline_outcome(reference._inline_const_seq, body, var, value)
+            if got != "rejected":
+                assert_counts_match_reference(got)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seqs)
 def test_walks_and_counts_match_reference_on_arbitrary_programs(body):
     assert_walks_match_reference(body)
+    assert_rebuilds_match_reference(body)
     program = dsl.Program(params=("br",), body=body)
     assert cost_syn(program, CostWeights()) == reference_cost_syn(program)
+
+
+def test_a_hidden_call_in_a_loop_source_must_be_defined():
+    source = dsl.Ternary(dsl.PTrue(), dsl.VarRef("a"), dsl.HiddenCall("f_9", ("a",)))
+    loop = dsl.Foreach("loop_1", "u", source, (dsl.Return(),))
+    with pytest.raises(dsl.DslError, match="f_9"):
+        check_calls((loop,), {"f_1"})
+    check_calls((loop,), {"f_9"})
+    assert reference.check_calls((loop,), set()) is None
+
+
+def test_rebuilds_survive_a_2000_deep_conditional_chain():
+    """The shape build_initial gives 2,001 one-call traces: 2,000
+    conditionals on br, each holding one call, nested in the else
+    branches. Renaming, const-inlining and introduce_parameter's
+    replacement rebuild it without recursing; the recursive renaming
+    raised RecursionError."""
+    arg = dsl.Ternary(dsl.ValueCheck("br", 0), dsl.Const("u"), dsl.Const("v"))
+    body = (dsl.LetVisible("x0", "Api", (("k", arg),)),)
+    for n in range(1, 2001):
+        let = dsl.LetVisible(f"x{n}", "Api", (("k", dsl.VarRef("br")),))
+        body = (dsl.Ite(dsl.ValueCheck("br", n), (let,), body),)
+    with pytest.raises(RecursionError):
+        reference.rename_reads(body, "br", "q")
+
+    renamed = dsl.rename_reads(body, "br", "q")
+    assert sum(ins.n_br for ins in renamed) == 0
+    assert dsl.seq_reads(renamed).count("q") == dsl.seq_reads(body).count("br")
+
+    inlined = rewrites._inline_const(body, "br", 2000)
+    assert inlined[0].pred == dsl.PTrue() and inlined[0].els[0].pred == dsl.PFalse()
+    assert inlined[0].then[0].args == (("k", dsl.Const(2000)),)
+    assert sum(ins.n_br for ins in inlined) == 0
+
+    ts = parse_traces(json.dumps([[{"api": "Api", "request": {"k": t}, "response": {}}] for t in (0, 1)]))
+    program = dsl.Program(params=("br",), body=body)
+    sigma = TraceValuation(params=("br",), entries={})
+    replaced = rewrites._replace_param_occurrences(program, sigma, ts, arg, {0: "u", 1: "v"}, "i_1", {})
+    deepest = replaced
+    while isinstance(deepest[0], dsl.Ite):
+        deepest = deepest[0].els
+    assert deepest == (dsl.LetVisible("x0", "Api", (("k", dsl.VarRef("i_1")),)),)
+    assert sum(ins.n_br for ins in replaced) == sum(ins.n_br for ins in body) - 1
 
 
 def test_counts_follow_a_rebuilt_ancestor():

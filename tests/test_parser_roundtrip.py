@@ -157,6 +157,12 @@ def test_parse_rejects_unbound_variable():
         parse_program("lambda p.\n  let x = svc.Op(a=nope)\n")
 
 
+def test_parse_rejects_an_undefined_hidden_call_in_a_loop_source():
+    text = "lambda a.\n  for loop_1 (u) in f_9(a) {\n    let x = svc.Call(K=u)\n  }\n"
+    with pytest.raises(ParseError, match="f_9"):
+        parse_program(text)
+
+
 def test_parse_rejects_bad_where_line():
     text = "lambda p.\n  let v = f_1(p)\nwhere\n  f_1 53 nonsense\n"
     with pytest.raises(ParseError):
