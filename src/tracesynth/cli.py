@@ -79,7 +79,6 @@ def _positive(name: str, value) -> None:
 
 
 def _search_config(args) -> SearchConfig:
-    _positive("k", args.k if args.strategy == "ksearch" else 1)
     _positive("retry-bound", args.retry_bound)
     _positive("timeout", args.timeout)
     _positive("pbe-max-size", args.pbe_max_size)

@@ -11,6 +11,9 @@ Bool layer:    e == literal, empty(e), !(b), b && b
 Value extras:  scalar constants and [e, ...] list construction
                (used by parsed bodies; the synthesizer does not
                enumerate bare constants).
+
+This module holds the nodes, their evaluator and their printer;
+parser.py reads the printed form, in a script's `where` section.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ from .jsonvals import ABSENT, canonical_dumps, canonical_eq, dumps_pretty, is_in
 
 
 class HiddenEvalError(Exception):
-    pass
-
-
-class HiddenParseError(Exception):
     pass
 
 
@@ -363,275 +362,3 @@ def print_expr(e, names=None) -> str:
 def print_hidden_fn(f: HiddenFnBody) -> str:
     args = ", ".join(_argname(i) for i in range(f.arity))
     return f"({args}) -> {print_expr(f.body)}"
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-_PUNCT = ("->", "..", "==", "&&", "(", ")", "[", "]", "{", "}", ",", ":", ".", "+", "!")
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                raise HiddenParseError("unterminated string literal")
-            toks.append(("str", json.loads(text[i : j + 1])))
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE+-"):
-                if text[j] in "+-" and text[j - 1] not in "eE":
-                    break
-                j += 1
-            lit = text[i:j]
-            toks.append(("num", json.loads(lit)))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j]))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(("punct", p))
-                i += len(p)
-                break
-        else:
-            raise HiddenParseError(f"unexpected character {c!r} at offset {i}")
-    toks.append(("end", None))
-    return toks
-
-
-class _P:
-    def __init__(self, toks, argnames):
-        self.toks = toks
-        self.pos = 0
-        self.args = {name: i for i, name in enumerate(argnames)}
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind, val=None):
-        k, v = self.next()
-        if k != kind or (val is not None and v != val):
-            raise HiddenParseError(f"expected {val or kind}, got {v!r}")
-        return v
-
-    def at_punct(self, p):
-        k, v = self.peek()
-        return k == "punct" and v == p
-
-    # -- JSON literal (used for Eq right sides and scalar constants)
-    def json_literal(self):
-        k, v = self.next()
-        if k in ("str", "num"):
-            return v
-        if k == "ident" and v in ("true", "false", "null"):
-            return {"true": True, "false": False, "null": None}[v]
-        if k == "punct" and v == "[":
-            items = []
-            if not self.at_punct("]"):
-                while True:
-                    items.append(self.json_literal())
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect("punct", "]")
-            return items
-        if k == "punct" and v == "{":
-            obj = {}
-            if not self.at_punct("}"):
-                while True:
-                    kk, kv = self.next()
-                    if kk != "str":
-                        raise HiddenParseError("object keys must be strings")
-                    self.expect("punct", ":")
-                    obj[kv] = self.json_literal()
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect("punct", "}")
-            return obj
-        raise HiddenParseError(f"expected a JSON literal, got {v!r}")
-
-    # -- boolean layer
-    def bool_expr(self):
-        node = self.bool_term()
-        while self.at_punct("&&"):
-            self.next()
-            node = And(node, self.bool_term())
-        return node
-
-    def bool_term(self):
-        k, v = self.peek()
-        if k == "punct" and v == "!":
-            self.next()
-            self.expect("punct", "(")
-            inner = self.bool_expr()
-            self.expect("punct", ")")
-            return Not(inner)
-        if k == "ident" and v == "empty":
-            self.next()
-            self.expect("punct", "(")
-            base = self.value_expr()
-            self.expect("punct", ")")
-            return Empty(base)
-        base = self.value_expr()
-        self.expect("punct", "==")
-        return Eq(base, self.json_literal())
-
-    # -- body: boolean if it uses ==, empty or !, otherwise a value
-    def body(self):
-        k, v = self.peek()
-        if (k == "punct" and v == "!") or (k == "ident" and v == "empty"):
-            return self.bool_expr()
-        node = self.value_expr()
-        if self.at_punct("=="):
-            self.next()
-            node = Eq(node, self.json_literal())
-            while self.at_punct("&&"):
-                self.next()
-                node = And(node, self.bool_term())
-        return node
-
-    # -- value layer
-    def value_expr(self):
-        k, v = self.peek()
-        if (
-            k in ("str", "num")
-            or (k == "ident" and v in ("true", "false", "null"))
-            or (k == "punct" and v == "{")
-        ):
-            lit = self.json_literal()
-            if self.at_punct("+"):
-                self.next()
-                base = self.value_expr()
-                if is_int(lit):
-                    return Add(lit, base)
-                if isinstance(lit, str):
-                    return Concat(lit, base)
-                raise HiddenParseError("+ needs an int or string constant on the left")
-            return ConstVal(lit)
-        return self.postfix()
-
-    def postfix(self):
-        k, v = self.next()
-        if k == "ident" and v == "length":
-            self.expect("punct", "(")
-            node = Length(self.value_expr())
-            self.expect("punct", ")")
-        elif k == "ident":
-            if v not in self.args:
-                raise HiddenParseError(f"unknown argument name {v!r}")
-            node = Input(self.args[v])
-        elif k == "punct" and v == "(":
-            node = self.value_expr()
-            self.expect("punct", ")")
-        elif k == "punct" and v == "[":
-            items = []
-            if not self.at_punct("]"):
-                while True:
-                    items.append(self.value_expr())
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect("punct", "]")
-            node = MakeList(tuple(items))
-        else:
-            raise HiddenParseError(f"unexpected token {v!r}")
-        return self.trailers(node)
-
-    def trailers(self, node):
-        while True:
-            if self.at_punct("."):
-                self.next()
-                node = Child(node, self.key_token())
-            elif self.at_punct(".."):
-                self.next()
-                node = Descendants(node, self.key_token())
-            elif self.at_punct("["):
-                self.next()
-                k, v = self.next()
-                if k != "num" or not is_int(v):
-                    raise HiddenParseError("index must be an integer")
-                if self.at_punct(":"):
-                    self.next()
-                    k2, v2 = self.next()
-                    if k2 != "num" or not is_int(v2):
-                        raise HiddenParseError("slice bound must be an integer")
-                    self.expect("punct", "]")
-                    node = Slice(node, v, v2)
-                else:
-                    self.expect("punct", "]")
-                    node = Index(node, v)
-            else:
-                return node
-
-    def key_token(self):
-        k, v = self.next()
-        if k == "ident":
-            return v
-        if k == "str":
-            return v
-        raise HiddenParseError(f"expected a key, got {v!r}")
-
-
-def parse_hidden_fn(text: str) -> HiddenFnBody:
-    """Parse "(a0, a1) -> body" into a HiddenFnBody."""
-    toks = _tokenize(text)
-    pos = 0
-    if toks[pos] != ("punct", "("):
-        raise HiddenParseError("hidden function must start with an argument list")
-    pos += 1
-    argnames = []
-    if toks[pos] != ("punct", ")"):
-        while True:
-            k, v = toks[pos]
-            if k != "ident":
-                raise HiddenParseError("argument names must be identifiers")
-            argnames.append(v)
-            pos += 1
-            if toks[pos] == ("punct", ","):
-                pos += 1
-                continue
-            break
-    if toks[pos] != ("punct", ")"):
-        raise HiddenParseError("unterminated argument list")
-    pos += 1
-    if toks[pos] != ("punct", "->"):
-        raise HiddenParseError("expected -> after argument list")
-    pos += 1
-    if len(set(argnames)) != len(argnames):
-        raise HiddenParseError("duplicate argument name")
-    p = _P(toks[pos:], argnames)
-    body = p.body()
-    if p.peek()[0] != "end":
-        raise HiddenParseError(f"trailing tokens after body: {p.peek()[1]!r}")
-    return HiddenFnBody(arity=len(argnames), body=body)

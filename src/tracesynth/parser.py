@@ -1,7 +1,8 @@
 """Text form of programs.
 
-The concrete syntax is whitespace-insensitive except for the `where`
-section, which holds one hidden-function definition per line:
+The concrete syntax is whitespace-insensitive, the `where` section
+included; a hidden-function definition ends where the next `name :=`
+begins:
 
     LAMBDA f_2. lambda p_1.
       let x = ec2.StopInstances(InstanceIds=p_1, force=false)
@@ -15,12 +16,15 @@ section, which holds one hidden-function definition per line:
 Whether `let v = name(...)` is a visible call or a hidden-function call
 is decided by the name: names declared in the LAMBDA prefix or the
 where section are hidden, everything else (dotted or not) is visible.
+One tokenizer and one token cursor serve both the script grammar and
+the helper-function grammar of hidden.py's nodes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+import math
+from typing import Tuple
 
 from .dsl import (
     Compare,
@@ -45,7 +49,25 @@ from .dsl import (
     map_instrs,
     validate_program,
 )
-from .hidden import parse_hidden_fn
+from .hidden import (
+    BOOL_NODES,
+    Add,
+    And,
+    Child,
+    Concat,
+    ConstVal,
+    Descendants,
+    Empty,
+    Eq,
+    HiddenFnBody,
+    Index,
+    Input,
+    Length,
+    MakeList,
+    Not,
+    Slice,
+)
+from .jsonvals import is_int
 
 
 class ParseError(Exception):
@@ -55,6 +77,7 @@ class ParseError(Exception):
 _PUNCT = (
     ":=",
     "->",
+    "..",
     "==",
     ">=",
     "<=",
@@ -82,6 +105,18 @@ _KEYWORDS = {"lambda", "LAMBDA", "let", "if", "else", "retry", "until", "for", "
              "return", "where", "true", "false", "null"}
 
 
+def _literal(text: str, i: int, j: int):
+    """The JSON string or number text[i:j]. A number must be finite: a
+    non-finite one would print as a name."""
+    try:
+        v = json.loads(text[i:j])
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError
+        return v
+    except ValueError:
+        raise ParseError(f"bad literal {text[i:j]!r} at offset {i}") from None
+
+
 def _tokenize(text: str):
     toks = []
     i, n = 0, len(text)
@@ -100,8 +135,8 @@ def _tokenize(text: str):
                     break
                 j += 1
             if j >= n:
-                raise ParseError("unterminated string literal")
-            toks.append(("str", json.loads(text[i : j + 1]), i))
+                raise ParseError(f"unterminated string literal at offset {i}")
+            toks.append(("str", _literal(text, i, j + 1), i))
             i = j + 1
             continue
         if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
@@ -112,7 +147,7 @@ def _tokenize(text: str):
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
-            toks.append(("num", json.loads(text[i:j]), i))
+            toks.append(("num", _literal(text, i, j), i))
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -142,11 +177,10 @@ class _RawLet:
     n_statements = 0
     n_br = 0
 
-    def __init__(self, var, name, kwargs, posargs):
+    def __init__(self, var, name, args):
         self.var = var
         self.name = name
-        self.kwargs = kwargs      # list of (key, expr) or None
-        self.posargs = posargs    # list of expr or None
+        self.args = args  # list of (key, expr); key is None if positional
 
 
 class _Parser:
@@ -154,7 +188,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.loop_counter = 0
-        self.loop_ids: List[str] = []
+        self.slots = {}  # argument name -> slot, in a hidden definition
 
     def peek(self, ahead=0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -174,34 +208,43 @@ class _Parser:
             raise ParseError(f"expected {val or kind} at offset {off}, got {v!r}")
         return v
 
-    def fresh_loop_id(self):
-        self.loop_counter += 1
-        return f"loop_{self.loop_counter}"
+    def ident(self):
+        return self.expect("ident")
+
+    def names(self):
+        """One or more comma-separated identifiers."""
+        out = [self.ident()]
+        while self.at("punct", ","):
+            self.next()
+            out.append(self.ident())
+        return tuple(out)
+
+    def items(self, item, close):
+        """item() repeated, comma-separated, up to the closing
+        punctuation, which is consumed."""
+        out = []
+        if not self.at("punct", close):
+            out.append(item())
+            while self.at("punct", ","):
+                self.next()
+                out.append(item())
+        self.expect("punct", close)
+        return out
 
     # ---- header
 
     def header(self):
-        holes: List[str] = []
+        holes = ()
         if self.at("ident", "LAMBDA"):
             self.next()
-            while True:
-                holes.append(self.expect("ident"))
-                if self.at("punct", ","):
-                    self.next()
-                    continue
-                break
+            holes = self.names()
             self.expect("punct", ".")
         self.expect("ident", "lambda")
-        params: List[str] = []
+        params = ()
         if self.at("ident") and self.peek()[1] not in _KEYWORDS:
-            while True:
-                params.append(self.expect("ident"))
-                if self.at("punct", ","):
-                    self.next()
-                    continue
-                break
+            params = self.names()
         self.expect("punct", ".")
-        return tuple(holes), tuple(params)
+        return holes, params
 
     # ---- statements
 
@@ -237,88 +280,69 @@ class _Parser:
 
     def let_stmt(self):
         self.expect("ident", "let")
-        var = self.expect("ident")
+        var = self.ident()
         self.expect("punct", "=")
         name = self.dotted_name()
         self.expect("punct", "(")
-        kwargs: Optional[list] = None
-        posargs: Optional[list] = None
-        if not self.at("punct", ")"):
-            while True:
-                if (
-                    self.at("ident")
-                    and self.peek()[1] not in ("true", "false", "null")
-                    and self.peek(1)[:2] == ("punct", "=")
-                ):
-                    key = self.expect("ident")
-                    self.expect("punct", "=")
-                    if posargs is not None:
-                        raise ParseError("cannot mix named and positional arguments")
-                    kwargs = kwargs or []
-                    kwargs.append((key, self.expr()))
-                else:
-                    if kwargs is not None:
-                        raise ParseError("cannot mix named and positional arguments")
-                    posargs = posargs or []
-                    posargs.append(self.expr())
-                if self.at("punct", ","):
-                    self.next()
-                    continue
-                break
-        self.expect("punct", ")")
-        return _RawLet(var, name, kwargs, posargs)
+        return _RawLet(var, name, self.items(self.let_arg, ")"))
+
+    def let_arg(self):
+        key = None
+        if (
+            self.at("ident")
+            and self.peek()[1] not in ("true", "false", "null")
+            and self.peek(1)[:2] == ("punct", "=")
+        ):
+            key = self.ident()
+            self.next()
+        return key, self.expr()
 
     def dotted_name(self):
-        parts = [self.expect("ident")]
-        while self.at("punct", ".") :
+        parts = [self.ident()]
+        while self.at("punct", "."):
             self.next()
-            parts.append(self.expect("ident"))
+            parts.append(self.ident())
         return ".".join(parts)
+
+    def block(self):
+        self.expect("punct", "{")
+        body = self.stmt_seq(True)
+        self.expect("punct", "}")
+        return body
 
     def if_stmt(self):
         self.expect("ident", "if")
         pred = self.pred()
-        self.expect("punct", "{")
-        then = self.stmt_seq(True)
-        self.expect("punct", "}")
+        then = self.block()
         els: Tuple = ()
         if self.at("ident", "else"):
             self.next()
-            self.expect("punct", "{")
-            els = self.stmt_seq(True)
-            self.expect("punct", "}")
+            els = self.block()
         return Ite(pred, then, els)
+
+    def loop_id(self):
+        """The loop's written id, else the next loop_<n>."""
+        if self.at("ident"):
+            return self.ident()
+        self.loop_counter += 1
+        return f"loop_{self.loop_counter}"
 
     def retry_stmt(self):
         self.expect("ident", "retry")
-        loop_id = None
-        if self.at("ident"):
-            loop_id = self.expect("ident")
-        if loop_id is None:
-            loop_id = self.fresh_loop_id()
-        self.expect("punct", "{")
-        body = self.stmt_seq(True)
-        self.expect("punct", "}")
+        loop_id = self.loop_id()
+        body = self.block()
         self.expect("ident", "until")
-        pred = self.pred()
-        return RetryUntil(loop_id, body, pred)
+        return RetryUntil(loop_id, body, self.pred())
 
     def for_stmt(self):
         self.expect("ident", "for")
-        loop_id = None
-        if self.at("ident"):
-            loop_id = self.expect("ident")
-        if loop_id is None:
-            loop_id = self.fresh_loop_id()
+        loop_id = self.loop_id()
         self.expect("punct", "(")
-        var = self.expect("ident")
+        var = self.ident()
         self.expect("punct", ")")
         self.expect("ident", "in")
         source = self.expr()
-        self.expect("punct", "{")
-        body = self.stmt_seq(True)
-        self.expect("punct", "}")
-        return Foreach(loop_id, var, source, body)
+        return Foreach(loop_id, var, source, self.block())
 
     # ---- predicates
 
@@ -356,14 +380,14 @@ class _Parser:
             self.next()
             return PFalse()
         if k == "ident":
-            name = self.expect("ident")
+            name = self.ident()
             nk, nv, _ = self.peek()
             if nk == "punct" and nv == "==":
                 self.next()
                 return ValueCheck(name, self.json_literal())
             if nk == "punct" and nv in (">=", ">", "<=", "<"):
                 self.next()
-                return Compare(name, nv, self.expect("ident"))
+                return Compare(name, nv, self.ident())
             return ValueCheck(name, True)
         raise ParseError(f"expected a predicate at offset {off}, got {v!r}")
 
@@ -387,19 +411,10 @@ class _Parser:
         if k == "ident" and v in ("true", "false", "null"):
             return Const(self.json_literal())
         if k == "ident":
-            name = self.expect("ident")
+            name = self.ident()
             if self.at("punct", "("):
                 self.next()
-                args = []
-                if not self.at("punct", ")"):
-                    while True:
-                        args.append(self.expect("ident"))
-                        if self.at("punct", ","):
-                            self.next()
-                            continue
-                        break
-                self.expect("punct", ")")
-                return HiddenCall(name, tuple(args))
+                return HiddenCall(name, tuple(self.items(self.ident, ")")))
             return VarRef(name)
         raise ParseError(f"expected an expression at offset {off}, got {v!r}")
 
@@ -410,32 +425,143 @@ class _Parser:
         if k == "ident" and v in ("true", "false", "null"):
             return {"true": True, "false": False, "null": None}[v]
         if k == "punct" and v == "[":
-            items = []
-            if not self.at("punct", "]"):
-                while True:
-                    items.append(self.json_literal())
-                    if self.at("punct", ","):
-                        self.next()
-                        continue
-                    break
-            self.expect("punct", "]")
-            return items
+            return self.items(self.json_literal, "]")
         if k == "punct" and v == "{":
-            obj = {}
-            if not self.at("punct", "}"):
-                while True:
-                    kk, kv, _ = self.next()
-                    if kk != "str":
-                        raise ParseError("object keys must be strings")
-                    self.expect("punct", ":")
-                    obj[kv] = self.json_literal()
-                    if self.at("punct", ","):
-                        self.next()
-                        continue
-                    break
-            self.expect("punct", "}")
-            return obj
+            return dict(self.items(self.json_member, "}"))
         raise ParseError(f"expected a JSON literal at offset {off}, got {v!r}")
+
+    def json_member(self):
+        if not self.at("str"):
+            raise ParseError(f"object keys must be strings, at offset {self.peek()[2]}")
+        key = self.next()[1]
+        self.expect("punct", ":")
+        return key, self.json_literal()
+
+    # ---- hidden-function definitions: name := (a0, a1) -> body
+
+    def hidden_def(self):
+        name = self.ident()
+        self.expect("punct", ":=")
+        self.expect("punct", "(")
+        off = self.peek()[2]
+        argnames = self.items(self.ident, ")")
+        if len(set(argnames)) != len(argnames):
+            raise ParseError(f"duplicate argument name at offset {off}")
+        self.expect("punct", "->")
+        self.slots = {a: i for i, a in enumerate(argnames)}
+        return name, HiddenFnBody(len(argnames), self.bool_expr(value_ok=True))
+
+    def bool_expr(self, value_ok=False):
+        """Terms joined by &&. With value_ok (a body), a value expression
+        that no == follows is the whole result."""
+        node = self.bool_term(value_ok)
+        if not isinstance(node, BOOL_NODES):
+            return node
+        while self.at("punct", "&&"):
+            self.next()
+            node = And(node, self.bool_term())
+        return node
+
+    def bool_term(self, value_ok=False):
+        k, v, _ = self.peek()
+        if k == "punct" and v == "!":
+            self.next()
+            self.expect("punct", "(")
+            inner = self.bool_expr()
+            self.expect("punct", ")")
+            return Not(inner)
+        if k == "ident" and v == "empty":
+            self.next()
+            self.expect("punct", "(")
+            base = self.value_expr()
+            self.expect("punct", ")")
+            return Empty(base)
+        if k == "punct" and v == "(":
+            # A parenthesized conjunction; failing that, a parenthesized
+            # value such as (a0).k == 1.
+            start = self.pos
+            try:
+                self.next()
+                inner = self.bool_expr()
+                self.expect("punct", ")")
+                return inner
+            except ParseError:
+                self.pos = start
+        base = self.value_expr()
+        if value_ok and not self.at("punct", "=="):
+            return base
+        self.expect("punct", "==")
+        return Eq(base, self.json_literal())
+
+    def value_expr(self):
+        k, v, off = self.peek()
+        if (
+            k in ("str", "num")
+            or (k == "ident" and v in ("true", "false", "null"))
+            or (k == "punct" and v == "{")
+        ):
+            lit = self.json_literal()
+            if not self.at("punct", "+"):
+                return ConstVal(lit)
+            self.next()
+            base = self.value_expr()
+            if is_int(lit):
+                return Add(lit, base)
+            if isinstance(lit, str):
+                return Concat(lit, base)
+            raise ParseError(f"+ needs an int or string constant on the left, at offset {off}")
+        return self.postfix()
+
+    def postfix(self):
+        k, v, off = self.next()
+        if k == "ident" and v == "length":
+            self.expect("punct", "(")
+            node = Length(self.value_expr())
+            self.expect("punct", ")")
+        elif k == "ident":
+            if v not in self.slots:
+                raise ParseError(f"unknown argument name {v!r} at offset {off}")
+            node = Input(self.slots[v])
+        elif k == "punct" and v == "(":
+            node = self.value_expr()
+            self.expect("punct", ")")
+        elif k == "punct" and v == "[":
+            node = MakeList(tuple(self.items(self.value_expr, "]")))
+        else:
+            raise ParseError(f"expected a value at offset {off}, got {v!r}")
+        return self.trailers(node)
+
+    def trailers(self, node):
+        while True:
+            if self.at("punct", "."):
+                self.next()
+                node = Child(node, self.key_token())
+            elif self.at("punct", ".."):
+                self.next()
+                node = Descendants(node, self.key_token())
+            elif self.at("punct", "["):
+                self.next()
+                i = self.int_token()
+                if self.at("punct", ":"):
+                    self.next()
+                    node = Slice(node, i, self.int_token())
+                else:
+                    node = Index(node, i)
+                self.expect("punct", "]")
+            else:
+                return node
+
+    def int_token(self):
+        k, v, off = self.next()
+        if k != "num" or not is_int(v):
+            raise ParseError(f"expected an integer at offset {off}, got {v!r}")
+        return v
+
+    def key_token(self):
+        k, v, off = self.next()
+        if k not in ("ident", "str"):
+            raise ParseError(f"expected a key at offset {off}, got {v!r}")
+        return v
 
 
 def _resolve(instr, hidden_names):
@@ -444,61 +570,34 @@ def _resolve(instr, hidden_names):
     if not isinstance(instr, _RawLet):
         return instr
     if instr.name in hidden_names:
-        if instr.kwargs:
-            raise ParseError(
-                f"hidden function {instr.name} takes positional arguments"
-            )
         args = []
-        for e in instr.posargs or []:
+        for key, e in instr.args:
+            if key is not None:
+                raise ParseError(
+                    f"hidden function {instr.name} takes positional arguments"
+                )
             if not isinstance(e, VarRef):
                 raise ParseError(
                     f"hidden function {instr.name} arguments must be variables"
                 )
             args.append(e.name)
         return LetHidden(instr.var, instr.name, tuple(args))
-    if instr.posargs:
+    if any(key is None for key, _ in instr.args):
         raise ParseError(
             f"visible call {instr.name} requires named arguments"
         )
-    return LetVisible(instr.var, instr.name, tuple(instr.kwargs or []))
+    return LetVisible(instr.var, instr.name, tuple(instr.args))
 
 
 def parse_program(text: str) -> Program:
-    toks = _tokenize(text)
-    # split off the where-section (a top-level `where` identifier)
-    depth = 0
-    where_off = None
-    cut = len(toks) - 1
-    for idx, (k, v, off) in enumerate(toks):
-        if k == "punct" and v in ("{", "["):
-            depth += 1
-        elif k == "punct" and v in ("}", "]"):
-            depth -= 1
-        elif k == "ident" and v == "where" and depth == 0:
-            where_off = off
-            cut = idx
-            break
-    program_toks = toks[:cut] + [("end", None, toks[cut][2])]
-    parser = _Parser(program_toks)
+    parser = _Parser(_tokenize(text))
     holes, params = parser.header()
     body = parser.stmt_seq(False)
-    if parser.peek()[0] != "end":
-        raise ParseError(f"trailing tokens at offset {parser.peek()[2]}")
-
     hidden_defs = []
-    if where_off is not None:
-        section = text[where_off + len("where") :]
-        for line in section.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if ":=" not in line:
-                raise ParseError(f"malformed hidden definition: {line!r}")
-            name, _, rhs = line.partition(":=")
-            name = name.strip()
-            if not name.isidentifier():
-                raise ParseError(f"bad hidden function name {name!r}")
-            hidden_defs.append((name, parse_hidden_fn(rhs.strip())))
+    if parser.at("ident", "where"):
+        parser.next()
+        while not parser.at("end"):
+            hidden_defs.append(parser.hidden_def())
 
     hidden_names = set(holes) | {n for n, _ in hidden_defs}
     body = map_instrs(body, lambda instr, _: _resolve(instr, hidden_names))

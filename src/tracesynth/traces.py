@@ -1,8 +1,10 @@
 """Traces and the per-trace valuation that rewrites maintain.
 
 A trace file is a JSON array of traces; each trace is an array of
-{"api", "request", "response"} events in call order. Trace indices are
-1-based throughout (the synthetic branch selector br maps trace i to i).
+{"api", "request", "response"} events in call order. Every number must
+be finite: a script prints the values it replays as JSON. Trace indices
+are 1-based throughout (the synthetic branch selector br maps trace i
+to i).
 
 The valuation maps (variable, trace index) to either a Scalar value or
 a PerIteration vector (for variables bound inside loop bodies). Entries
@@ -13,6 +15,7 @@ never binds; Absent is distinct from JSON null.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -56,12 +59,21 @@ class TraceSet:
         return self.traces[idx - 1]
 
 
+def _finite(text: str) -> float:
+    """A JSON number that a script can print back: NaN, Infinity and
+    floats that overflow to infinity print as names."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise TraceError(f"trace file holds a non-finite number: {text}")
+    return v
+
+
 def parse_traces(data) -> TraceSet:
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            raw = json.loads(data)
+            raw = json.loads(data, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise TraceError(f"trace file is not valid JSON: {exc}") from exc
     else:

@@ -142,6 +142,48 @@ def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
     assert "recursion" in captured.err and "Traceback" not in captured.err
 
 
+def assert_one_error_line(err):
+    assert err.startswith("tracesynth: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_finite_number_in_a_trace_file_exits_1(tmp_path, capsys):
+    traces = tmp_path / "nan.json"
+    traces.write_text(
+        '[[{"api": "a.B", "request": {"k": NaN}, "response": 1}],'
+        ' [{"api": "a.B", "request": {"k": 2}, "response": 1}]]'
+    )
+    assert main(["synth", "--traces", str(traces)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "non-finite number: NaN" in captured.err
+
+
+@pytest.mark.parametrize(
+    "golden, message",
+    [
+        ("lambda p.\n  let v = f_1(p)\nwhere\n  f_1 := (a0) -> a0.", "expected a key at offset 53"),
+        ("lambda p.\n  let x = svc.Op(k=1e)\n", "bad literal '1e' at offset 29"),
+    ],
+)
+def test_a_malformed_golden_exits_1(golden, message, tmp_path, capsys):
+    path = tmp_path / "golden.txt"
+    path.write_text(golden)
+    assert main(["synth", "--traces", fixture("create_table"), "--golden", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert message in err
+
+
+def test_ksearch_takes_k_0_but_not_a_negative_k(capsys):
+    traces = fixture("create_table")
+    assert main(["synth", "--traces", traces, "--strategy", "ksearch", "--k", "0"]) == 0
+    parse_program(capsys.readouterr().out)
+    assert main(["synth", "--traces", traces, "--strategy", "ksearch", "--k", "-1"]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_nonpositive_numeric_flags_exit_1(capsys):
     traces = fixture("create_table")
     assert main(["synth", "--traces", traces, "--timeout", "0"]) == 1

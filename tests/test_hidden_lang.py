@@ -1,8 +1,9 @@
 """Hidden-function expressions: evaluation, sizing, printing, parsing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tracesynth.dsl import Program, pretty_print
 from tracesynth.hidden import (
     Add,
     And,
@@ -24,9 +25,9 @@ from tracesynth.hidden import (
     eval_path,
     expr_size,
     expr_uses_input,
-    parse_hidden_fn,
     print_hidden_fn,
 )
+from tracesynth.parser import parse_program
 
 DOC = {
     "Reservations": [
@@ -157,12 +158,100 @@ ROUND_TRIP_CASES = [
     HiddenFnBody(1, Not(Eq(Index(Descendants(Input(0), "Name"), 0), "stopped"))),
     HiddenFnBody(2, And(Empty(Input(0)), Eq(Input(1), 3))),
     HiddenFnBody(3, Eq(Child(Child(Input(2), "a"), "b"), False)),
+    HiddenFnBody(1, And(And(Eq(Input(0), 1), Eq(Input(0), 2)), Eq(Input(0), 3))),
+    HiddenFnBody(1, And(Eq(Input(0), 1), And(Eq(Input(0), 2), Eq(Input(0), 3)))),
+    HiddenFnBody(1, Not(And(And(Empty(Input(0)), Eq(Input(0), 2)), Eq(Input(0), 3)))),
 ]
+
+
+def reparse(fns):
+    """fns back from parse_program(pretty_print(...)) of a script whose
+    where section defines them as f_1, f_2, ..."""
+    defs = tuple((f"f_{i}", f) for i, f in enumerate(fns, 1))
+    program = parse_program(pretty_print(Program(params=(), body=(), hidden_defs=defs)))
+    return [f for _, f in program.hidden_defs]
 
 
 @pytest.mark.parametrize("f", ROUND_TRIP_CASES, ids=lambda f: print_hidden_fn(f))
 def test_print_parse_round_trip(f):
-    assert parse_hidden_fn(print_hidden_fn(f)) == f
+    assert reparse([f]) == [f]
+
+
+def test_a_parenthesized_value_is_still_a_value():
+    text = "lambda.\nwhere f_1 := (a0) -> (a0).k == 1 f_2 := (a0) -> (a0)[0]"
+    defs = dict(parse_program(text).hidden_defs)
+    assert defs["f_1"] == HiddenFnBody(1, Eq(Child(Input(0), "k"), 1))
+    assert defs["f_2"] == HiddenFnBody(1, Index(Input(0), 0))
+
+
+# Random helper bodies for the round trip. A constant or an Add/Concat
+# is never the base of a ., .., [i] or [i:j]: the printer does not
+# bracket it there ({"a": 1}.a, and 1 + a0.x reads back as
+# Add(1, Child(a0, "x"))). A list constant is never drawn: it prints
+# as [...] and reads back as the MakeList that evaluates the same.
+KEYS = st.one_of(
+    st.sampled_from(["id", "Name", "weird key", "length", "true", "empty", "", "a.b", "1x"]),
+    st.text(max_size=3),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-07, -2.5e+300, 6.02e23]),
+    st.text(max_size=3),
+)
+LITERALS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def helper_fns(draw):
+    arity = draw(st.integers(1, 3))
+    consts = st.one_of(SCALARS, st.dictionaries(st.text(max_size=2), LITERALS, max_size=2))
+
+    def extend_path(inner):
+        return st.one_of(
+            st.builds(Child, inner, KEYS),
+            st.builds(Descendants, inner, KEYS),
+            st.builds(Index, inner, st.integers(-3, 12)),
+            st.builds(Slice, inner, st.integers(-3, 12), st.integers(-3, 12)),
+        )
+
+    values = st.deferred(
+        lambda: st.one_of(
+            paths,
+            st.builds(Add, st.integers(-5, 5), values),
+            st.builds(Concat, st.text(max_size=3), values),
+            consts.map(ConstVal),
+        )
+    )
+    paths = st.recursive(
+        st.one_of(
+            st.integers(0, arity - 1).map(Input),
+            st.builds(Length, values),
+            st.builds(MakeList, st.lists(values, max_size=3).map(tuple)),
+        ),
+        extend_path,
+        max_leaves=4,
+    )
+    bools = st.recursive(
+        st.one_of(st.builds(Eq, values, LITERALS), st.builds(Empty, values)),
+        lambda inner: st.one_of(st.builds(Not, inner), st.builds(And, inner, inner)),
+        max_leaves=5,
+    )
+    return HiddenFnBody(arity, draw(st.one_of(bools, paths, values)))
+
+
+@settings(deadline=None)
+@given(fns=st.lists(helper_fns(), min_size=2, max_size=4))
+def test_random_helper_definitions_read_back_unchanged(fns):
+    assert reparse(fns) == fns
 
 
 def test_expr_uses_input():

@@ -1,11 +1,16 @@
-"""Every function in src/tracesynth that calls itself by name, nested
-defs and methods included, against a pinned list. Each one recurses once
-per level of the tree it walks, so a deep enough input raises
+"""Every function in src/tracesynth that recurses, directly or through
+other functions of its module, against a pinned list. Each one recurses
+once per level of the tree it walks, so a deep enough input raises
 RecursionError in it. A new tree walk should use dsl.walk,
 dsl.map_instrs or an explicit stack instead of adding to the list.
-Mutual recursion (replay's exec_instr and exec_seq, the parser's
-statement rules, equiv_mod_renaming's instruction and sequence checks)
-is not listed: no function in it calls itself by name."""
+
+Recursion is read from each module's name-level call graph: a function
+has an edge to every function of the module it names in its own body (a
+bare name, resolved through the enclosing function scopes to the
+module, or a self./cls. attribute, resolved to a method of the
+enclosing class). Naming counts as well as calling, so a rule passed as
+a callback (self.items(self.json_literal, "]")) is an edge. A function
+recurses when it lies on a cycle of that graph."""
 
 import ast
 from pathlib import Path
@@ -25,13 +30,30 @@ PINNED = {
     "dsl.py:print_pred",
     "terms.py:term_evaluator.ev",
     # Script instructions: once per nested conditional or loop.
+    "dsl.py:_equiv_instr",
+    "dsl.py:_equiv_seq",
     "dsl.py:_print_instr",
+    "evaluator.py:execute.exec_instr",
+    "evaluator.py:execute.exec_seq",
     "rewrites.py:_tree_stmts",
-    # The parsers' descent.
-    "hidden.py:_P.json_literal",
-    "hidden.py:_P.value_expr",
+    # The parser's descent: statements, predicates, script expressions
+    # and JSON literals, and the helper-function grammar.
+    "parser.py:_Parser.block",
+    "parser.py:_Parser.for_stmt",
+    "parser.py:_Parser.if_stmt",
+    "parser.py:_Parser.retry_stmt",
+    "parser.py:_Parser.stmt",
+    "parser.py:_Parser.stmt_seq",
+    "parser.py:_Parser.pred",
+    "parser.py:_Parser.pred_and",
+    "parser.py:_Parser.pred_term",
     "parser.py:_Parser.expr",
     "parser.py:_Parser.json_literal",
+    "parser.py:_Parser.json_member",
+    "parser.py:_Parser.bool_expr",
+    "parser.py:_Parser.bool_term",
+    "parser.py:_Parser.value_expr",
+    "parser.py:_Parser.postfix",
     # Hidden-function bodies and JSON values.
     "hidden.py:_descend",
     "hidden.py:eval_bool",
@@ -46,37 +68,84 @@ PINNED = {
     "pbe.py:_leaves",
 }
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def calls_itself(fn: ast.AST, name: str, method: bool) -> bool:
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
+
+def own_nodes(fn: ast.AST):
+    """The nodes of fn's own body: nested defs and classes are left out
+    (they are functions of their own), lambdas are kept."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DEFS + (ast.ClassDef,)):
             continue
-        f = node.func
-        if isinstance(f, ast.Name) and f.id == name and not method:
-            return True
-        if method and isinstance(f, ast.Attribute) and f.attr == name:
-            if isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"):
-                return True
-    return False
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def call_graph(tree: ast.Module) -> dict:
+    """qualified function name -> qualified names of the module's
+    functions it names."""
+    kinds = {}  # qualified name -> "def" or "class"
+    funcs = []  # (qualified name, node, enclosing function scopes, class)
+    stack = [(tree, "", [], None)]
+    while stack:
+        node, prefix, scopes, cls = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                q = prefix + child.name
+                kinds[q] = "def"
+                funcs.append((q, child, scopes, cls))
+                stack.append((child, q + ".", [q] + scopes, cls))
+            elif isinstance(child, ast.ClassDef):
+                q = prefix + child.name
+                kinds[q] = "class"
+                stack.append((child, q + ".", scopes, q))
+            else:
+                stack.append((child, prefix, scopes, cls))
+    graph = {}
+    for q, fn, scopes, cls in funcs:
+        targets = set()
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                for scope in [q] + scopes + [None]:
+                    t = node.id if scope is None else f"{scope}.{node.id}"
+                    if t in kinds:
+                        if kinds[t] == "def":
+                            targets.add(t)
+                        break
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("self", "cls")
+                and cls is not None
+                and kinds.get(f"{cls}.{node.attr}") == "def"
+            ):
+                targets.add(f"{cls}.{node.attr}")
+        graph[q] = targets
+    return graph
+
+
+def on_a_cycle(graph: dict) -> set:
+    found = set()
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            node = stack.pop()
+            if node == start:
+                found.add(start)
+                break
+            if node not in seen:
+                seen.add(node)
+                stack.extend(graph[node])
+    return found
 
 
 def recursive_functions() -> set:
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        # (node, qualified prefix, whether its functions are methods)
-        stack = [(ast.parse(path.read_text()), "", False)]
-        while stack:
-            node, prefix, in_class = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualified = prefix + child.name
-                    if calls_itself(child, child.name, in_class):
-                        found.add(f"{path.name}:{qualified}")
-                    stack.append((child, qualified + ".", False))
-                elif isinstance(child, ast.ClassDef):
-                    stack.append((child, prefix + child.name + ".", True))
-                else:
-                    stack.append((child, prefix, in_class))
+        graph = call_graph(ast.parse(path.read_text()))
+        found |= {f"{path.name}:{q}" for q in on_a_cycle(graph)}
     return found
 
 
@@ -87,3 +156,18 @@ def test_no_new_recursive_function():
 
 def test_pinned_recursive_functions_still_exist_and_recurse():
     assert PINNED - recursive_functions() == set(), "remove these from PINNED"
+
+
+def test_the_graph_sees_mutual_recursion_and_callbacks():
+    tree = ast.parse(
+        "def a(x):\n    return b(x)\n"
+        "def b(x):\n    return a(x)\n"
+        "def c(x):\n    return x\n"
+        "class K:\n"
+        "    def m(self):\n        return self.items(self.m)\n"
+        "    def items(self, f):\n        return f()\n"
+        "def outer():\n"
+        "    def inner():\n        return inner()\n"
+        "    return inner\n"
+    )
+    assert on_a_cycle(call_graph(tree)) == {"a", "b", "K.m", "outer.inner"}

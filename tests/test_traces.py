@@ -62,6 +62,28 @@ def test_parse_traces_rejects_malformed_input(bad):
         parse_traces(bad)
 
 
+@pytest.mark.parametrize("place", ["request", "response"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_parse_traces_rejects_non_finite_numbers(number, place):
+    event = {"request": '{"k": 1}', "response": "1"}
+    event[place] = event[place].replace("1", number)
+    text = (
+        '[[{"api": "a.B", "request": %(request)s, "response": %(response)s}],'
+        ' [{"api": "a.B", "request": {}, "response": 1}]]' % event
+    )
+    with pytest.raises(TraceError, match="non-finite"):
+        parse_traces(text)
+
+
+def test_parse_traces_keeps_finite_floats():
+    ts = parse_traces(
+        '[[{"api": "a.B", "request": {"k": 1.5e300}, "response": -1e-400}],'
+        ' [{"api": "a.B", "request": {}, "response": 0.25}]]'
+    )
+    assert ts.trace(1)[0].request_map() == {"k": 1.5e300}
+    assert ts.trace(1)[0].response == -0.0
+
+
 def two_trace_set():
     return parse_traces(GOOD)
 
