@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from . import dsl
 from .costs import CostWeights, make_cost_fn
+from .hidden import print_hidden_fn
 from .parser import ParseError, parse_program
 from .pbe import GrammarConfig, IOExample, synthesize
 from .search import SearchConfig, SearchError, run_search, verify_final
@@ -211,8 +212,6 @@ def cmd_pbe(args) -> int:
     if not result.sat:
         print("unsat")
         return EXIT_OK
-    from .hidden import print_hidden_fn
-
     print(print_hidden_fn(result.fn_body()))
     return EXIT_OK
 

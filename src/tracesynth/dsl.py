@@ -566,14 +566,22 @@ def called_fns(seq) -> list:
     let, or a hidden call in any term an instruction holds (a visible
     call's arguments, a loop's source)."""
     out = []
-
-    def note(t):
-        if isinstance(t, HiddenCall):
-            out.append(t.fn_name)
-        return t
-
     for instr in walk(seq):
-        map_terms(instr, note)
+        if isinstance(instr, LetHidden):
+            out.append(instr.fn)
+            continue
+        if isinstance(instr, LetVisible):
+            terms = [e for _, e in reversed(instr.args)]
+        elif isinstance(instr, Foreach):
+            terms = [instr.source]
+        else:
+            continue  # a predicate holds no hidden call
+        while terms:
+            t = terms.pop()
+            if isinstance(t, HiddenCall):
+                out.append(t.fn_name)
+            elif isinstance(t, Ternary):
+                terms += (t.else_expr, t.then_expr)
     return out
 
 

@@ -324,14 +324,19 @@ def print_expr(e, names=None) -> str:
 
     if isinstance(e, Input):
         return nm(e.slot)
-    if isinstance(e, Child):
-        return f"{print_expr(e.base, names)}.{_key_text(e.key)}"
-    if isinstance(e, Descendants):
-        return f"{print_expr(e.base, names)}..{_key_text(e.key)}"
-    if isinstance(e, Index):
-        return f"{print_expr(e.base, names)}[{e.i}]"
-    if isinstance(e, Slice):
-        return f"{print_expr(e.base, names)}[{e.i}:{e.j}]"
+    if isinstance(e, (Child, Descendants, Index, Slice)):
+        base = print_expr(e.base, names)
+        # Unbracketed, 1 + a0.x would read back as 1 + (a0.x), and
+        # {"a": 1}.a would not read back at all.
+        if isinstance(e.base, (Add, Concat, ConstVal)):
+            base = f"({base})"
+        if isinstance(e, Child):
+            return f"{base}.{_key_text(e.key)}"
+        if isinstance(e, Descendants):
+            return f"{base}..{_key_text(e.key)}"
+        if isinstance(e, Index):
+            return f"{base}[{e.i}]"
+        return f"{base}[{e.i}:{e.j}]"
     if isinstance(e, Length):
         return f"length({print_expr(e.base, names)})"
     if isinstance(e, Add):

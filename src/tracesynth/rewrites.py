@@ -12,6 +12,11 @@ branch guard with a hidden predicate, deriving an API argument from
 values already in scope, and rolling repeated calls into retry or
 foreach loops.
 
+A rule takes (ix, ctx), the state's StateIndex and the RewriteContext,
+and returns a list of Candidate. Its name is its key in _REFINE_FNS or
+_SYNTH_FNS and its order is its place there; enumerate_rewrites alone
+turns candidates into Rewrites.
+
 Every rule computes the successor valuation's transform eagerly; a
 candidate whose transform cannot be built is simply not offered. The
 valuation itself is built from the transform when a cell is first read.
@@ -24,10 +29,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import dsl
 from .dsl import BR
+from .hidden import Input, eval_hidden, expr_uses_input
 from .jsonvals import ABSENT, canonical_eq
 from .pbe import ConstraintCache, GrammarConfig, IOExample
 from .traces import (
@@ -55,20 +61,27 @@ class Rewrite:
     rule: str
     site: str
     path: Tuple[int, ...]
-    rule_index: int
     program: dsl.Program
     transform: ValuationTransform
     specs: Tuple[SynthesisSpec, ...] = ()
 
-    def order_key(self):
-        return (self.path, self.rule_index)
+
+class Candidate(NamedTuple):
+    """One rewrite as a rule returns it. fields are the Program fields
+    it changes; site labels the site when the path alone does not."""
+
+    path: Tuple[int, ...]
+    fields: Dict[str, object]
+    transform: ValuationTransform = ValuationTransform()
+    specs: Tuple[SynthesisSpec, ...] = ()
+    site: Optional[str] = None
 
 
 @dataclass
 class RewriteContext:
     ts: TraceSet
     cache: ConstraintCache
-    pbe_cfg: GrammarConfig = None
+    pbe_cfg: GrammarConfig = field(default_factory=GrammarConfig)
     # introduce_parameter's duplicate key of each br-reading argument of
     # the last state it saw: id(expr) -> (expr, key). Holding the
     # expression keeps its id from being reused. An accepted state's
@@ -76,10 +89,6 @@ class RewriteContext:
     # once per search, not once per state, and keeping only the last
     # state's arguments bounds the memo by one program.
     param_keys: Dict[int, Tuple[object, str]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.pbe_cfg is None:
-            self.pbe_cfg = GrammarConfig()
 
 
 # --- tree navigation ---------------------------------------------------------
@@ -140,22 +149,12 @@ def replace_seq_at(seq, seq_path, new_seq):
     return new
 
 
-def _seq_at(seq, seq_path):
-    for p in range(0, len(seq_path), 2):
-        ins = seq[seq_path[p]]
-        if isinstance(ins, dsl.Ite):
-            seq = ins.then if seq_path[p + 1] == 0 else ins.els
-        else:
-            seq = ins.body
-    return seq
-
-
-def _splice(body, path, new, length=1):
-    """body with the length instructions starting at site path replaced
-    by the instructions in new."""
+def _splice(ix, path, new, length=1):
+    """The state's body with the length instructions starting at site
+    path replaced by the instructions in new."""
     seq_path, idx = path[:-1], path[-1]
-    seq = _seq_at(body, seq_path)
-    return replace_seq_at(body, seq_path, seq[:idx] + new + seq[idx + length :])
+    seq = ix.seq_by_path[seq_path]
+    return replace_seq_at(ix.program.body, seq_path, seq[:idx] + new + seq[idx + length :])
 
 
 def _site_str(path) -> str:
@@ -190,7 +189,7 @@ class StateIndex:
         self.hidden = program.hidden_map()
         self.seqs = []
         self.sites = []
-        self._seq_by_path = {}
+        self.seq_by_path = {}
         reads = []
         used = set(program.params)
         used.update(n for n, _ in program.hidden_defs)
@@ -206,7 +205,7 @@ class StateIndex:
         expr_reads, pred_reads = dsl.expr_reads, dsl.pred_reads
         for seq_path, seq, in_loop in iter_seqs(program.body):
             self.seqs.append((seq_path, seq, in_loop))
-            self._seq_by_path[seq_path] = seq
+            self.seq_by_path[seq_path] = seq
             for i, ins in enumerate(seq):
                 path = seq_path + (i,)
                 self.sites.append((path, ins, in_loop))
@@ -267,7 +266,7 @@ class StateIndex:
         reach = self._reach[seq_path]
         for seq_path in reversed(missing):
             owner_path = seq_path[:-1]
-            owner = self._seq_by_path[owner_path[:-1]][owner_path[-1]]
+            owner = self.seq_by_path[owner_path[:-1]][owner_path[-1]]
             if isinstance(owner, dsl.Ite):
                 taken = seq_path[-1] == 0
                 guard = self._guard(owner_path, owner, reach)
@@ -335,34 +334,26 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
     return tuple(merged)
 
 
-def _merged_let_rewrite(
-    ix, rule, rule_index, path, keep: dsl.LetVisible, drop: dsl.LetVisible, new_instrs
-):
+def _merged_let_rewrite(ix, path, keep: dsl.LetVisible, drop: dsl.LetVisible, new_instrs):
     """Shared tail of pull/push/merge: build the program with keep's
     name as the surviving binder and fold the two valuation columns."""
-    program, sigma = ix.program, ix.sigma
+    sigma = ix.sigma
     new_entries = {}
     for i in ix.ts.indices():
         cell = _merge_cells(sigma.lookup(keep.var, i), sigma.lookup(drop.var, i))
         if cell is None:
             return None
         new_entries[(keep.var, i)] = cell
-    body = _splice(program.body, path, new_instrs)
+    body = _splice(ix, path, new_instrs)
     # Every expression in the spliced body copies one of the state's,
     # so drop's name is read in it only if the state reads it.
     if ix.reads[drop.var]:
         body = dsl.rename_reads(body, drop.var, keep.var)
-    return Rewrite(
-        rule=rule,
-        site=_site_str(path),
-        path=tuple(path),
-        rule_index=rule_index,
-        program=replace(program, body=body),
-        transform=ValuationTransform(drop_vars=(drop.var,), new_entries=new_entries),
-    )
+    transform = ValuationTransform(drop_vars=(drop.var,), new_entries=new_entries)
+    return Candidate(path, {"body": body}, transform)
 
 
-def rule_pull(ix, ctx, rule_index):
+def rule_pull(ix, ctx):
     out = []
     for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
@@ -377,13 +368,13 @@ def rule_pull(ix, ctx, rule_index):
             dsl.LetVisible(a.var, a.api, merged_args),
             replace(ins, then=ins.then[1:], els=ins.els[1:]),
         )
-        rw = _merged_let_rewrite(ix, "pull", rule_index, path, a, b, new)
-        if rw:
-            out.append(rw)
+        cand = _merged_let_rewrite(ix, path, a, b, new)
+        if cand:
+            out.append(cand)
     return out
 
 
-def rule_push(ix, ctx, rule_index):
+def rule_push(ix, ctx):
     out = []
     for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
@@ -398,54 +389,33 @@ def rule_push(ix, ctx, rule_index):
             replace(ins, then=ins.then[:-1], els=ins.els[:-1]),
             dsl.LetVisible(a.var, a.api, merged_args),
         )
-        rw = _merged_let_rewrite(ix, "push", rule_index, path, a, b, new)
-        if rw:
-            out.append(rw)
+        cand = _merged_let_rewrite(ix, path, a, b, new)
+        if cand:
+            out.append(cand)
     return out
 
 
 # --- conditional cleanup ------------------------------------------------------
 
 
-def rule_eliminate_empty_if(ix, ctx, rule_index):
-    program = ix.program
+def rule_eliminate_empty_if(ix, ctx):
     out = []
     for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and not ins.els:
-            out.append(
-                Rewrite(
-                    rule="eliminate_empty_if",
-                    site=_site_str(path),
-                    path=tuple(path),
-                    rule_index=rule_index,
-                    program=replace(program, body=_splice(program.body, path, ())),
-                    transform=ValuationTransform(),
-                )
-            )
+            out.append(Candidate(path, {"body": _splice(ix, path, ())}))
     return out
 
 
-def rule_invert_empty_then(ix, ctx, rule_index):
-    program = ix.program
+def rule_invert_empty_then(ix, ctx):
     out = []
     for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
-            body = _splice(program.body, path, (flipped,))
-            out.append(
-                Rewrite(
-                    rule="invert_empty_then",
-                    site=_site_str(path),
-                    path=tuple(path),
-                    rule_index=rule_index,
-                    program=replace(program, body=body),
-                    transform=ValuationTransform(),
-                )
-            )
+            out.append(Candidate(path, {"body": _splice(ix, path, (flipped,))}))
     return out
 
 
-def rule_merge_nested(ix, ctx, rule_index):
+def rule_merge_nested(ix, ctx):
     """Two single-call branches separated by a nested conditional chain
     collapse into one guarded call: `if c1 {A} else { if c2 {B} else {} }`
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
@@ -477,18 +447,17 @@ def rule_merge_nested(ix, ctx, rule_index):
             if merged_args is None:
                 continue
             new = (dsl.Ite(new_pred, (dsl.LetVisible(a.var, a.api, merged_args),), ()),)
-            rw = _merged_let_rewrite(ix, "merge_nested", rule_index, path, a, b, new)
-            if rw:
-                out.append(rw)
+            cand = _merged_let_rewrite(ix, path, a, b, new)
+            if cand:
+                out.append(cand)
     return out
 
 
-def rule_sequence_nested(ix, ctx, rule_index):
+def rule_sequence_nested(ix, ctx):
     """A conditional whose then-branch ends in a nested conditional
     (else branches empty) splits into two sequential conditionals, the
     second guarded by the conjunction; when the nested conditional is
     the whole branch it simply flattens."""
-    program = ix.program
     out = []
     for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or ins.els or not ins.then:
@@ -501,39 +470,21 @@ def rule_sequence_nested(ix, ctx, rule_index):
             new = (combined,)
         else:
             new = (dsl.Ite(ins.pred, ins.then[:-1], ()), combined)
-        body = _splice(program.body, path, new)
-        out.append(
-            Rewrite(
-                rule="sequence_nested",
-                site=_site_str(path),
-                path=tuple(path),
-                rule_index=rule_index,
-                program=replace(program, body=body),
-                transform=ValuationTransform(),
-            )
-        )
+        out.append(Candidate(path, {"body": _splice(ix, path, new)}))
     return out
 
 
 # --- parameter and hidden-let housekeeping -----------------------------------
 
 
-def rule_eliminate_unused_param(ix, ctx, rule_index):
+def rule_eliminate_unused_param(ix, ctx):
     program = ix.program
     out = []
     for pidx, p in enumerate(program.params):
         if ix.reads[p] == 0:
             params = tuple(q for q in program.params if q != p)
-            out.append(
-                Rewrite(
-                    rule="eliminate_unused_param",
-                    site=p,
-                    path=(-1, pidx),
-                    rule_index=rule_index,
-                    program=replace(program, params=params),
-                    transform=ValuationTransform(params=params),
-                )
-            )
+            transform = ValuationTransform(params=params)
+            out.append(Candidate((-1, pidx), {"params": params}, transform, site=p))
     return out
 
 
@@ -561,18 +512,16 @@ def _inline_const(seq, var, value):
     return dsl.map_instrs(seq, lambda ins, _: dsl.map_terms(ins, leaf))
 
 
-def rule_inline_trivial_hidden(ix, ctx, rule_index):
+def rule_inline_trivial_hidden(ix, ctx):
     """Hidden lets whose function is an input projection or ignores its
     inputs entirely inline away."""
-    from .hidden import Input, eval_hidden, expr_uses_input
-
-    program, defs = ix.program, ix.hidden
+    defs = ix.hidden
     out = []
     for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.LetHidden) or ins.fn not in defs:
             continue
         fn_body = defs[ins.fn]
-        body = _splice(program.body, path, ())
+        body = _splice(ix, path, ())
         if isinstance(fn_body.body, Input):
             target = ins.args[fn_body.body.slot]
             body2 = body
@@ -586,26 +535,18 @@ def rule_inline_trivial_hidden(ix, ctx, rule_index):
                 continue
         else:
             continue
-        hidden_defs = program.hidden_defs
+        hidden_defs = ix.program.hidden_defs
         if ins.fn not in dsl.called_fns(body2):
             hidden_defs = tuple((n, f) for n, f in hidden_defs if n != ins.fn)
-        out.append(
-            Rewrite(
-                rule="inline_trivial_hidden",
-                site=_site_str(path),
-                path=tuple(path),
-                rule_index=rule_index,
-                program=replace(program, body=body2, hidden_defs=hidden_defs),
-                transform=ValuationTransform(drop_vars=(ins.var,)),
-            )
-        )
+        fields = {"body": body2, "hidden_defs": hidden_defs}
+        out.append(Candidate(path, fields, ValuationTransform(drop_vars=(ins.var,))))
     return out
 
 
 # --- introduce parameter -------------------------------------------------------
 
 
-def rule_introduce_parameter(ix, ctx, rule_index):
+def rule_introduce_parameter(ix, ctx):
     """A branch-dependent argument expression becomes a fresh input
     parameter when no bound variable could explain it instead: either
     nothing is in scope at its first occurrence, or deriving it from
@@ -652,16 +593,9 @@ def rule_introduce_parameter(ix, ctx, rule_index):
         body = _replace_param_occurrences(program, sigma, ctx.ts, e, values, q, hidden)
         params = program.params + (q,)
         new_entries = {(q, i): Scalar(values[i]) for i in ctx.ts.indices()}
-        out.append(
-            Rewrite(
-                rule="introduce_parameter",
-                site=f"{key} at {_site_str(path)}",
-                path=tuple(path),
-                rule_index=rule_index,
-                program=replace(program, params=params, body=body),
-                transform=ValuationTransform(new_entries=new_entries, params=params),
-            )
-        )
+        transform = ValuationTransform(new_entries=new_entries, params=params)
+        site = f"{key} at {_site_str(path)}"
+        out.append(Candidate(path, {"params": params, "body": body}, transform, site=site))
     return out
 
 
@@ -711,7 +645,7 @@ def _scope_values(sigma, scope, trace_idx):
     return tuple(_cell_value(sigma.lookup(s, trace_idx)) for s in scope)
 
 
-def rule_eliminate_branch_condition(ix, ctx, rule_index):
+def rule_eliminate_branch_condition(ix, ctx):
     program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     out = []
     for path, ins, in_loop in ix.sites:
@@ -744,7 +678,7 @@ def rule_eliminate_branch_condition(ix, ctx, rule_index):
         bvar = fresh_name("b_", used)
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
-        body = _splice(program.body, path, (hidden_let, new_ite))
+        body = _splice(ix, path, (hidden_let, new_ite))
         new_entries = {
             (bvar, i): Scalar(guard[i] if i in guard else ABSENT)
             for i in ctx.ts.indices()
@@ -756,19 +690,10 @@ def rule_eliminate_branch_condition(ix, ctx, rule_index):
         params = program.params
         if BR in params and ix.reads[BR] == guard_br:
             params = tuple(p for p in params if p != BR)
-        out.append(
-            Rewrite(
-                rule="eliminate_branch_condition",
-                site=_site_str(path),
-                path=tuple(path),
-                rule_index=rule_index,
-                program=replace(
-                    program, params=params, body=body, holes=program.holes + (fn,)
-                ),
-                transform=ValuationTransform(new_entries=new_entries, params=params),
-                specs=(SynthesisSpec(fn, "bool", tuple(examples)),),
-            )
-        )
+        fields = {"params": params, "body": body, "holes": program.holes + (fn,)}
+        transform = ValuationTransform(new_entries=new_entries, params=params)
+        spec = SynthesisSpec(fn, "bool", tuple(examples))
+        out.append(Candidate(path, fields, transform, (spec,)))
     return out
 
 
@@ -816,7 +741,7 @@ def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
     return tuple(examples)
 
 
-def rule_eliminate_argument(ix, ctx, rule_index):
+def rule_eliminate_argument(ix, ctx):
     program, sigma = ix.program, ix.sigma
     out = []
     for path, ins, in_loop in ix.sites:
@@ -840,7 +765,7 @@ def rule_eliminate_argument(ix, ctx, rule_index):
                 for j, (k, a) in enumerate(ins.args)
             )
             new_stmt = replace(ins, args=new_args)
-            body = _splice(program.body, path, (hidden_let, new_stmt))
+            body = _splice(ix, path, (hidden_let, new_stmt))
             new_entries = {}
             if not in_loop:
                 reaching = set(_reaching(sigma, ctx.ts, ins.var))
@@ -860,17 +785,11 @@ def rule_eliminate_argument(ix, ctx, rule_index):
                         tuple(examples[k + j].output for j in range(n))
                     )
                     k += n
-            out.append(
-                Rewrite(
-                    rule="eliminate_argument",
-                    site=f"{name} at {_site_str(path)}",
-                    path=tuple(path) + (arg_idx,),
-                    rule_index=rule_index,
-                    program=replace(program, body=body, holes=program.holes + (fn,)),
-                    transform=ValuationTransform(new_entries=new_entries),
-                    specs=(SynthesisSpec(fn, "value", examples),),
-                )
-            )
+            fields = {"body": body, "holes": program.holes + (fn,)}
+            transform = ValuationTransform(new_entries=new_entries)
+            spec = SynthesisSpec(fn, "value", examples)
+            site = f"{name} at {_site_str(path)}"
+            out.append(Candidate(path + (arg_idx,), fields, transform, (spec,), site))
     return out
 
 
@@ -1039,7 +958,7 @@ def _span_outside_reads(ix, span) -> bool:
     """Whether any variable bound inside the span is read outside the
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
-    seq = _seq_at(ix.program.body, span.seq_path)
+    seq = ix.seq_by_path[span.seq_path]
     consumed = Counter(dsl.seq_reads(seq[span.start : span.start + span.length]))
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
@@ -1073,26 +992,19 @@ def _loop_spans(ix, ctx, n_varying):
         yield span, runs, names, varying, values, chosen
 
 
-def _roll_span(program, span, rule, rule_index, loop_instrs, fn, new_entries, spec):
+def _roll_span(ix, span, loop_instrs, fn, new_entries, spec):
     """The rewrite replacing the span by loop_instrs, which keep only
     the first call's binder and leave fn as a hole."""
     path = span.seq_path + (span.start,)
     first = span.stmts[0][1]
-    body = _splice(program.body, path, loop_instrs, span.length)
+    body = _splice(ix, path, loop_instrs, span.length)
     drop = tuple(stmt.var for _, stmt in span.stmts if stmt.var != first.var)
-    return Rewrite(
-        rule=rule,
-        site=_site_str(path),
-        path=path,
-        rule_index=rule_index,
-        program=replace(program, body=body, holes=program.holes + (fn,)),
-        transform=ValuationTransform(drop_vars=drop, new_entries=new_entries),
-        specs=(spec,),
-    )
+    transform = ValuationTransform(drop_vars=drop, new_entries=new_entries)
+    return Candidate(path, {"body": body, "holes": ix.program.holes + (fn,)}, transform, (spec,))
 
 
-def rule_introduce_retry(ix, ctx, rule_index):
-    program, sigma = ix.program, ix.sigma
+def rule_introduce_retry(ix, ctx):
+    sigma = ix.sigma
     out = []
     for span, runs, names, _, _, chosen in _loop_spans(ix, ctx, 0):
         first_path, first = span.stmts[0]
@@ -1125,15 +1037,12 @@ def rule_introduce_retry(ix, ctx, rule_index):
                 tuple(it == n - 1 for it in range(n))
             )
         spec = SynthesisSpec(fn, "bool", tuple(examples))
-        out.append(
-            _roll_span(program, span, "introduce_retry", rule_index, (loop,), fn,
-                       new_entries, spec)
-        )
+        out.append(_roll_span(ix, span, (loop,), fn, new_entries, spec))
     return out
 
 
-def rule_introduce_foreach(ix, ctx, rule_index):
-    program, sigma = ix.program, ix.sigma
+def rule_introduce_foreach(ix, ctx):
+    sigma = ix.sigma
     out = []
     for span, runs, names, varying, values, chosen in _loop_spans(ix, ctx, 1):
         vname = varying[0]
@@ -1169,10 +1078,7 @@ def rule_introduce_foreach(ix, ctx, rule_index):
             new_entries[(uvar, i)] = PerIteration(tuple(items[i]))
             new_entries[(first.var, i)] = PerIteration(responses)
         spec = SynthesisSpec(fn, "value", tuple(examples))
-        out.append(
-            _roll_span(program, span, "introduce_foreach", rule_index, (prelude, loop),
-                       fn, new_entries, spec)
-        )
+        out.append(_roll_span(ix, span, (prelude, loop), fn, new_entries, spec))
     return out
 
 
@@ -1217,7 +1123,11 @@ def enumerate_rewrites(
         raise ValueError(f"unknown rewrite kind {kind!r}")
     ix = StateIndex(program, sigma, ctx.ts)
     out: List[Rewrite] = []
-    for idx, fn in enumerate(fns.values()):
-        out.extend(fn(ix, ctx, idx))
-    out.sort(key=Rewrite.order_key)
+    for rule, fn in fns.items():
+        for c in fn(ix, ctx):
+            site = _site_str(c.path) if c.site is None else c.site
+            new = replace(program, **c.fields)
+            out.append(Rewrite(rule, site, c.path, new, c.transform, c.specs))
+    # Stable, so candidates at one path keep their rules' table order.
+    out.sort(key=lambda rw: rw.path)
     return out

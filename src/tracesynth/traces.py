@@ -68,10 +68,27 @@ def _finite(text: str) -> float:
     return v
 
 
+def _check_finite(value, where: str) -> None:
+    """_finite for already-parsed data: raise TraceError if value holds
+    a float that is not finite. Uses an explicit stack, as an event is
+    JSON of any depth."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise TraceError(f"{where} holds a non-finite number: {v}")
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+
+
 def parse_traces(data) -> TraceSet:
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
-    if isinstance(data, str):
+    parsed = not isinstance(data, str)
+    if not parsed:
         try:
             raw = json.loads(data, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
@@ -101,6 +118,9 @@ def parse_traces(data) -> TraceSet:
             req = ev["request"]
             if not isinstance(req, dict):
                 raise TraceError(f"trace {ti} event {ei}: request must be an object")
+            if parsed:
+                _check_finite(req, f"trace {ti} event {ei} request")
+                _check_finite(ev["response"], f"trace {ti} event {ei} response")
             records.append(
                 TraceRecord(api=api, request=tuple(req.items()), response=ev["response"])
             )

@@ -161,6 +161,9 @@ ROUND_TRIP_CASES = [
     HiddenFnBody(1, And(And(Eq(Input(0), 1), Eq(Input(0), 2)), Eq(Input(0), 3))),
     HiddenFnBody(1, And(Eq(Input(0), 1), And(Eq(Input(0), 2), Eq(Input(0), 3)))),
     HiddenFnBody(1, Not(And(And(Empty(Input(0)), Eq(Input(0), 2)), Eq(Input(0), 3)))),
+    HiddenFnBody(1, Child(Add(1, Input(0)), "x")),
+    HiddenFnBody(1, Child(ConstVal({"a": 1}), "a")),
+    HiddenFnBody(1, Slice(Concat("s", Input(0)), 0, 2)),
 ]
 
 
@@ -184,11 +187,9 @@ def test_a_parenthesized_value_is_still_a_value():
     assert defs["f_2"] == HiddenFnBody(1, Index(Input(0), 0))
 
 
-# Random helper bodies for the round trip. A constant or an Add/Concat
-# is never the base of a ., .., [i] or [i:j]: the printer does not
-# bracket it there ({"a": 1}.a, and 1 + a0.x reads back as
-# Add(1, Child(a0, "x"))). A list constant is never drawn: it prints
-# as [...] and reads back as the MakeList that evaluates the same.
+# Random helper bodies for the round trip. A list constant is never
+# drawn: it prints as [...] and reads back as the MakeList that
+# evaluates the same.
 KEYS = st.one_of(
     st.sampled_from(["id", "Name", "weird key", "length", "true", "empty", "", "a.b", "1x"]),
     st.text(max_size=3),
@@ -216,6 +217,12 @@ def helper_fns(draw):
     consts = st.one_of(SCALARS, st.dictionaries(st.text(max_size=2), LITERALS, max_size=2))
 
     def extend_path(inner):
+        inner = st.one_of(
+            inner,
+            st.builds(Add, st.integers(-5, 5), inner),
+            st.builds(Concat, st.text(max_size=3), inner),
+            consts.map(ConstVal),
+        )
         return st.one_of(
             st.builds(Child, inner, KEYS),
             st.builds(Descendants, inner, KEYS),

@@ -11,7 +11,7 @@ from tracesynth.evaluator import check_psi, default_retry_bound
 from tracesynth.hidden import HiddenFnBody, ConstVal, Input, Length
 from tracesynth.jsonvals import ABSENT
 from tracesynth.pbe import ConstraintCache
-from tracesynth.rewrites import RewriteContext, enumerate_rewrites
+from tracesynth.rewrites import REFINE_RULES, SYNTH_RULES, RewriteContext, enumerate_rewrites
 from tracesynth.search import build_initial
 from tracesynth.traces import PerIteration, Scalar, TraceValuation, parse_traces
 
@@ -641,7 +641,9 @@ def test_candidates_sorted_by_site_then_rule():
         },
     )
     rws = enumerate_rewrites(program, sigma, "refine", ctx_for(dummy_ts(2)))
-    assert [rw.order_key() for rw in rws] == sorted(rw.order_key() for rw in rws)
+    order = REFINE_RULES + SYNTH_RULES
+    keys = [(rw.path, order.index(rw.rule)) for rw in rws]
+    assert keys == sorted(keys)
     assert rws[0].rule == "eliminate_unused_param" and rws[0].site == "unused"
     assert [rw.rule for rw in rws[1:]] == ["eliminate_empty_if", "eliminate_empty_if"]
     assert rws[1].path == (0,) and rws[2].path == (1,)

@@ -84,6 +84,25 @@ def test_parse_traces_keeps_finite_floats():
     assert ts.trace(1)[0].response == -0.0
 
 
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("place", ["request", "response"])
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_parse_traces_rejects_non_finite_numbers_in_parsed_data(number, place, nested):
+    value = {"a": [1, {"b": number}]} if nested else number
+    event = {"api": "a.B", "request": {"k": 1.5}, "response": 0.25}
+    event[place] = {"k": value} if place == "request" else value
+    data = [[{"api": "a.B", "request": {}, "response": 1}], [event]]
+    with pytest.raises(TraceError, match=f"trace 2 event 1 {place} holds a non-finite"):
+        parse_traces(data)
+
+
+def test_parse_traces_keeps_finite_floats_in_parsed_data():
+    event = {"api": "a.B", "request": {"k": [1.5e300, {"x": -0.0}]}, "response": {"r": 1e-300}}
+    ts = parse_traces([[event], [{"api": "a.B", "request": {}, "response": 0.25}]])
+    assert ts.trace(1)[0].request_map() == {"k": [1.5e300, {"x": -0.0}]}
+    assert ts.trace(1)[0].response == {"r": 1e-300}
+
+
 def two_trace_set():
     return parse_traces(GOOD)
 
