@@ -25,7 +25,7 @@ from .hidden import print_hidden_fn
 from .parser import ParseError, parse_program
 from .pbe import GrammarConfig, IOExample, synthesize
 from .search import SearchConfig, SearchError, run_search, verify_final
-from .traces import TraceError, TraceSet, parse_traces
+from .traces import TraceError, TraceSet, loads_finite, parse_traces
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -195,7 +195,7 @@ def cmd_bench(args) -> int:
 def cmd_pbe(args) -> int:
     _positive("max-size", args.max_size)
     _positive("timeout", args.timeout)
-    data = json.loads(Path(args.examples).read_text(encoding="utf-8"))
+    data = loads_finite(Path(args.examples).read_text(encoding="utf-8"), "examples file")
     shape = "examples file must be {kind, examples: [{args: [...], output}]}"
     examples = data.get("examples") if isinstance(data, dict) else None
     if not isinstance(examples, list) or "kind" not in data:

@@ -13,13 +13,20 @@ part of the contract:
   smaller bases first, bases in table insertion order, mined constants
   in encounter order.
 
-Evaluation is incremental. The bank stores every kept expression with
-its output vector (one value per example) and that vector's key. A new
+Evaluation is incremental, and once per distinct argument. Each input
+slot's arguments are split into classes of interchangeable values:
+equal structural keys, and objects listing their keys in the same order
+at every depth (canonical equality ignores key order, but `..key`
+follows it). Every path reads exactly one slot, so the bank stores a
+path with one output and one key per class of its slot. A new
 candidate's outputs come from its base's stored outputs through the
 operator's step in hidden.PATH_STEPS / BOOL_STEPS, the steps eval_path
-itself recurses through; Not and And combine stored bool vectors. Only
-input slots are evaluated from the examples, and the winner is checked
-again with eval_path / eval_bool on every example before it is
+itself recurses through, and Eq and Empty likewise work per class. The
+key vector over all examples, which pruning compares, is rebuilt from
+the class keys by index; a predicate is stored with its bool vector
+over all examples, which Not and And combine. Only the slots' class
+representatives are evaluated from the examples, and the winner is
+checked again with eval_path / eval_bool on every example before it is
 returned.
 
 Observational equivalence pruning keeps only the first expression per
@@ -37,6 +44,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .hidden import (
@@ -282,10 +290,45 @@ class _Timeout(Exception):
 _STEPS = {**PATH_STEPS, **BOOL_STEPS}
 
 
-def _extend(expr, base_outs):
-    """expr with its outputs, computed from its base's outputs."""
-    step = _STEPS[type(expr)]
-    return expr, tuple([step(expr, v) for v in base_outs])
+def _same_key_order(a, b) -> bool:
+    """For two values with equal structural keys: do their objects list
+    their keys in the same order, at every depth? Canonical equality
+    ignores key order, but `..key` (hidden._descend) follows it. Walks
+    with an explicit stack, as the values are JSON of any depth."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, dict):
+            if list(x) != list(y):
+                return False
+            stack.extend(zip(x.values(), y.values()))
+        elif isinstance(x, list):
+            stack.extend(zip(x, y))
+    return True
+
+
+def _slot_classes(arg_lists, slot, keys):
+    """The examples split by their argument in one input slot into
+    classes of interchangeable values, which every step maps to equal
+    results: equal structural keys and the same key order. Returns each
+    example's class and, per class, the arguments of its first
+    example."""
+    members: Dict[object, List[tuple]] = {}  # key -> [(class, value)]
+    classes, reps = [], []
+    for args in arg_lists:
+        v = args[slot]
+        group = members.setdefault(keys.of(v), [])
+        for c, w in group:
+            if _same_key_order(w, v):
+                break
+        else:
+            c = len(reps)
+            group.append((c, v))
+            reps.append(args)
+        classes.append(c)
+    return classes, reps
 
 
 def synthesize(
@@ -311,8 +354,16 @@ def synthesize(
     keys = _Keys()
     enumerated = 0
 
-    # The bank: per size, insertion-ordered (expr, outputs, vector key),
-    # the first expression of each distinct output vector.
+    # Per input slot: the examples' arguments in classes, and the map
+    # from a vector over those classes to the vector over the examples.
+    slots = [_slot_classes(arg_lists, slot, keys) for slot in range(arity)]
+    spread = [itemgetter(*classes) if len(classes) > 1 else tuple for classes, _ in slots]
+
+    # The bank: per size, insertion-ordered, the first expression of
+    # each distinct output vector over the examples. A path is stored
+    # as (expr, slot, outputs, keys), its outputs and their keys being
+    # per class of the one slot it reads; a predicate as (expr,
+    # outputs), one bool per example.
     path_by_size: Dict[int, List[tuple]] = {}
     bool_by_size: Dict[int, List[tuple]] = {}
     seen_path_vectors = set()
@@ -326,7 +377,7 @@ def synthesize(
         if deadline.expired():
             raise _Timeout()
 
-    def admit(bank, seen, expr, outs, vec, size) -> bool:
+    def admit(bank, seen, vec, size, entry) -> bool:
         """Count a candidate, and bank it if its vector is new."""
         nonlocal enumerated
         enumerated += 1
@@ -335,7 +386,7 @@ def synthesize(
         if vec in seen:
             return False
         seen.add(vec)
-        bank.setdefault(size, []).append((expr, outs, vec))
+        bank.setdefault(size, []).append(entry)
         return True
 
     def paths_of(size):
@@ -344,33 +395,29 @@ def synthesize(
     def bools_of(size):
         return bool_by_size.get(size, [])
 
+    def grow(bases, params, make):
+        """make(base, p) for every base and p, with its outputs computed
+        from its base's."""
+        for base, slot, outs, _ in bases:
+            for p in params:
+                expr = make(base, p)
+                step = _STEPS[type(expr)]
+                yield expr, slot, tuple([step(expr, v) for v in outs])
+
     def path_candidates(size):
         if size == 1:
-            for slot in range(arity):
+            for slot, (_, reps) in enumerate(slots):
                 expr = Input(slot)
-                yield expr, tuple(eval_path(expr, args) for args in arg_lists)
+                yield expr, slot, tuple([eval_path(expr, args) for args in reps])
             return
-        for base, outs, _ in paths_of(size - 1):
-            for key in pools.keys:
-                yield _extend(Child(base, key), outs)
-        for base, outs, _ in paths_of(size - 1):
-            for key in pools.keys:
-                yield _extend(Descendants(base, key), outs)
-        for base, outs, _ in paths_of(size - 1):
-            for i in pools.indices:
-                yield _extend(Index(base, i), outs)
-        for base, outs, _ in paths_of(size - 1):
-            for i, j in pools.slices:
-                yield _extend(Slice(base, i, j), outs)
-        for base, outs, _ in paths_of(size - 1):
-            yield _extend(Length(base), outs)
+        yield from grow(paths_of(size - 1), pools.keys, Child)
+        yield from grow(paths_of(size - 1), pools.keys, Descendants)
+        yield from grow(paths_of(size - 1), pools.indices, Index)
+        yield from grow(paths_of(size - 1), pools.slices, lambda b, ij: Slice(b, *ij))
+        yield from grow(paths_of(size - 1), (None,), lambda b, _: Length(b))
         if size >= 3:
-            for base, outs, _ in paths_of(size - 2):
-                for c in pools.add_consts:
-                    yield _extend(Add(c, base), outs)
-            for base, outs, _ in paths_of(size - 2):
-                for c in pools.concat_prefixes:
-                    yield _extend(Concat(c, base), outs)
+            yield from grow(paths_of(size - 2), pools.add_consts, lambda b, c: Add(c, b))
+            yield from grow(paths_of(size - 2), pools.concat_prefixes, lambda b, c: Concat(c, b))
 
     # Eq compares keys, which agrees with canonical_eq except on NaN; a
     # constant holding a NaN, which canonical_eq equates with nothing,
@@ -386,16 +433,16 @@ def synthesize(
             consts = eq_consts.get(size - 1 - j, [])
             if not consts:
                 continue
-            for base, _, vec in paths_of(j):
+            for base, slot, _, okeys in paths_of(j):
                 for c, ckey in consts:
-                    yield Eq(base, c), tuple([k == ckey for k in vec])
-        for base, outs, _ in paths_of(size - 1):
-            yield _extend(Empty(base), outs)
-        for inner, outs, _ in bools_of(size - 1):
+                    yield Eq(base, c), spread[slot](tuple([k == ckey for k in okeys]))
+        for expr, slot, outs in grow(paths_of(size - 1), (None,), lambda b, _: Empty(b)):
+            yield expr, spread[slot](outs)
+        for inner, outs in bools_of(size - 1):
             yield Not(inner), tuple([not b for b in outs])
         for j in range(1, size - 1):
-            for left, louts, _ in bools_of(j):
-                for right, routs, _ in bools_of(size - 1 - j):
+            for left, louts in bools_of(j):
+                for right, routs in bools_of(size - 1 - j):
                     yield And(left, right), tuple([a and b for a, b in zip(louts, routs)])
 
     def found(expr, size):
@@ -410,16 +457,18 @@ def synthesize(
     try:
         for size in range(1, cfg.max_size + 1):
             check_budget()
-            for expr, outs in path_candidates(size):
-                vec = keys.vector(outs)
-                if admit(path_by_size, seen_path_vectors, expr, outs, vec, size) and (
+            for expr, slot, outs in path_candidates(size):
+                okeys = keys.vector(outs)
+                vec = spread[slot](okeys)
+                entry = (expr, slot, outs, okeys)
+                if admit(path_by_size, seen_path_vectors, vec, size, entry) and (
                     want_value and vec == goal
                 ):
                     return found(expr, size)
             if want_value:
                 continue
             for expr, outs in bool_candidates(size):
-                if admit(bool_by_size, seen_bool_vectors, expr, outs, outs, size) and outs == goal:
+                if admit(bool_by_size, seen_bool_vectors, outs, size, (expr, outs)) and outs == goal:
                     return found(expr, size)
     except _Timeout:
         return SynthesisResult("timeout", None, 0, arity, enumerated)

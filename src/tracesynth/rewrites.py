@@ -85,9 +85,10 @@ class RewriteContext:
     # introduce_parameter's duplicate key of each br-reading argument of
     # the last state it saw: id(expr) -> (expr, key). Holding the
     # expression keeps its id from being reused. An accepted state's
-    # nodes carry over to its successors, so an argument is printed
-    # once per search, not once per state, and keeping only the last
-    # state's arguments bounds the memo by one program.
+    # nodes carry over to its successors, and a ternary that a pull or
+    # push builds from two of them is keyed from theirs, so only its
+    # predicate is printed. Keeping only the last state's arguments
+    # bounds the memo by one program.
     param_keys: Dict[int, Tuple[object, str]] = field(default_factory=dict, repr=False)
 
 
@@ -553,6 +554,11 @@ def rule_introduce_parameter(ix, ctx):
     the scope is already recorded unsatisfiable."""
     program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     keys, kept = ctx.param_keys, {}
+
+    def printed(e):
+        hit = keys.get(id(e))
+        return hit[1] if hit else dsl.print_expr(e)
+
     candidates = []  # (first_path, stmt, expr, key), distinct by printed form
     seen = set()
     for path, ins, in_loop in ix.sites:
@@ -561,7 +567,11 @@ def rule_introduce_parameter(ix, ctx):
         for _, e in ins.args:
             if not isinstance(e, dsl.Ternary) or not e.n_br:
                 continue
-            hit = kept[id(e)] = keys.get(id(e)) or (e, dsl.print_expr(e))
+            # dsl.print_expr(e), with branches of the last state reused.
+            hit = kept[id(e)] = keys.get(id(e)) or (
+                e,
+                f"({dsl.print_pred(e.pred)}) ? {printed(e.then_expr)} : {printed(e.else_expr)}",
+            )
             key = hit[1]
             if key in seen:
                 continue

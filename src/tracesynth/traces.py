@@ -59,19 +59,24 @@ class TraceSet:
         return self.traces[idx - 1]
 
 
-def _finite(text: str) -> float:
-    """A JSON number that a script can print back: NaN, Infinity and
-    floats that overflow to infinity print as names."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise TraceError(f"trace file holds a non-finite number: {text}")
-    return v
+def loads_finite(text: str, what: str):
+    """json.loads, keeping only numbers that a script can print back:
+    NaN, Infinity and floats that overflow to infinity print as names,
+    so they raise TraceError naming `what` (say, "trace file")."""
+
+    def finite(number: str) -> float:
+        v = float(number)
+        if not math.isfinite(v):
+            raise TraceError(f"{what} holds a non-finite number: {number}")
+        return v
+
+    return json.loads(text, parse_float=finite, parse_constant=finite)
 
 
 def _check_finite(value, where: str) -> None:
-    """_finite for already-parsed data: raise TraceError if value holds
-    a float that is not finite. Uses an explicit stack, as an event is
-    JSON of any depth."""
+    """loads_finite's check for already-parsed data: raise TraceError if
+    value holds a float that is not finite. Uses an explicit stack, as
+    an event is JSON of any depth."""
     stack = [value]
     while stack:
         v = stack.pop()
@@ -90,7 +95,7 @@ def parse_traces(data) -> TraceSet:
     parsed = not isinstance(data, str)
     if not parsed:
         try:
-            raw = json.loads(data, parse_float=_finite, parse_constant=_finite)
+            raw = loads_finite(data, "trace file")
         except json.JSONDecodeError as exc:
             raise TraceError(f"trace file is not valid JSON: {exc}") from exc
     else:

@@ -369,3 +369,29 @@ def test_pbe_rejects_a_malformed_examples_file(data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("tracesynth: examples file must be")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, number",
+    [
+        ('{"kind": "value", "examples": [{"args": [NaN], "output": NaN}, {"args": [2], "output": 2}]}', "NaN"),
+        ('{"kind": "value", "examples": [{"args": [1e400], "output": 1}, {"args": [2], "output": 2}]}', "1e400"),
+        ('{"kind": "bool", "examples": [{"args": [{"k": -Infinity}], "output": true}]}', "-Infinity"),
+        ('{"kind": "value", "examples": [{"args": [1], "output": Infinity}]}', "Infinity"),
+    ],
+)
+def test_pbe_rejects_a_non_finite_number_in_the_examples_file(text, number, tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(text)
+    assert main(["pbe", "--examples", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert f"examples file holds a non-finite number: {number}" in captured.err
+
+
+def test_pbe_keeps_finite_floats_in_the_examples_file(tmp_path, capsys):
+    ok = tmp_path / "floats.json"
+    ok.write_text('{"kind": "value", "examples": [{"args": [{"x": 1.5}], "output": 1.5}, {"args": [{"x": -2e3}], "output": -2e3}]}')
+    assert main(["pbe", "--examples", str(ok)]) == 0
+    assert capsys.readouterr().out.strip() == "(a0) -> a0.x"

@@ -2,6 +2,7 @@
 replaced (tests/pbe_reference.py), and its structural keys against
 canonical_dumps."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -150,6 +151,88 @@ def test_incremental_enumerator_matches_the_reference(case):
     assert fields(synthesize(examples, kind, cfg)) == fields(
         reference.synthesize(examples, kind, cfg)
     )
+
+
+def reordered(v):
+    """v with every object's keys in reverse order, at every depth."""
+    if isinstance(v, dict):
+        return {k: reordered(v[k]) for k in reversed(list(v))}
+    if isinstance(v, list):
+        return [reordered(x) for x in v]
+    return v
+
+
+def sign_flipped(v):
+    """v with every float zero's sign flipped, at every depth."""
+    if isinstance(v, dict):
+        return {k: sign_flipped(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [sign_flipped(x) for x in v]
+    if isinstance(v, float) and v == 0:
+        return -v
+    return v
+
+
+# Objects of objects, so that reordering keys reorders what `..key` finds.
+slot_values = st.one_of(
+    json_values,
+    st.dictionaries(
+        st.sampled_from(KEYS), st.dictionaries(st.sampled_from(KEYS), scalars, min_size=1), min_size=2
+    ),
+)
+
+
+@st.composite
+def repeating_example_sets(draw):
+    """Examples whose slots repeat a few values: as the same object, as
+    an equal copy, with objects' keys in another order (which `..key`
+    sees), with float zeros' signs flipped (which nothing sees), or as
+    the absent marker."""
+    kind = draw(st.sampled_from(["value", "bool"]))
+    arity = draw(st.integers(1, 3))
+    pools = [draw(st.lists(slot_values, min_size=1, max_size=3)) for _ in range(arity)]
+    variants = [lambda v: v, copy.deepcopy, reordered, sign_flipped, lambda v: ABSENT]
+    hidden = draw_path(draw, arity, 3) if kind == "value" else draw_bool(draw, arity, 1)
+    follow = draw(st.integers(0, 3)) > 0
+    examples = []
+    for _ in range(draw(st.integers(1, 6))):
+        args = tuple(draw(st.sampled_from(variants))(draw(st.sampled_from(pool))) for pool in pools)
+        if kind == "bool":
+            output = eval_bool(hidden, list(args)) if follow else draw(st.booleans())
+        else:
+            output = eval_path(hidden, list(args)) if follow else draw(json_values)
+        examples.append(IOExample(args=args, output=output))
+    return kind, examples, draw(st.integers(2, 5))
+
+
+# Two canonically equal arguments that `..k` reads in different orders.
+ORDERED = {"a": {"k": 1}, "b": {"k": 2}}
+REORDERED_SETS = [
+    ("value", [ex([ORDERED], [1, 2]), ex([reordered(ORDERED)], [2, 1])], 3),
+    ("bool", [ex([ORDERED], True), ex([reordered(ORDERED)], False), ex([ORDERED], True)], 5),
+    ("value", [ex([[0.0], ABSENT], [0.0]), ex([[-0.0], None], [-0.0]), ex([[0.0], ABSENT], [0.0])], 4),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_example_sets())
+@example(REORDERED_SETS[0])
+@example(REORDERED_SETS[1])
+@example(REORDERED_SETS[2])
+def test_repeated_arguments_give_the_reference_result(case):
+    """Each candidate is evaluated once per class of interchangeable
+    arguments; that must not change what is enumerated or found."""
+    kind, examples, max_size = case
+    cfg = GrammarConfig(max_size=max_size)
+    assert fields(synthesize(examples, kind, cfg)) == fields(
+        reference.synthesize(examples, kind, cfg)
+    )
+
+
+def test_arguments_in_another_key_order_are_not_interchangeable():
+    kind, examples, max_size = REORDERED_SETS[0]
+    result = synthesize(examples, kind, GrammarConfig(max_size=max_size))
+    assert result.expr == Descendants(Input(0), "k")
 
 
 @settings(max_examples=300, deadline=None)
