@@ -29,7 +29,7 @@ from typing import Callable
 from . import dsl
 from .jsonvals import ABSENT
 from .dsl import BR
-from .traces import PerIteration, Scalar, TraceSet, TraceValuation
+from .traces import PerIteration, TraceSet, TraceValuation
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,12 @@ def _visible_let_vars(seq) -> list:
     return [ins.var for ins in dsl.walk(seq) if isinstance(ins, dsl.LetVisible)]
 
 
-def _executions(sigma: TraceValuation, var: str, trace_idx: int) -> int:
-    if not sigma.has(var, trace_idx):
-        return 0
-    cell = sigma.lookup(var, trace_idx)
-    if isinstance(cell, Scalar):
-        return 0 if cell.value is ABSENT else 1
+def _executions(cell) -> int:
+    """Events a cell of a trace on which its variable holds a value
+    reproduces."""
     if isinstance(cell, PerIteration):
         return sum(1 for v in cell.values if v is not ABSENT)
-    return 0
+    return 1
 
 
 def cost_traces(
@@ -99,7 +96,7 @@ def cost_traces(
     total_events = sum(len(t) for t in ts.traces)
     let_vars = _visible_let_vars(program.body)
     reproduced = sum(
-        _executions(sigma, v, i) for v in let_vars for i in ts.indices()
+        _executions(sigma.lookup(v, i)) for v in let_vars for i in sigma.traces_with_value(v)
     )
     cost = (
         total_events

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import is_ as _is
 from typing import ClassVar, Dict, Tuple
 
-from .hidden import HiddenFnBody, print_hidden_fn
+from .hidden import HiddenFnBody, is_ident, key_text, print_hidden_fn
 from .jsonvals import canonical_dumps, canonical_eq, dumps_pretty
 
 
@@ -654,11 +654,21 @@ def print_expr(e) -> str:
     raise DslError(f"not an expression: {e!r}")
 
 
+def _dotted(name: str) -> bool:
+    """Whether the parser reads name as a dotted callee."""
+    return all(is_ident(part) for part in name.split("."))
+
+
+def _arg_key(key: str) -> bool:
+    """Whether the parser reads key as a let argument's bare key."""
+    return is_ident(key) and key not in ("true", "false", "null")
+
+
 def _print_instr(instr, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(instr, LetVisible):
-        args = ", ".join(f"{k}={print_expr(e)}" for k, e in instr.args)
-        out.append(f"{pad}let {instr.var} = {instr.api}({args})")
+        args = ", ".join(f"{key_text(k, _arg_key)}={print_expr(e)}" for k, e in instr.args)
+        out.append(f"{pad}let {instr.var} = {key_text(instr.api, _dotted)}({args})")
     elif isinstance(instr, LetHidden):
         out.append(f"{pad}let {instr.var} = {instr.fn}({', '.join(instr.args)})")
     elif isinstance(instr, Ite):

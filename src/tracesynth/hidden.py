@@ -301,15 +301,15 @@ def expr_size(e) -> int:
 # ---------------------------------------------------------------------------
 # printing
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+def is_ident(s: str) -> bool:
+    """Whether the script tokenizer reads s as one identifier."""
+    return bool(s) and (s[0].isalpha() or s[0] == "_") and all(c.isalnum() or c == "_" for c in s)
 
 
-def _is_ident(s: str) -> bool:
-    return bool(s) and not s[0].isdigit() and all(c in _IDENT_OK for c in s)
-
-
-def _key_text(key: str) -> str:
-    return key if _is_ident(key) else json.dumps(key)
+def key_text(key: str, bare=is_ident) -> str:
+    """A name as script text: as it is where bare(key) holds, that is
+    where the parser reads it as a name, else as a JSON string."""
+    return key if bare(key) else json.dumps(key)
 
 
 def _argname(i: int) -> str:
@@ -331,9 +331,9 @@ def print_expr(e, names=None) -> str:
         if isinstance(e.base, (Add, Concat, ConstVal)):
             base = f"({base})"
         if isinstance(e, Child):
-            return f"{base}.{_key_text(e.key)}"
+            return f"{base}.{key_text(e.key)}"
         if isinstance(e, Descendants):
-            return f"{base}..{_key_text(e.key)}"
+            return f"{base}..{key_text(e.key)}"
         if isinstance(e, Index):
             return f"{base}[{e.i}]"
         return f"{base}[{e.i}:{e.j}]"

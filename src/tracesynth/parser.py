@@ -16,6 +16,8 @@ begins:
 Whether `let v = name(...)` is a visible call or a hidden-function call
 is decided by the name: names declared in the LAMBDA prefix or the
 where section are hidden, everything else (dotted or not) is visible.
+An API name or argument key that is not written as a name is a JSON
+string, as in `let v = "s3:GetObject"("Content-Type"="text/plain")`.
 One tokenizer and one token cursor serve both the script grammar and
 the helper-function grammar of hidden.py's nodes.
 """
@@ -282,18 +284,17 @@ class _Parser:
         self.expect("ident", "let")
         var = self.ident()
         self.expect("punct", "=")
-        name = self.dotted_name()
+        name = self.next()[1] if self.at("str") else self.dotted_name()
         self.expect("punct", "(")
         return _RawLet(var, name, self.items(self.let_arg, ")"))
 
     def let_arg(self):
         key = None
         if (
-            self.at("ident")
-            and self.peek()[1] not in ("true", "false", "null")
+            (self.at("str") or (self.at("ident") and self.peek()[1] not in ("true", "false", "null")))
             and self.peek(1)[:2] == ("punct", "=")
         ):
-            key = self.ident()
+            key = self.next()[1]
             self.next()
         return key, self.expr()
 

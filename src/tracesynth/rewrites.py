@@ -215,6 +215,7 @@ class StateIndex:
                 max_path.append(top)
                 if isinstance(ins, dsl.LetVisible):
                     binders.append(ins.var)
+                    used.add(ins.api)
                     for _, e in ins.args:
                         if not isinstance(e, dsl.Const):
                             reads += expr_reads(e)
@@ -239,7 +240,9 @@ class StateIndex:
 
     def used_names(self) -> set:
         """A fresh copy of the names in use (parameters, binders, loop
-        ids, hidden functions and holes), for fresh_name to grow."""
+        ids, hidden functions, holes and visible APIs), for fresh_name
+        to grow. A helper named as an API would read back as a call of
+        it."""
         return set(self._used)
 
     def scope_before(self, site_path) -> List[str]:
@@ -293,15 +296,6 @@ class StateIndex:
         return values
 
 
-def _non_absent(sigma, var, idx) -> bool:
-    if not sigma.has(var, idx):
-        return False
-    cell = sigma.lookup(var, idx)
-    if isinstance(cell, Scalar):
-        return cell.value is not ABSENT
-    return bool(cell.values)
-
-
 def _merge_cells(ca, cb) -> Optional[Scalar]:
     """Cell for a variable merged from two mutually exclusive branches;
     None when the merge is out of scope (per-iteration cells)."""
@@ -310,10 +304,6 @@ def _merge_cells(ca, cb) -> Optional[Scalar]:
     if ca.value is not ABSENT:
         return ca
     return cb
-
-
-def _reaching(sigma, ts, var) -> List[int]:
-    return [i for i in ts.indices() if _non_absent(sigma, var, i)]
 
 
 # --- pull / push -------------------------------------------------------------
@@ -337,10 +327,11 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
 
 def _merged_let_rewrite(ix, path, keep: dsl.LetVisible, drop: dsl.LetVisible, new_instrs):
     """Shared tail of pull/push/merge: build the program with keep's
-    name as the surviving binder and fold the two valuation columns."""
+    name as the surviving binder and fold the two valuation columns
+    over the traces where either holds a value."""
     sigma = ix.sigma
     new_entries = {}
-    for i in ix.ts.indices():
+    for i in sorted({*sigma.traces_with_value(keep.var), *sigma.traces_with_value(drop.var)}):
         cell = _merge_cells(sigma.lookup(keep.var, i), sigma.lookup(drop.var, i))
         if cell is None:
             return None
@@ -600,7 +591,7 @@ def rule_introduce_parameter(ix, ctx):
             continue
         used = ix.used_names()
         q = fresh_name("i_", used)
-        body = _replace_param_occurrences(program, sigma, ctx.ts, e, values, q, hidden)
+        body = _replace_param_occurrences(program, sigma, e, values, q, hidden)
         params = program.params + (q,)
         new_entries = {(q, i): Scalar(values[i]) for i in ctx.ts.indices()}
         transform = ValuationTransform(new_entries=new_entries, params=params)
@@ -609,7 +600,7 @@ def rule_introduce_parameter(ix, ctx):
     return out
 
 
-def _replace_param_occurrences(program, sigma, ts, e, values, q, hidden):
+def _replace_param_occurrences(program, sigma, e, values, q, hidden):
     """Swap in the parameter for every structural occurrence of the
     expression, plus other arguments whose recorded value matches on
     every trace that executes their statement: constants anywhere, and
@@ -618,7 +609,7 @@ def _replace_param_occurrences(program, sigma, ts, e, values, q, hidden):
     target = dsl.VarRef(q)
 
     def value_matches(a, var):
-        reaching = _reaching(sigma, ts, var)
+        reaching = sigma.traces_with_value(var)
         if not reaching:
             return False
         for i in reaching:
@@ -689,10 +680,7 @@ def rule_eliminate_branch_condition(ix, ctx):
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
         body = _splice(ix, path, (hidden_let, new_ite))
-        new_entries = {
-            (bvar, i): Scalar(guard[i] if i in guard else ABSENT)
-            for i in ctx.ts.indices()
-        }
+        new_entries = {(bvar, i): Scalar(g) for i, g in guard.items()}
         # A branch selector that selected only this guard has no job
         # left; retiring it is part of the same rewrite. The new body
         # reads br as often as the old one, less the replaced guard's
@@ -729,7 +717,7 @@ def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
     examples = []
     try:
         if not in_loop:
-            for i in _reaching(sigma, ts, stmt.var):
+            for i in sigma.traces_with_value(stmt.var):
                 args = _scope_values(sigma, scope, i)
                 out = evaluate_in_trace(arg_expr, sigma, i, hidden)
                 examples.append(IOExample(args=args, output=out))
@@ -776,17 +764,11 @@ def rule_eliminate_argument(ix, ctx):
             )
             new_stmt = replace(ins, args=new_args)
             body = _splice(ix, path, (hidden_let, new_stmt))
-            new_entries = {}
             if not in_loop:
-                reaching = set(_reaching(sigma, ctx.ts, ins.var))
-                k = 0
-                for i in ctx.ts.indices():
-                    if i in reaching:
-                        new_entries[(vvar, i)] = Scalar(examples[k].output)
-                        k += 1
-                    else:
-                        new_entries[(vvar, i)] = Scalar(ABSENT)
+                reaching = sigma.traces_with_value(ins.var)
+                new_entries = {(vvar, i): Scalar(ex.output) for i, ex in zip(reaching, examples)}
             else:
+                new_entries = {}
                 k = 0
                 for i in ctx.ts.indices():
                     cell = sigma.lookup(ins.var, i)
@@ -885,19 +867,14 @@ def _find_spans(ix) -> List[_Span]:
 def _span_iterations(span, sigma, ts):
     """Per-trace executed statements: {trace: [(stmt, response)]}.
     None if some trace never enters the span."""
-    runs = {}
-    for i in ts.indices():
-        executed = []
-        for path, stmt in span.stmts:
-            if _non_absent(sigma, stmt.var, i):
-                cell = sigma.lookup(stmt.var, i)
-                if not isinstance(cell, Scalar):
-                    return None
-                executed.append((stmt, cell.value))
-        if not executed:
-            return None
-        runs[i] = executed
-    return runs
+    runs = {i: [] for i in ts.indices()}
+    for _, stmt in span.stmts:
+        for i in sigma.traces_with_value(stmt.var):
+            cell = sigma.lookup(stmt.var, i)
+            if not isinstance(cell, Scalar):
+                return None
+            runs[i].append((stmt, cell.value))
+    return runs if all(runs.values()) else None
 
 
 def _span_arg_profile(span, runs, sigma, ts, hidden):

@@ -34,7 +34,6 @@ from . import dsl
 from .costs import CostFn
 from .dsl import BR
 from .evaluator import check_psi, default_retry_bound
-from .jsonvals import ABSENT
 from .pbe import ConstraintCache, GrammarConfig, _Deadline
 from .rewrites import Rewrite, RewriteContext, SynthesisSpec, enumerate_rewrites
 from .traces import (
@@ -94,7 +93,6 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
     the last trace's branch is the unguarded else."""
     sigma = initial_valuation(ts)
     entries = dict(sigma.entries)
-    absent = Scalar(ABSENT)  # cells are immutable, so all may share it
     counter = [0]
 
     def straight_line(idx: int):
@@ -104,8 +102,7 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
             var = f"x{counter[0]}"
             args = tuple((k, dsl.Const(v)) for k, v in rec.request)
             stmts.append(dsl.LetVisible(var, rec.api, args))
-            for j in ts.indices():
-                entries[(var, j)] = Scalar(rec.response) if j == idx else absent
+            entries[(var, idx)] = Scalar(rec.response)
         return tuple(stmts)
 
     indices = list(ts.indices())

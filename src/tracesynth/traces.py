@@ -7,9 +7,11 @@ are 1-based throughout (the synthetic branch selector br maps trace i
 to i).
 
 The valuation maps (variable, trace index) to either a Scalar value or
-a PerIteration vector (for variables bound inside loop bodies). Entries
-can hold the Absent marker for variables that a trace's control path
-never binds; Absent is distinct from JSON null.
+a PerIteration vector (for variables bound inside loop bodies). A
+variable that a trace's control path never binds reads as
+Scalar(ABSENT) there; Absent is distinct from JSON null. This module
+alone knows how that is stored: as no cell at all, so a valuation holds
+one cell per binding that ran, not one per variable and trace.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dsl import BR  # re-exported: callers import br's name from here too
 from .jsonvals import ABSENT, JsonValue
@@ -146,18 +148,30 @@ class PerIteration:
     values: Tuple[JsonValue, ...]
 
 
+# What a known variable reads as on a trace where it holds no cell.
+_ABSENT_CELL = Scalar(ABSENT)
+
+
+def _stored(cell) -> bool:
+    """Whether a column keeps the cell: every cell but an Absent scalar."""
+    return not (isinstance(cell, Scalar) and cell.value is ABSENT)
+
+
 class TraceValuation:
     """The parameters and the (variable, trace index) cells of σ.
 
-    Cells are kept by variable: _entries maps each variable to its
-    column, a {trace index: cell} dict, and no column is empty. A
-    valuation made by ValuationTransform.apply holds only its base and
-    the transform until a cell is first read. It then shares every
-    column of the base that the transform leaves alone and copies only
-    the columns it writes, so building it costs one reference per
-    variable plus the cells written, and a base is never changed. A
-    candidate whose valuation nobody reads (the syn cost reads none)
-    never pays even that."""
+    Cells are kept by variable: _entries maps each variable σ knows to
+    its column, a {trace index: cell} dict that holds no Scalar(ABSENT)
+    cell. A known variable reads as Scalar(ABSENT) on a trace where its
+    column has no cell, so a column may be empty; only a variable σ
+    does not know fails to read. A valuation made by
+    ValuationTransform.apply holds only its base and the transform
+    until a cell is first read. It then shares every column of the base
+    that the transform leaves alone and copies only the columns it
+    writes, so building it costs one reference per variable plus the
+    cells written, and a base is never changed. A candidate whose
+    valuation nobody reads (the syn cost reads none) never pays even
+    that."""
 
     __slots__ = ("params", "_entries", "_pending")
 
@@ -168,7 +182,8 @@ class TraceValuation:
             column = columns.get(var)
             if column is None:
                 column = columns[var] = {}
-            column[trace_idx] = cell
+            if _stored(cell):
+                column[trace_idx] = cell
         self._entries = columns
         self._pending = None  # (base valuation, transform) until first read
 
@@ -187,8 +202,8 @@ class TraceValuation:
 
     @property
     def entries(self) -> Dict[Tuple[str, int], object]:
-        """A new flat {(variable, trace index): cell} dict, variable by
-        variable."""
+        """A new flat {(variable, trace index): cell} dict of the stored
+        cells, variable by variable."""
         return {
             (var, trace_idx): cell
             for var, column in self._columns().items()
@@ -213,28 +228,35 @@ class TraceValuation:
                 if var not in copied:
                     copied.add(var)
                     columns[var] = dict(columns.get(var, ()))
-                columns[var][trace_idx] = cell
+                if _stored(cell):
+                    columns[var][trace_idx] = cell
+                else:
+                    columns[var].pop(trace_idx, None)
             sigma._entries, sigma._pending = columns, None
 
-    # lookup and has are the hot readers, so they test _pending inline.
+    # lookup is the hot reader, so it tests _pending inline.
     def lookup(self, var: str, trace_idx: int):
         if self._pending is not None:
             self._build()
         try:
-            return self._entries[var][trace_idx]
+            column = self._entries[var]
         except KeyError:
             raise ValuationError(f"no entry for {var} on trace {trace_idx}") from None
+        return column.get(trace_idx, _ABSENT_CELL)
 
-    def has(self, var: str, trace_idx: int) -> bool:
-        if self._pending is not None:
-            self._build()
-        column = self._entries.get(var)
-        return column is not None and trace_idx in column
+    def traces_with_value(self, var: str) -> List[int]:
+        """The traces, ascending, on which var holds a value: a scalar
+        other than Absent or a non-empty per-iteration vector. A
+        variable σ does not know holds a value on no trace."""
+        column = self._columns().get(var, {})
+        return sorted(
+            i for i, cell in column.items() if not isinstance(cell, PerIteration) or cell.values
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TraceValuation):
             return NotImplemented
-        # No column is empty, so equal columns mean equal cells.
+        # Absent is never stored, so equal columns mean equal cells.
         return self.params == other.params and self._columns() == other._columns()
 
     __hash__ = None
@@ -285,8 +307,8 @@ def evaluate_in_trace(e, sigma: TraceValuation, trace_idx: int, hidden_defs=None
 @dataclass(frozen=True)
 class ValuationTransform:
     """The σ update that accompanies a rewrite: every entry of the
-    drop_vars goes, new_entries are added, and params, when given,
-    becomes the parameter list."""
+    drop_vars goes, new_entries are added (an Absent one clears its
+    cell), and params, when given, becomes the parameter list."""
 
     drop_vars: Tuple[str, ...] = ()
     new_entries: Dict[Tuple[str, int], object] = field(default_factory=dict)

@@ -265,6 +265,9 @@ def used_names(program: dsl.Program) -> set:
     names.update(seq_loop_ids(program.body))
     names.update(n for n, _ in program.hidden_defs)
     names.update(program.holes)
+    names.update(
+        ins.api for _, ins, _ in iter_instr_sites(program.body) if isinstance(ins, dsl.LetVisible)
+    )
     return names
 
 

@@ -5,7 +5,6 @@ tests/sites_reference.py: on programs of every shape, including
 ill-formed ones, parsed ones, and every candidate the search scores on
 the checked-in fixtures."""
 
-import json
 from collections import Counter
 from pathlib import Path
 
@@ -210,10 +209,9 @@ def test_rebuilds_survive_a_2000_deep_conditional_chain():
     assert inlined[0].then[0].args == (("k", dsl.Const(2000)),)
     assert sum(ins.n_br for ins in inlined) == 0
 
-    ts = parse_traces(json.dumps([[{"api": "Api", "request": {"k": t}, "response": {}}] for t in (0, 1)]))
     program = dsl.Program(params=("br",), body=body)
     sigma = TraceValuation(params=("br",), entries={})
-    replaced = rewrites._replace_param_occurrences(program, sigma, ts, arg, {0: "u", 1: "v"}, "i_1", {})
+    replaced = rewrites._replace_param_occurrences(program, sigma, arg, {0: "u", 1: "v"}, "i_1", {})
     deepest = replaced
     while isinstance(deepest[0], dsl.Ite):
         deepest = deepest[0].els

@@ -1,8 +1,10 @@
 """Program text round-trips: parse(pretty_print(p)) == p."""
 
+import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracesynth.dsl import (
     Compare,
@@ -23,6 +25,7 @@ from tracesynth.dsl import (
     Ternary,
     ValueCheck,
     VarRef,
+    equiv_mod_renaming,
     pretty_print,
 )
 from tracesynth.hidden import (
@@ -36,7 +39,10 @@ from tracesynth.hidden import (
     Input,
     Not,
 )
+from tracesynth.costs import make_cost_fn
 from tracesynth.parser import ParseError, parse_program
+from tracesynth.search import SearchConfig, build_initial, run_search
+from tracesynth.traces import parse_traces
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -179,3 +185,37 @@ def test_hidden_vs_visible_niladic_resolution():
     assert program.holes == ("f_9",)
     assert isinstance(program.body[0], LetHidden)
     assert isinstance(program.body[1], LetVisible)
+
+
+def one_call_traces(api, key):
+    return parse_traces(
+        [[{"api": api, "request": {key: v}, "response": {"r": v}}] for v in ("a", "b")]
+    )
+
+
+@pytest.mark.parametrize(
+    "api, key",
+    [(api, "k") for api in ("s3:GetObject", "GET /v1/items", "1api", "a.", "a..b")]
+    + [("svc.Get", key) for key in ("Content-Type", "true", "null", "a.b", "1k", "")],
+)
+def test_names_that_are_not_identifiers_print_as_strings(api, key):
+    result = run_search(one_call_traces(api, key), SearchConfig(cost_fn=make_cost_fn("syn")))
+    text = pretty_print(result.program)
+    callee = api if api == "svc.Get" else json.dumps(api)
+    key_text = key if key == "k" else json.dumps(key)
+    assert f"{callee}({key_text}=" in text
+    assert equiv_mod_renaming(parse_program(text), result.program)
+
+
+def test_names_the_parser_reads_print_bare():
+    program, _ = build_initial(one_call_traces("ec2.Describe_2", "InstanceIds"))
+    text = pretty_print(program)
+    assert "= ec2.Describe_2(InstanceIds=" in text
+    assert parse_program(text) == program
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(min_size=1), st.text())
+def test_any_api_name_and_request_key_read_back(api, key):
+    program, _ = build_initial(one_call_traces(api, key))
+    assert equiv_mod_renaming(parse_program(pretty_print(program)), program)

@@ -13,7 +13,7 @@ from tracesynth.jsonvals import ABSENT
 from tracesynth.pbe import ConstraintCache
 from tracesynth.rewrites import REFINE_RULES, SYNTH_RULES, RewriteContext, enumerate_rewrites
 from tracesynth.search import build_initial
-from tracesynth.traces import PerIteration, Scalar, TraceValuation, parse_traces
+from tracesynth.traces import PerIteration, Scalar, TraceValuation, ValuationError, parse_traces
 
 
 def make_ts(*traces):
@@ -215,7 +215,8 @@ def test_merge_nested_collapses_or_chain():
     merged = prog2.body[0]
     assert merged.pred == dsl.POr(c1, c2)
     assert len(merged.then) == 1 and merged.then[0].var == "x1" and not merged.els
-    assert not sigma2.has("x3", 1)
+    with pytest.raises(ValuationError):
+        sigma2.lookup("x3", 1)
     assert sigma2.lookup("x1", 2).value == {"r": 2}
 
 
@@ -381,7 +382,8 @@ def test_inline_trivial_hidden_projection():
     assert all(not isinstance(s, dsl.LetHidden) for s in prog2.body)
     assert prog2.body[1].args[0][1] == dsl.VarRef("x1")
     assert prog2.hidden_defs == ()
-    assert not sigma2.has("h", 1)
+    with pytest.raises(ValuationError):
+        sigma2.lookup("h", 1)
 
 
 def test_inline_trivial_hidden_constant_folds_guards():

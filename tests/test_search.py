@@ -15,7 +15,9 @@ from tracesynth.search import (
     run_search,
     verify_final,
 )
-from tracesynth.traces import parse_traces
+from tracesynth.jsonvals import ABSENT
+from tracesynth.parser import parse_program
+from tracesynth.traces import Scalar, ValuationError, ValuationTransform, parse_traces
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -114,6 +116,47 @@ def test_initial_program_of_1200_one_call_traces_validates():
     assert program.body[0].n_statements == 2 * 1200 - 1
     assert program.body[0].n_br == 1199
     assert sigma.lookup("x1", 1200).value == {"r": 1199}
+
+
+def test_initial_valuation_is_linear_in_the_traces():
+    """sigma stores one br cell per trace and one cell per call: a call
+    reads as Absent on every other trace without a cell of its own."""
+    n = 50
+    ts = parse_traces(
+        json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(n)])
+    )
+    _, sigma = build_initial(ts)
+    assert len(sigma.entries) == 2 * n
+    assert sigma.lookup("x1", n) == Scalar({"r": n - 1})
+    assert sigma.lookup("x1", 1) == Scalar(ABSENT)
+    assert sigma.traces_with_value("x1") == [n]
+    # Writing Absent stores nothing, yet the cell reads back as Absent.
+    sigma2 = ValuationTransform(new_entries={("x1", n): Scalar(ABSENT)}).apply(sigma)
+    assert len(sigma2.entries) == 2 * n - 1
+    assert sigma2.lookup("x1", n) == Scalar(ABSENT)
+    assert sigma2.traces_with_value("x1") == []
+    # A dropped variable is unknown, not Absent.
+    sigma3 = ValuationTransform(drop_vars=("x2",)).apply(sigma2)
+    with pytest.raises(ValuationError):
+        sigma3.lookup("x2", 1)
+    assert sigma3.lookup("x1", 1) == Scalar(ABSENT)
+
+
+def test_a_helper_is_never_named_as_an_api():
+    """The API f_1 is the name fresh_name would give the guard's helper;
+    the script then read `f_1(id=i_1)` as a call of the helper."""
+    traces = []
+    for n, state in ((1, "running"), (2, "stopped"), (3, "running")):
+        trace = [{"api": "f_1", "request": {"id": f"i-{n}"}, "response": {"state": state}}]
+        if state == "running":
+            trace.append({"api": "Stop", "request": {"id": f"i-{n}"}, "response": {}})
+        traces.append(trace)
+    ts = parse_traces(traces)
+    result = run_search(ts, config("alternating"))
+    assert "f_1" not in dict(result.program.hidden_defs)
+    reparsed = parse_program(dsl.pretty_print(result.program))
+    assert dsl.equiv_mod_renaming(reparsed, result.program)
+    assert verify_final(reparsed, result.sigma, ts)
 
 
 def test_alternating_on_motivating_fixture_matches_golden():

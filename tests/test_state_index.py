@@ -256,14 +256,18 @@ def test_applied_transforms_copy_nothing_until_read():
     base = TraceValuation(
         params=("br",), entries={("br", 1): Scalar(1), ("x", 1): Scalar(2), ("y", 1): Scalar(3)}
     )
-    t = ValuationTransform(drop_vars=("x",), new_entries={("z", 1): Scalar(ABSENT)}, params=())
+    t = ValuationTransform(
+        drop_vars=("x",), new_entries={("z", 1): Scalar(ABSENT), ("w", 1): Scalar(4)}, params=()
+    )
     sigma = t.apply(base)
     assert sigma._entries is None and sigma.params == ()
+    # An Absent cell is not stored, yet z is known and reads as Absent.
     assert sigma.lookup("z", 1) == Scalar(ABSENT)
-    assert sigma.entries == {("br", 1): Scalar(1), ("y", 1): Scalar(3), ("z", 1): Scalar(ABSENT)}
-    assert list(sigma.entries) == [("br", 1), ("y", 1), ("z", 1)]
-    assert not sigma.has("x", 1)
-    assert base.has("x", 1)
+    assert sigma.entries == {("br", 1): Scalar(1), ("y", 1): Scalar(3), ("w", 1): Scalar(4)}
+    assert list(sigma.entries) == [("br", 1), ("y", 1), ("w", 1)]
+    with pytest.raises(ValuationError):
+        sigma.lookup("x", 1)
+    assert base.lookup("x", 1) == Scalar(2)
 
 
 def test_a_long_chain_of_unread_valuations_builds_without_recursion():
@@ -295,17 +299,26 @@ transforms = st.builds(
 
 
 def assert_matches_model(sigma, params, model):
+    """The model is flat and stores Absent cells; sigma knows the same
+    variables, reads the same cells, and stores only the others."""
     assert sigma.params == params
+    known = {var for var, _ in model}
     for var in VARS + ("z",):
         for i in TRACES + (9,):
-            assert sigma.has(var, i) == ((var, i) in model)
             if (var, i) in model:
                 assert sigma.lookup(var, i) == model[(var, i)]
+            elif var in known:
+                assert sigma.lookup(var, i) == Scalar(ABSENT)
             else:
                 with pytest.raises(ValuationError):
                     sigma.lookup(var, i)
+        assert sigma.traces_with_value(var) == [
+            i
+            for i in TRACES
+            if (var, i) in model and model[(var, i)] not in (Scalar(ABSENT), PerIteration(()))
+        ]
     entries = sigma.entries
-    assert entries == model
+    assert entries == {k: cell for k, cell in model.items() if cell != Scalar(ABSENT)}
     order = [var for var, _ in entries]
     assert order == sorted(order, key=order.index), "entries not grouped by variable"
     assert sigma == TraceValuation(params, dict(model))

@@ -4,11 +4,16 @@ or rebinds must exist, or a traced benchmark run fails."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracesynth_names():
@@ -46,3 +51,17 @@ def test_every_name_the_tracer_uses_exists(dotted):
     for attr in attrs:
         assert hasattr(obj, attr), f"tracesynth.{dotted} is missing"
         obj = getattr(obj, attr)
+
+
+def test_the_traced_result_line_holds_the_declared_per_layer_metrics():
+    """The traced run's last line carries the tracer's layer values plus
+    its overhead, under the names BENCHMARK.json declares, in order. The
+    tracer names one pair per rule, so a rule deleted, renamed or moved
+    changes this list; every value must also print as JSON."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    values = tracer.layer_values({}, {}, Counter())
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert list(values) + ["trace.overhead_frac"] == declared
+    assert all(math.isfinite(v) for v in values.values())

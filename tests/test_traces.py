@@ -117,9 +117,12 @@ def test_initial_valuation_binds_branch_selector():
 
 def test_lookup_and_scalar_errors():
     sigma = TraceValuation(params=(), entries={("x", 1): PerIteration((1, 2))})
+    # x is known, so the trace where it has no cell reads as Absent.
+    assert sigma.lookup("x", 2) == Scalar(ABSENT)
+    assert sigma.lookup("x", 1) == PerIteration((1, 2))
     with pytest.raises(ValuationError):
-        sigma.lookup("x", 2)
-    assert sigma.has("x", 1) and not sigma.has("y", 1)
+        sigma.lookup("y", 1)
+    assert sigma.traces_with_value("x") == [1] and sigma.traces_with_value("y") == []
 
 
 def test_evaluate_var_and_ternary():
