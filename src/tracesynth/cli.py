@@ -229,11 +229,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"tracesynth: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError as exc:
-        # Replay, pretty_print, the parser's descent and
-        # rewrites._tree_stmts still recurse once per nesting level, and
-        # the term walks (reads, printing, map_term) once per nested
-        # ternary or predicate, so a large enough trace set nests too
-        # deeply for them.
+        # Replay, the parser's descent and rewrites._tree_stmts still
+        # recurse once per nesting level, and the term walks (reads,
+        # printing, map_term) once per nested ternary or predicate, so a
+        # large enough trace set nests too deeply for them.
         print(
             f"tracesynth: the traces give a program nested too deeply to process ({exc})",
             file=sys.stderr,

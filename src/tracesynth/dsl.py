@@ -607,6 +607,10 @@ def validate_program(p: Program) -> None:
     fnames = [n for n, _ in p.hidden_defs] + list(p.holes)
     if len(set(fnames)) != len(fnames):
         raise DslError("hidden function name declared twice")
+    # The parser reads a call of a declared hidden name as a hidden call.
+    clash = {i.api for i in walk(p.body) if isinstance(i, LetVisible)}.intersection(fnames)
+    if clash:
+        raise DslError(f"hidden functions named like a visible API: {sorted(clash)}")
     check_calls(p.body, set(fnames))
     unbound = free_vars(p.body) - set(p.params)
     if unbound:
@@ -664,36 +668,47 @@ def _arg_key(key: str) -> bool:
     return is_ident(key) and key not in ("true", "false", "null")
 
 
-def _print_instr(instr, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if isinstance(instr, LetVisible):
-        args = ", ".join(f"{key_text(k, _arg_key)}={print_expr(e)}" for k, e in instr.args)
-        out.append(f"{pad}let {instr.var} = {key_text(instr.api, _dotted)}({args})")
-    elif isinstance(instr, LetHidden):
-        out.append(f"{pad}let {instr.var} = {instr.fn}({', '.join(instr.args)})")
-    elif isinstance(instr, Ite):
-        out.append(f"{pad}if {print_pred(instr.pred)} {{")
-        for s in instr.then:
-            _print_instr(s, indent + 1, out)
-        if instr.els:
-            out.append(f"{pad}}} else {{")
-            for s in instr.els:
-                _print_instr(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(instr, RetryUntil):
-        out.append(f"{pad}retry {instr.loop_id} {{")
-        for s in instr.body:
-            _print_instr(s, indent + 1, out)
-        out.append(f"{pad}}} until {print_pred(instr.pred)}")
-    elif isinstance(instr, Foreach):
-        out.append(f"{pad}for {instr.loop_id} ({instr.var}) in {print_expr(instr.source)} {{")
-        for s in instr.body:
-            _print_instr(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(instr, Return):
-        out.append(f"{pad}return")
-    else:
-        raise DslError(f"not an instruction: {instr!r}")
+def _print_seq(seq, out: list) -> None:
+    """Append the lines of a program body to out. Uses an explicit stack,
+    so nesting depth is unbounded."""
+    # Items still to print, the next on top: (indent, instruction), or a
+    # closing line that waits below its block's instructions.
+    stack = [(1, instr) for instr in reversed(seq)]
+
+    def push(indent, block):
+        stack.extend((indent, s) for s in reversed(block))
+
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        indent, instr = item
+        pad = "  " * indent
+        if isinstance(instr, LetVisible):
+            args = ", ".join(f"{key_text(k, _arg_key)}={print_expr(e)}" for k, e in instr.args)
+            out.append(f"{pad}let {instr.var} = {key_text(instr.api, _dotted)}({args})")
+        elif isinstance(instr, LetHidden):
+            out.append(f"{pad}let {instr.var} = {instr.fn}({', '.join(instr.args)})")
+        elif isinstance(instr, Ite):
+            out.append(f"{pad}if {print_pred(instr.pred)} {{")
+            stack.append(f"{pad}}}")
+            if instr.els:
+                push(indent + 1, instr.els)
+                stack.append(f"{pad}}} else {{")
+            push(indent + 1, instr.then)
+        elif isinstance(instr, RetryUntil):
+            out.append(f"{pad}retry {instr.loop_id} {{")
+            stack.append(f"{pad}}} until {print_pred(instr.pred)}")
+            push(indent + 1, instr.body)
+        elif isinstance(instr, Foreach):
+            out.append(f"{pad}for {instr.loop_id} ({instr.var}) in {print_expr(instr.source)} {{")
+            stack.append(f"{pad}}}")
+            push(indent + 1, instr.body)
+        elif isinstance(instr, Return):
+            out.append(f"{pad}return")
+        else:
+            raise DslError(f"not an instruction: {instr!r}")
 
 
 def pretty_print(p: Program) -> str:
@@ -703,8 +718,7 @@ def pretty_print(p: Program) -> str:
         header += f"LAMBDA {', '.join(p.holes)}. "
     header += f"lambda {', '.join(p.params)}."
     out.append(header)
-    for instr in p.body:
-        _print_instr(instr, 1, out)
+    _print_seq(p.body, out)
     if p.hidden_defs:
         out.append("where")
         for name, fn in p.hidden_defs:
@@ -715,137 +729,81 @@ def pretty_print(p: Program) -> str:
 # --- structural equivalence modulo renaming ---------------------------------
 
 
-class _RenameMap:
-    def __init__(self):
-        self.fwd: Dict[str, str] = {}
-        self.bwd: Dict[str, str] = {}
+def _canonical(p: Program) -> Program:
+    """p with every name replaced by the k-th name of its kind, in order
+    of first occurrence: variables (the parameters first, in order),
+    hidden functions and loop ids. The body is renamed in map_instrs's
+    order, which only its shape decides, so two programs of one shape
+    come out equal exactly when a bijection of names maps one onto the
+    other. Hidden names the body never calls come after the called
+    ones: definitions in declaration order, then holes."""
+    vs, fs, ls = {}, {}, {}  # variables, hidden functions, loop ids
 
-    def match(self, a: str, b: str) -> bool:
-        if a in self.fwd:
-            return self.fwd[a] == b
-        if b in self.bwd:
-            return False
-        self.fwd[a] = b
-        self.bwd[b] = a
-        return True
+    def v(name):
+        return vs.setdefault(name, f"v{len(vs)}")
 
+    def fn(name):
+        return fs.setdefault(name, f"f{len(fs)}")
 
-def _equiv_expr(a, b, vm: _RenameMap, fm: _RenameMap) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Const):
-        return canonical_eq(a.value, b.value)
-    if isinstance(a, VarRef):
-        return vm.match(a.name, b.name)
-    if isinstance(a, Ternary):
-        return (
-            _equiv_pred(a.pred, b.pred, vm)
-            and _equiv_expr(a.then_expr, b.then_expr, vm, fm)
-            and _equiv_expr(a.else_expr, b.else_expr, vm, fm)
-        )
-    if isinstance(a, HiddenCall):
-        return (
-            fm.match(a.fn_name, b.fn_name)
-            and len(a.args) == len(b.args)
-            and all(vm.match(x, y) for x, y in zip(a.args, b.args))
-        )
-    return False
+    def loop(name):
+        return ls.setdefault(name, f"l{len(ls)}")
 
+    def leaf(t):
+        if isinstance(t, VarRef):
+            return VarRef(v(t.name))
+        if isinstance(t, ValueCheck):
+            return ValueCheck(v(t.var), t.const)
+        if isinstance(t, HiddenCall):
+            return HiddenCall(fn(t.fn_name), tuple(map(v, t.args)))
+        if isinstance(t, Compare):
+            return Compare(v(t.left), t.op, v(t.right))
+        return t
 
-def _equiv_pred(a, b, vm: _RenameMap) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (PTrue, PFalse)):
-        return True
-    if isinstance(a, (PAnd, POr)):
-        return _equiv_pred(a.left, b.left, vm) and _equiv_pred(a.right, b.right, vm)
-    if isinstance(a, PNot):
-        return _equiv_pred(a.inner, b.inner, vm)
-    if isinstance(a, ValueCheck):
-        return vm.match(a.var, b.var) and canonical_eq(a.const, b.const)
-    if isinstance(a, Compare):
-        return a.op == b.op and vm.match(a.left, b.left) and vm.match(a.right, b.right)
-    return False
+    def rename(instr, _):
+        instr = map_terms(instr, leaf)
+        if isinstance(instr, LetVisible):
+            return LetVisible(v(instr.var), instr.api, instr.args)
+        if isinstance(instr, LetHidden):
+            return LetHidden(v(instr.var), instr.fn, instr.args)
+        if isinstance(instr, RetryUntil):
+            return RetryUntil(loop(instr.loop_id), instr.body, instr.pred)
+        if isinstance(instr, Foreach):
+            return Foreach(loop(instr.loop_id), v(instr.var), instr.source, instr.body)
+        return instr
 
-
-def _equiv_seq(a, b, vm, fm, lm) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_equiv_instr(x, y, vm, fm, lm) for x, y in zip(a, b))
+    params = tuple(map(v, p.params))
+    body = map_instrs(p.body, rename)
+    defs, holes = dict(p.hidden_defs), set(p.holes)
+    for name in list(defs) + list(p.holes):
+        fn(name)
+    return Program(
+        params,
+        body,
+        tuple((c, defs[n]) for n, c in fs.items() if n in defs),
+        tuple(c for n, c in fs.items() if n in holes),
+    )
 
 
-def _equiv_instr(a, b, vm, fm, lm) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, LetVisible):
-        if a.api != b.api or not vm.match(a.var, b.var):
-            return False
-        if len(a.args) != len(b.args):
-            return False
-        return all(
-            ka == kb and _equiv_expr(ea, eb, vm, fm)
-            for (ka, ea), (kb, eb) in zip(a.args, b.args)
-        )
-    if isinstance(a, LetHidden):
-        return (
-            vm.match(a.var, b.var)
-            and fm.match(a.fn, b.fn)
-            and len(a.args) == len(b.args)
-            and all(vm.match(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, Ite):
-        return (
-            _equiv_pred(a.pred, b.pred, vm)
-            and _equiv_seq(a.then, b.then, vm, fm, lm)
-            and _equiv_seq(a.els, b.els, vm, fm, lm)
-        )
-    if isinstance(a, RetryUntil):
-        return (
-            lm.match(a.loop_id, b.loop_id)
-            and _equiv_seq(a.body, b.body, vm, fm, lm)
-            and _equiv_pred(a.pred, b.pred, vm)
-        )
-    if isinstance(a, Foreach):
-        return (
-            lm.match(a.loop_id, b.loop_id)
-            and vm.match(a.var, b.var)
-            and _equiv_expr(a.source, b.source, vm, fm)
-            and _equiv_seq(a.body, b.body, vm, fm, lm)
-        )
-    if isinstance(a, Return):
-        return True
-    return False
+def _flat(instr):
+    """instr without its nested sequences, but with their lengths."""
+    if isinstance(instr, Ite):
+        return Ite, instr.pred, len(instr.then), len(instr.els)
+    if isinstance(instr, RetryUntil):
+        return RetryUntil, instr.loop_id, instr.pred, len(instr.body)
+    if isinstance(instr, Foreach):
+        return Foreach, instr.loop_id, instr.var, instr.source, len(instr.body)
+    return instr
 
 
 def equiv_mod_renaming(p1: Program, p2: Program) -> bool:
     """Structural equality under a bijective renaming of variables,
-    hidden-function names, and loop ids. Parameter order is significant."""
-    if len(p1.params) != len(p2.params):
-        return False
-    vm, fm, lm = _RenameMap(), _RenameMap(), _RenameMap()
-    for a, b in zip(p1.params, p2.params):
-        if not vm.match(a, b):
-            return False
-    if not _equiv_seq(p1.body, p2.body, vm, fm, lm):
-        return False
-    if len(p1.holes) != len(p2.holes) or len(p1.hidden_defs) != len(p2.hidden_defs):
-        return False
-    for h1 in p1.holes:
-        if h1 in fm.fwd:
-            if fm.fwd[h1] not in p2.holes:
-                return False
-    defs2 = dict(p2.hidden_defs)
-    leftover1 = []
-    leftover2 = set(defs2) - set(fm.bwd)
-    for name1, fn1 in p1.hidden_defs:
-        if name1 in fm.fwd:
-            name2 = fm.fwd[name1]
-            if name2 not in defs2 or fn1 != defs2[name2]:
-                return False
-        else:
-            leftover1.append(fn1)
-    # defs never referenced from the body must pair up in declaration order
-    rest2 = [defs2[n] for n, _ in p2.hidden_defs if n in leftover2]
-    if len(leftover1) != len(rest2):
-        return False
-    return all(f1 == f2 for f1, f2 in zip(leftover1, rest2))
+    hidden-function names, and loop ids. Parameter order is significant.
+    Compares the canonical renamings, the bodies one flat instruction at
+    a time in walk order, so nothing recurses per nesting level."""
+    c1, c2 = _canonical(p1), _canonical(p2)
+    return (
+        c1.params == c2.params
+        and list(map(_flat, walk(c1.body))) == list(map(_flat, walk(c2.body)))
+        and c1.hidden_defs == c2.hidden_defs
+        and c1.holes == c2.holes
+    )

@@ -75,10 +75,11 @@ def loads_finite(text: str, what: str):
     return json.loads(text, parse_float=finite, parse_constant=finite)
 
 
-def _check_finite(value, where: str) -> None:
-    """loads_finite's check for already-parsed data: raise TraceError if
-    value holds a float that is not finite. Uses an explicit stack, as
-    an event is JSON of any depth."""
+def _check_json(value, where: str) -> None:
+    """What loads_finite guarantees of text, checked on already-parsed
+    data: raise TraceError unless value is JSON, made of objects with
+    string keys, arrays, strings, finite numbers, booleans and null.
+    Uses an explicit stack, as an event is JSON of any depth."""
     stack = [value]
     while stack:
         v = stack.pop()
@@ -86,9 +87,14 @@ def _check_finite(value, where: str) -> None:
             if not math.isfinite(v):
                 raise TraceError(f"{where} holds a non-finite number: {v}")
         elif isinstance(v, dict):
+            for k in v:
+                if not isinstance(k, str):
+                    raise TraceError(f"{where} holds a key that is not a string: {k!r}")
             stack.extend(v.values())
         elif isinstance(v, list):
             stack.extend(v)
+        elif not (v is None or isinstance(v, (str, int))):
+            raise TraceError(f"{where} holds a value that is not JSON: {type(v).__name__}")
 
 
 def parse_traces(data) -> TraceSet:
@@ -126,8 +132,8 @@ def parse_traces(data) -> TraceSet:
             if not isinstance(req, dict):
                 raise TraceError(f"trace {ti} event {ei}: request must be an object")
             if parsed:
-                _check_finite(req, f"trace {ti} event {ei} request")
-                _check_finite(ev["response"], f"trace {ti} event {ei} response")
+                _check_json(req, f"trace {ti} event {ei} request")
+                _check_json(ev["response"], f"trace {ti} event {ei} response")
             records.append(
                 TraceRecord(api=api, request=tuple(req.items()), response=ev["response"])
             )

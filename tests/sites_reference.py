@@ -6,14 +6,17 @@ validation, the cost functions and the index used before they counted
 with stacks or read the counts kept on program nodes: the statement and
 read counters, binders, loop ids, free variables, hidden-call checks,
 visible-let binders and the names in use. And the recursive rebuilders
-that dsl.map_instrs replaced: read renaming and const-inlining. Kept
-verbatim as the reference the index, the node counts, the linear walks
-and the rebuilds are tested against; nothing in src/ uses it."""
+that dsl.map_instrs replaced: read renaming and const-inlining. And
+the recursive printer and the recursive matcher that compared programs
+up to renaming before dsl renamed them canonically. Kept verbatim as
+the reference the index, the node counts, the linear walks, the
+rebuilds, the printer and the equivalence are tested against; nothing
+in src/ uses it."""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from tracesynth import dsl
 from tracesynth.dsl import (
@@ -29,15 +32,21 @@ from tracesynth.dsl import (
     PFalse,
     PNot,
     POr,
+    Program,
     PTrue,
     Return,
     RetryUntil,
     Ternary,
     ValueCheck,
     VarRef,
+    _arg_key,
+    _dotted,
     expr_reads,
     pred_reads,
+    print_expr,
+    print_pred,
 )
+from tracesynth.hidden import key_text, print_hidden_fn
 from tracesynth.jsonvals import canonical_eq
 from tracesynth.rewrites import _InlineReject
 from tracesynth.traces import BR, ValuationError, evaluate_in_trace
@@ -445,3 +454,193 @@ def _visible_let_vars(seq):
             yield from _visible_let_vars(ins.els)
         elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
             yield from _visible_let_vars(ins.body)
+
+
+# --- dsl.py: printing ---------------------------------------------------------------
+
+
+def _print_instr(instr, indent: int, out: list) -> None:
+    pad = "  " * indent
+    if isinstance(instr, LetVisible):
+        args = ", ".join(f"{key_text(k, _arg_key)}={print_expr(e)}" for k, e in instr.args)
+        out.append(f"{pad}let {instr.var} = {key_text(instr.api, _dotted)}({args})")
+    elif isinstance(instr, LetHidden):
+        out.append(f"{pad}let {instr.var} = {instr.fn}({', '.join(instr.args)})")
+    elif isinstance(instr, Ite):
+        out.append(f"{pad}if {print_pred(instr.pred)} {{")
+        for s in instr.then:
+            _print_instr(s, indent + 1, out)
+        if instr.els:
+            out.append(f"{pad}}} else {{")
+            for s in instr.els:
+                _print_instr(s, indent + 1, out)
+        out.append(f"{pad}}}")
+    elif isinstance(instr, RetryUntil):
+        out.append(f"{pad}retry {instr.loop_id} {{")
+        for s in instr.body:
+            _print_instr(s, indent + 1, out)
+        out.append(f"{pad}}} until {print_pred(instr.pred)}")
+    elif isinstance(instr, Foreach):
+        out.append(f"{pad}for {instr.loop_id} ({instr.var}) in {print_expr(instr.source)} {{")
+        for s in instr.body:
+            _print_instr(s, indent + 1, out)
+        out.append(f"{pad}}}")
+    elif isinstance(instr, Return):
+        out.append(f"{pad}return")
+    else:
+        raise DslError(f"not an instruction: {instr!r}")
+
+
+def pretty_print(p: Program) -> str:
+    out = []
+    header = ""
+    if p.holes:
+        header += f"LAMBDA {', '.join(p.holes)}. "
+    header += f"lambda {', '.join(p.params)}."
+    out.append(header)
+    for instr in p.body:
+        _print_instr(instr, 1, out)
+    if p.hidden_defs:
+        out.append("where")
+        for name, fn in p.hidden_defs:
+            out.append(f"  {name} := {print_hidden_fn(fn)}")
+    return "\n".join(out) + "\n"
+
+
+# --- dsl.py: structural equivalence modulo renaming -------------------------------
+
+
+class _RenameMap:
+    def __init__(self):
+        self.fwd: Dict[str, str] = {}
+        self.bwd: Dict[str, str] = {}
+
+    def match(self, a: str, b: str) -> bool:
+        if a in self.fwd:
+            return self.fwd[a] == b
+        if b in self.bwd:
+            return False
+        self.fwd[a] = b
+        self.bwd[b] = a
+        return True
+
+
+def _equiv_expr(a, b, vm: _RenameMap, fm: _RenameMap) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return canonical_eq(a.value, b.value)
+    if isinstance(a, VarRef):
+        return vm.match(a.name, b.name)
+    if isinstance(a, Ternary):
+        return (
+            _equiv_pred(a.pred, b.pred, vm)
+            and _equiv_expr(a.then_expr, b.then_expr, vm, fm)
+            and _equiv_expr(a.else_expr, b.else_expr, vm, fm)
+        )
+    if isinstance(a, HiddenCall):
+        return (
+            fm.match(a.fn_name, b.fn_name)
+            and len(a.args) == len(b.args)
+            and all(vm.match(x, y) for x, y in zip(a.args, b.args))
+        )
+    return False
+
+
+def _equiv_pred(a, b, vm: _RenameMap) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (PTrue, PFalse)):
+        return True
+    if isinstance(a, (PAnd, POr)):
+        return _equiv_pred(a.left, b.left, vm) and _equiv_pred(a.right, b.right, vm)
+    if isinstance(a, PNot):
+        return _equiv_pred(a.inner, b.inner, vm)
+    if isinstance(a, ValueCheck):
+        return vm.match(a.var, b.var) and canonical_eq(a.const, b.const)
+    if isinstance(a, Compare):
+        return a.op == b.op and vm.match(a.left, b.left) and vm.match(a.right, b.right)
+    return False
+
+
+def _equiv_seq(a, b, vm, fm, lm) -> bool:
+    if len(a) != len(b):
+        return False
+    return all(_equiv_instr(x, y, vm, fm, lm) for x, y in zip(a, b))
+
+
+def _equiv_instr(a, b, vm, fm, lm) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, LetVisible):
+        if a.api != b.api or not vm.match(a.var, b.var):
+            return False
+        if len(a.args) != len(b.args):
+            return False
+        return all(
+            ka == kb and _equiv_expr(ea, eb, vm, fm)
+            for (ka, ea), (kb, eb) in zip(a.args, b.args)
+        )
+    if isinstance(a, LetHidden):
+        return (
+            vm.match(a.var, b.var)
+            and fm.match(a.fn, b.fn)
+            and len(a.args) == len(b.args)
+            and all(vm.match(x, y) for x, y in zip(a.args, b.args))
+        )
+    if isinstance(a, Ite):
+        return (
+            _equiv_pred(a.pred, b.pred, vm)
+            and _equiv_seq(a.then, b.then, vm, fm, lm)
+            and _equiv_seq(a.els, b.els, vm, fm, lm)
+        )
+    if isinstance(a, RetryUntil):
+        return (
+            lm.match(a.loop_id, b.loop_id)
+            and _equiv_seq(a.body, b.body, vm, fm, lm)
+            and _equiv_pred(a.pred, b.pred, vm)
+        )
+    if isinstance(a, Foreach):
+        return (
+            lm.match(a.loop_id, b.loop_id)
+            and vm.match(a.var, b.var)
+            and _equiv_expr(a.source, b.source, vm, fm)
+            and _equiv_seq(a.body, b.body, vm, fm, lm)
+        )
+    if isinstance(a, Return):
+        return True
+    return False
+
+
+def equiv_mod_renaming(p1: Program, p2: Program) -> bool:
+    """Structural equality under a bijective renaming of variables,
+    hidden-function names, and loop ids. Parameter order is significant."""
+    if len(p1.params) != len(p2.params):
+        return False
+    vm, fm, lm = _RenameMap(), _RenameMap(), _RenameMap()
+    for a, b in zip(p1.params, p2.params):
+        if not vm.match(a, b):
+            return False
+    if not _equiv_seq(p1.body, p2.body, vm, fm, lm):
+        return False
+    if len(p1.holes) != len(p2.holes) or len(p1.hidden_defs) != len(p2.hidden_defs):
+        return False
+    for h1 in p1.holes:
+        if h1 in fm.fwd:
+            if fm.fwd[h1] not in p2.holes:
+                return False
+    defs2 = dict(p2.hidden_defs)
+    leftover1 = []
+    leftover2 = set(defs2) - set(fm.bwd)
+    for name1, fn1 in p1.hidden_defs:
+        if name1 in fm.fwd:
+            name2 = fm.fwd[name1]
+            if name2 not in defs2 or fn1 != defs2[name2]:
+                return False
+        else:
+            leftover1.append(fn1)
+    # defs never referenced from the body must pair up in declaration order
+    rest2 = [defs2[n] for n, _ in p2.hidden_defs if n in leftover2]
+    if len(leftover1) != len(rest2):
+        return False
+    return all(f1 == f2 for f1, f2 in zip(leftover1, rest2))

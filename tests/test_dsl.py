@@ -140,6 +140,22 @@ def test_branch_binders_are_visible_after_the_if():
         validate_program(bad)
 
 
+@pytest.mark.parametrize("as_hole", [False, True])
+def test_validate_rejects_hidden_name_of_a_visible_api(as_hole):
+    """The script of the f_1 program reads `f_1(k=a)` as a call of the
+    helper f_1, so it would not parse back."""
+
+    def program(fn):
+        body = (let("x", api="f_1", k=VarRef("a")), LetHidden("y", fn, ("x",)))
+        if as_hole:
+            return make_program(body, params=("a",), holes=(fn,))
+        return make_program(body, params=("a",), hidden=((fn, HiddenFnBody(1, Input(0))),))
+
+    with pytest.raises(DslError, match=r"named like a visible API: \['f_1'\]"):
+        validate_program(program("f_1"))
+    validate_program(program("f_2"))
+
+
 def test_equiv_mod_renaming_on_variable_names():
     p1 = make_program((let("x", a=VarRef("p")), let("y", b=VarRef("x"))))
     p2 = Program(

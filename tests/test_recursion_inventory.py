@@ -21,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracesynth"
 # recursing; adding one is a design change to record in CHANGES.md.
 PINNED = {
     # Script terms: once per nested ternary or predicate.
-    "dsl.py:_equiv_expr",
-    "dsl.py:_equiv_pred",
     "dsl.py:expr_reads",
     "dsl.py:map_term",
     "dsl.py:pred_reads",
@@ -30,9 +28,6 @@ PINNED = {
     "dsl.py:print_pred",
     "terms.py:term_evaluator.ev",
     # Script instructions: once per nested conditional or loop.
-    "dsl.py:_equiv_instr",
-    "dsl.py:_equiv_seq",
-    "dsl.py:_print_instr",
     "evaluator.py:execute.exec_instr",
     "evaluator.py:execute.exec_seq",
     "rewrites.py:_tree_stmts",

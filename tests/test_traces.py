@@ -103,6 +103,23 @@ def test_parse_traces_keeps_finite_floats_in_parsed_data():
     assert ts.trace(1)[0].response == {"r": 1e-300}
 
 
+@pytest.mark.parametrize(
+    "place, value, message",
+    [
+        ("request", {1: 2}, "key that is not a string: 1"),
+        ("request", {"k": (1, 2)}, "value that is not JSON: tuple"),
+        ("response", {1: 2}, "key that is not a string: 1"),
+        ("response", object(), "value that is not JSON: object"),
+    ],
+)
+def test_parse_traces_rejects_parsed_data_that_is_not_json(place, value, message):
+    event = {"api": "a.B", "request": {}, "response": 1}
+    event[place] = value
+    data = [[{"api": "a.B", "request": {}, "response": 1}], [event]]
+    with pytest.raises(TraceError, match=f"trace 2 event 1 {place} holds a {message}"):
+        parse_traces(data)
+
+
 def two_trace_set():
     return parse_traces(GOOD)
 
