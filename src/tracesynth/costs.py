@@ -1,21 +1,26 @@
 """Cost functions the search minimizes.
 
+A cost function takes (scored, sigma, ts), where scored is a
+dsl.Program or a rewrites.Rewrite candidate. Both offer the same four
+attributes: params; n_statements and n_br, the statement and br-read
+counts of the body; and body itself. A candidate keeps its counts as
+its state's plus its edit's delta, and builds its program only when
+body is read, so an objective that does not read body scores a
+candidate without building it.
+
 Two built-in objectives:
 
 * ``syn`` scores syntactic complexity: 10 per statement (visible-call
   lets, conditionals, loop headers, return; hidden-call lets are free),
   1 per program parameter, and 1 per usage of the synthetic branch
-  selector br. Both counts come from the instruction nodes, which keep
-  their subtree's statement and br-read counts from construction (see
-  dsl.py), so scoring a program sums only its top-level sequence and a
-  rewrite candidate pays only for the nodes its edit built.
+  selector br. It reads params, n_statements and n_br only.
 
 * ``traces`` scores agreement with the input traces: total recorded
   events, plus one per visible-call statement, minus how many events
   each statement reproduces, so a statement explaining many events is
   cheap. br usages carry weight 0.5 and keeping br as a parameter at
   all carries a large penalty, which makes eliminating br the dominant
-  concern.
+  concern. It reads body, params and n_br.
 
 Weights are a dataclass so a config file can override any of them.
 """
@@ -55,23 +60,10 @@ class CostWeights:
         return replace(CostWeights(), **{k: float(v) for k, v in d.items()})
 
 
-def count_statements(seq) -> int:
-    """Statements for the syntactic cost: visible-call lets,
-    conditionals, loop headers, returns. Hidden-call lets are free.
-    Sums the counts each node keeps of its subtree."""
-    return sum(ins.n_statements for ins in seq)
-
-
-def count_br_usages(program: dsl.Program) -> int:
-    return sum(ins.n_br for ins in program.body)
-
-
-def cost_syn(program: dsl.Program, w: CostWeights) -> float:
-    return (
-        w.statement * count_statements(program.body)
-        + w.parameter * len(program.params)
-        + w.br_usage * count_br_usages(program)
-    )
+def cost_syn(scored, w: CostWeights) -> float:
+    """scored is a Program or a Rewrite: only params, n_statements and
+    n_br are read, so a rewrite candidate is scored unbuilt."""
+    return w.statement * scored.n_statements + w.parameter * len(scored.params) + w.br_usage * scored.n_br
 
 
 def _visible_let_vars(seq) -> list:
@@ -87,14 +79,13 @@ def _executions(cell) -> int:
     return 1
 
 
-def cost_traces(
-    program: dsl.Program, sigma: TraceValuation, ts: TraceSet, w: CostWeights
-) -> float:
+def cost_traces(scored, sigma: TraceValuation, ts: TraceSet, w: CostWeights) -> float:
     """Trace-agreement cost: total events + per-statement charge minus
     events reproduced per statement. Execution counts come from the
-    valuation, so holed programs rank the same way solved ones do."""
+    valuation, so holed programs rank the same way solved ones do.
+    Reads scored's body, which builds a Rewrite's program."""
     total_events = sum(len(t) for t in ts.traces)
-    let_vars = _visible_let_vars(program.body)
+    let_vars = _visible_let_vars(scored.body)
     reproduced = sum(
         _executions(sigma.lookup(v, i)) for v in let_vars for i in sigma.traces_with_value(v)
     )
@@ -102,25 +93,24 @@ def cost_traces(
         total_events
         + w.traces_statement * len(let_vars)
         - w.traces_statement * reproduced
-        + w.traces_br_usage * count_br_usages(program)
+        + w.traces_br_usage * scored.n_br
     )
-    if BR in program.params:
+    if BR in scored.params:
         cost += w.traces_br_param
     return cost
 
 
 class CostFn:
-    """A named objective over (program, valuation, traces)."""
+    """A named objective over (scored, valuation, traces), scored being
+    a Program or a rewrite candidate (see the module docstring)."""
 
     def __init__(self, name: str, fn: Callable, weights: CostWeights):
         self.name = name
         self._fn = fn
         self.weights = weights
 
-    def __call__(
-        self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet
-    ) -> float:
-        return self._fn(program, sigma, ts, self.weights)
+    def __call__(self, scored, sigma: TraceValuation, ts: TraceSet) -> float:
+        return self._fn(scored, sigma, ts, self.weights)
 
 
 COST_KINDS = ("syn", "traces")

@@ -171,8 +171,8 @@ COMPARE_OPS = (">=", ">", "<=", "<")
 
 # --- instructions ----------------------------------------------------------
 #
-# Instructions are rebuilt on the path of every rewrite candidate's
-# splice, so they set their fields in a constructor of their own rather
+# Instructions are rebuilt on the path of every rewrite the search
+# builds, so they set their fields in a constructor of their own rather
 # than through a generated one plus __post_init__.
 
 
@@ -283,10 +283,19 @@ class Return:
 
 @dataclass(frozen=True)
 class Program:
+    """A script. n_statements and n_br sum its top-level instructions'
+    counts, set once at construction as on the nodes."""
+
     params: Tuple[str, ...] = ()
     body: Tuple[object, ...] = ()
     hidden_defs: Tuple[Tuple[str, HiddenFnBody], ...] = ()
     holes: Tuple[str, ...] = ()
+    n_statements: int = _counted()
+    n_br: int = _counted()
+
+    def __post_init__(self):
+        _set(self, "n_statements", sum(ins.n_statements for ins in self.body))
+        _set(self, "n_br", sum(ins.n_br for ins in self.body))
 
     def hidden_map(self) -> Dict[str, HiddenFnBody]:
         return dict(self.hidden_defs)

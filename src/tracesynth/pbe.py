@@ -332,12 +332,16 @@ def _slot_classes(arg_lists, slot, keys):
 
 
 def synthesize(
-    examples: List[IOExample], kind: str, cfg: GrammarConfig
+    examples: List[IOExample],
+    kind: str,
+    cfg: GrammarConfig,
+    deadline: Optional[_Deadline] = None,
 ) -> SynthesisResult:
     """Enumerate until the first expression consistent with all
     examples. kind "value" wants path expressions reproducing outputs;
     kind "bool" wants predicates over the path layer with boolean
-    outputs."""
+    outputs. The enumeration times out at cfg.timeout or at deadline,
+    a caller's own, whichever expires first."""
     if kind not in ("value", "bool"):
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not examples:
@@ -350,7 +354,7 @@ def synthesize(
 
     pools = mine_pools(examples)
     arg_lists = [list(ex.args) for ex in examples]
-    deadline = _Deadline(cfg.timeout)
+    deadlines = [_Deadline(cfg.timeout)] + ([deadline] if deadline else [])
     keys = _Keys()
     enumerated = 0
 
@@ -374,7 +378,7 @@ def synthesize(
     goal = keys.vector(expected) if want_value else expected
 
     def check_budget():
-        if deadline.expired():
+        if any(d.expired() for d in deadlines):
             raise _Timeout()
 
     def admit(bank, seen, vec, size, entry) -> bool:
@@ -520,7 +524,11 @@ class ConstraintCache:
         return constraint_digest(examples, kind) in self._unsat_budget
 
     def solve(
-        self, examples: List[IOExample], kind: str, cfg: GrammarConfig
+        self,
+        examples: List[IOExample],
+        kind: str,
+        cfg: GrammarConfig,
+        deadline: Optional[_Deadline] = None,
     ) -> SynthesisResult:
         digest = constraint_digest(examples, kind)
         if digest in self._sat:
@@ -528,7 +536,7 @@ class ConstraintCache:
         if self._unsat_budget.get(digest, -1) >= cfg.max_size:
             return SynthesisResult("unsat", None, 0, len(examples[0].args), 0)
         self.pbe_calls += 1
-        result = synthesize(examples, kind, cfg)
+        result = synthesize(examples, kind, cfg, deadline)
         if result.sat:
             self.pbe_sat += 1
             self._sat[digest] = result

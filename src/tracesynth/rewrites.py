@@ -17,6 +17,17 @@ and returns a list of Candidate. Its name is its key in _REFINE_FNS or
 _SYNTH_FNS and its order is its place there; enumerate_rewrites alone
 turns candidates into Rewrites.
 
+A candidate's change to the body is an Edit: a run of one sequence's
+instructions replaced by new ones, not yet built into the program.
+Rebuilding the spine of ancestors above that sequence costs O(depth),
+and the search takes one candidate of the many it scores, so a Rewrite
+builds its program only when it is first read. A cost function that
+reads only params, n_statements and n_br (costs.cost_syn) scores a
+candidate from its state's counts plus its edit's delta. Some
+candidates carry a built body instead, because their rule walks one:
+pull, push and merge_nested when the dropped binder is read (the reads
+are renamed), inline_trivial_hidden, and introduce_parameter.
+
 Every rule computes the successor valuation's transform eagerly; a
 candidate whose transform cannot be built is simply not offered. The
 valuation itself is built from the transform when a cell is first read.
@@ -56,25 +67,88 @@ class SynthesisSpec:
     examples: Tuple[IOExample, ...]
 
 
-@dataclass(frozen=True)
-class Rewrite:
-    rule: str
-    site: str
-    path: Tuple[int, ...]
-    program: dsl.Program
-    transform: ValuationTransform
-    specs: Tuple[SynthesisSpec, ...] = ()
+class Edit(NamedTuple):
+    """An unbuilt change to a state's body: the length instructions of
+    the sequence at seq_path, from start on, replaced by new. seq is
+    the state's sequence at seq_path."""
+
+    seq_path: Tuple[int, ...]
+    seq: Tuple[object, ...]
+    start: int
+    length: int
+    new: Tuple[object, ...]
+
+    def build(self, body):
+        """body, the state's, with the edit made: the spine of the
+        ancestors on seq_path is rebuilt."""
+        seq, start = self.seq, self.start
+        return replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + self.length :])
+
+    def delta(self) -> Tuple[int, int]:
+        """What the edit adds to the body's statement and br-read
+        counts. A rebuilt ancestor keeps its own reads and passes its
+        child sequence's change up unchanged, so the replaced
+        instructions' counts against the new ones' is the whole of it."""
+        old = self.seq[self.start : self.start + self.length]
+        return (
+            sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in old),
+            sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in old),
+        )
 
 
 class Candidate(NamedTuple):
-    """One rewrite as a rule returns it. fields are the Program fields
-    it changes; site labels the site when the path alone does not."""
+    """One rewrite as a rule returns it. edit is its change to the body,
+    unbuilt; a rule that must build the body itself leaves edit None
+    and puts the body in fields. fields are the Program fields it
+    changes otherwise; site labels the site when the path alone does
+    not."""
 
     path: Tuple[int, ...]
     fields: Dict[str, object]
     transform: ValuationTransform = ValuationTransform()
     specs: Tuple[SynthesisSpec, ...] = ()
     site: Optional[str] = None
+    edit: Optional[Edit] = None
+
+
+class Rewrite:
+    """A candidate successor of a state: its state's program with the
+    candidate's fields and edit. A cost function scores it as it would
+    a Program (see costs.py): params, n_statements and n_br are set
+    here, the counts being the state's plus the edit's delta, and body
+    is read off program, which is built the first time it is read and
+    then kept. So a candidate the search does not take is never built."""
+
+    __slots__ = (
+        "rule", "site", "path", "transform", "specs",
+        "params", "n_statements", "n_br", "_base", "_fields", "_edit", "_program",
+    )
+
+    def __init__(self, rule, site, path, base: dsl.Program, cand: Candidate):
+        self.rule, self.site, self.path = rule, site, path
+        self.transform, self.specs = cand.transform, cand.specs
+        self.params = cand.fields.get("params", base.params)
+        self._base, self._fields, self._edit = base, cand.fields, cand.edit
+        if cand.edit is None:
+            self._program = replace(base, **cand.fields)
+            self.n_statements = self._program.n_statements
+            self.n_br = self._program.n_br
+        else:
+            self._program = None
+            statements, br = cand.edit.delta()
+            self.n_statements = base.n_statements + statements
+            self.n_br = base.n_br + br
+
+    @property
+    def program(self) -> dsl.Program:
+        if self._program is None:
+            body = self._edit.build(self._base.body)
+            self._program = replace(self._base, body=body, **self._fields)
+        return self._program
+
+    @property
+    def body(self):
+        return self.program.body
 
 
 @dataclass
@@ -150,12 +224,11 @@ def replace_seq_at(seq, seq_path, new_seq):
     return new
 
 
-def _splice(ix, path, new, length=1):
-    """The state's body with the length instructions starting at site
-    path replaced by the instructions in new."""
-    seq_path, idx = path[:-1], path[-1]
-    seq = ix.seq_by_path[seq_path]
-    return replace_seq_at(ix.program.body, seq_path, seq[:idx] + new + seq[idx + length :])
+def _splice(ix, path, new, length=1) -> Edit:
+    """The edit replacing the length instructions starting at site path
+    by the instructions in new."""
+    seq_path = path[:-1]
+    return Edit(seq_path, ix.seq_by_path[seq_path], path[-1], length, new)
 
 
 def _site_str(path) -> str:
@@ -336,13 +409,15 @@ def _merged_let_rewrite(ix, path, keep: dsl.LetVisible, drop: dsl.LetVisible, ne
         if cell is None:
             return None
         new_entries[(keep.var, i)] = cell
-    body = _splice(ix, path, new_instrs)
-    # Every expression in the spliced body copies one of the state's,
-    # so drop's name is read in it only if the state reads it.
-    if ix.reads[drop.var]:
-        body = dsl.rename_reads(body, drop.var, keep.var)
+    edit = _splice(ix, path, new_instrs)
     transform = ValuationTransform(drop_vars=(drop.var,), new_entries=new_entries)
-    return Candidate(path, {"body": body}, transform)
+    # Every expression in the spliced body copies one of the state's,
+    # so drop's name is read in it only if the state reads it. Renaming
+    # walks a built body.
+    if ix.reads[drop.var]:
+        body = dsl.rename_reads(edit.build(ix.program.body), drop.var, keep.var)
+        return Candidate(path, {"body": body}, transform)
+    return Candidate(path, {}, transform, edit=edit)
 
 
 def rule_pull(ix, ctx):
@@ -394,7 +469,7 @@ def rule_eliminate_empty_if(ix, ctx):
     out = []
     for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and not ins.els:
-            out.append(Candidate(path, {"body": _splice(ix, path, ())}))
+            out.append(Candidate(path, {}, edit=_splice(ix, path, ())))
     return out
 
 
@@ -403,7 +478,7 @@ def rule_invert_empty_then(ix, ctx):
     for path, ins, _ in ix.sites:
         if isinstance(ins, dsl.Ite) and not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
-            out.append(Candidate(path, {"body": _splice(ix, path, (flipped,))}))
+            out.append(Candidate(path, {}, edit=_splice(ix, path, (flipped,))))
     return out
 
 
@@ -462,7 +537,7 @@ def rule_sequence_nested(ix, ctx):
             new = (combined,)
         else:
             new = (dsl.Ite(ins.pred, ins.then[:-1], ()), combined)
-        out.append(Candidate(path, {"body": _splice(ix, path, new)}))
+        out.append(Candidate(path, {}, edit=_splice(ix, path, new)))
     return out
 
 
@@ -513,24 +588,24 @@ def rule_inline_trivial_hidden(ix, ctx):
         if not isinstance(ins, dsl.LetHidden) or ins.fn not in defs:
             continue
         fn_body = defs[ins.fn]
-        body = _splice(ix, path, ())
-        if isinstance(fn_body.body, Input):
-            target = ins.args[fn_body.body.slot]
-            body2 = body
+        projection = isinstance(fn_body.body, Input)
+        if not projection and expr_uses_input(fn_body.body):
+            continue
+        # Renaming, inlining and called_fns walk a built body.
+        body = _splice(ix, path, ()).build(ix.program.body)
+        if projection:
             if ix.reads[ins.var]:
-                body2 = dsl.rename_reads(body, ins.var, target)
-        elif not expr_uses_input(fn_body.body):
+                body = dsl.rename_reads(body, ins.var, ins.args[fn_body.body.slot])
+        else:
             value = eval_hidden(fn_body, [None] * fn_body.arity)
             try:
-                body2 = _inline_const(body, ins.var, value)
+                body = _inline_const(body, ins.var, value)
             except _InlineReject:
                 continue
-        else:
-            continue
         hidden_defs = ix.program.hidden_defs
-        if ins.fn not in dsl.called_fns(body2):
+        if ins.fn not in dsl.called_fns(body):
             hidden_defs = tuple((n, f) for n, f in hidden_defs if n != ins.fn)
-        fields = {"body": body2, "hidden_defs": hidden_defs}
+        fields = {"body": body, "hidden_defs": hidden_defs}
         out.append(Candidate(path, fields, ValuationTransform(drop_vars=(ins.var,))))
     return out
 
@@ -679,7 +754,7 @@ def rule_eliminate_branch_condition(ix, ctx):
         bvar = fresh_name("b_", used)
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
-        body = _splice(ix, path, (hidden_let, new_ite))
+        edit = _splice(ix, path, (hidden_let, new_ite))
         new_entries = {(bvar, i): Scalar(g) for i, g in guard.items()}
         # A branch selector that selected only this guard has no job
         # left; retiring it is part of the same rewrite. The new body
@@ -688,10 +763,10 @@ def rule_eliminate_branch_condition(ix, ctx):
         params = program.params
         if BR in params and ix.reads[BR] == guard_br:
             params = tuple(p for p in params if p != BR)
-        fields = {"params": params, "body": body, "holes": program.holes + (fn,)}
+        fields = {"params": params, "holes": program.holes + (fn,)}
         transform = ValuationTransform(new_entries=new_entries, params=params)
         spec = SynthesisSpec(fn, "bool", tuple(examples))
-        out.append(Candidate(path, fields, transform, (spec,)))
+        out.append(Candidate(path, fields, transform, (spec,), edit=edit))
     return out
 
 
@@ -763,7 +838,7 @@ def rule_eliminate_argument(ix, ctx):
                 for j, (k, a) in enumerate(ins.args)
             )
             new_stmt = replace(ins, args=new_args)
-            body = _splice(ix, path, (hidden_let, new_stmt))
+            edit = _splice(ix, path, (hidden_let, new_stmt))
             if not in_loop:
                 reaching = sigma.traces_with_value(ins.var)
                 new_entries = {(vvar, i): Scalar(ex.output) for i, ex in zip(reaching, examples)}
@@ -777,11 +852,11 @@ def rule_eliminate_argument(ix, ctx):
                         tuple(examples[k + j].output for j in range(n))
                     )
                     k += n
-            fields = {"body": body, "holes": program.holes + (fn,)}
+            fields = {"holes": program.holes + (fn,)}
             transform = ValuationTransform(new_entries=new_entries)
             spec = SynthesisSpec(fn, "value", examples)
             site = f"{name} at {_site_str(path)}"
-            out.append(Candidate(path + (arg_idx,), fields, transform, (spec,), site))
+            out.append(Candidate(path + (arg_idx,), fields, transform, (spec,), site, edit))
     return out
 
 
@@ -805,20 +880,19 @@ def _first_leaf_api(ite) -> Optional[str]:
 
 def _tree_stmts(ite, path, api):
     """Statements of a conditional tree whose instructions are all
-    calls of one api (or nested such trees); None otherwise."""
+    calls of one api (or nested such trees), in preorder, then-branch
+    before else-branch; None otherwise. Uses an explicit stack."""
     out = []
-    for branch_code, branch in ((0, ite.then), (1, ite.els)):
-        for i, ins in enumerate(branch):
-            p = path + (branch_code, i)
-            if isinstance(ins, dsl.LetVisible) and ins.api == api:
-                out.append((p, ins))
-            elif isinstance(ins, dsl.Ite):
-                sub = _tree_stmts(ins, p, api)
-                if sub is None:
-                    return None
-                out.extend(sub)
-            else:
-                return None
+    stack = [(path, ite)]
+    while stack:
+        p, ins = stack.pop()
+        if isinstance(ins, dsl.Ite):
+            for branch_code, branch in ((1, ins.els), (0, ins.then)):
+                stack.extend((p + (branch_code, i), branch[i]) for i in reversed(range(len(branch))))
+        elif isinstance(ins, dsl.LetVisible) and ins.api == api:
+            out.append((p, ins))
+        else:
+            return None
     return out
 
 
@@ -984,10 +1058,11 @@ def _roll_span(ix, span, loop_instrs, fn, new_entries, spec):
     the first call's binder and leave fn as a hole."""
     path = span.seq_path + (span.start,)
     first = span.stmts[0][1]
-    body = _splice(ix, path, loop_instrs, span.length)
+    edit = _splice(ix, path, loop_instrs, span.length)
     drop = tuple(stmt.var for _, stmt in span.stmts if stmt.var != first.var)
     transform = ValuationTransform(drop_vars=drop, new_entries=new_entries)
-    return Candidate(path, {"body": body, "holes": ix.program.holes + (fn,)}, transform, (spec,))
+    fields = {"holes": ix.program.holes + (fn,)}
+    return Candidate(path, fields, transform, (spec,), edit=edit)
 
 
 def rule_introduce_retry(ix, ctx):
@@ -1113,8 +1188,7 @@ def enumerate_rewrites(
     for rule, fn in fns.items():
         for c in fn(ix, ctx):
             site = _site_str(c.path) if c.site is None else c.site
-            new = replace(program, **c.fields)
-            out.append(Rewrite(rule, site, c.path, new, c.transform, c.specs))
+            out.append(Rewrite(rule, site, c.path, program, c))
     # Stable, so candidates at one path keep their rules' table order.
     out.sort(key=lambda rw: rw.path)
     return out

@@ -114,14 +114,14 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
     return program, TraceValuation(params=sigma.params, entries=entries)
 
 
-def _close(program, specs, sigma, ts, ctx, retry_bound) -> Optional[dsl.Program]:
+def _close(program, specs, sigma, ts, ctx, retry_bound, deadline) -> Optional[dsl.Program]:
     """The program with every hole filled by its solution; None when a
-    hole has none, the filled program is ill-formed, or it does not
-    replay."""
+    hole has none within the search's deadline, the filled program is
+    ill-formed, or it does not replay."""
     holes = list(program.holes)
     hidden_defs = list(program.hidden_defs)
     for spec in specs:
-        result = ctx.cache.solve(list(spec.examples), spec.kind, ctx.pbe_cfg)
+        result = ctx.cache.solve(list(spec.examples), spec.kind, ctx.pbe_cfg, deadline)
         if not result.sat:
             return None
         holes.remove(spec.hole)
@@ -146,7 +146,7 @@ def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline)
         stats.states_seen += 1
         for rw in enumerate_rewrites(program, sigma, "refine", ctx):
             sigma2 = rw.transform.apply(sigma)
-            c = cost_fn(rw.program, sigma2, ts)
+            c = cost_fn(rw, sigma2, ts)
             if c < cost and (best is None or c < best[0]):
                 best = (c, rw, sigma2)
         if best is None:
@@ -165,19 +165,20 @@ def _try_synth(program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bo
     stats.states_seen += 1
     for order, rw in enumerate(enumerate_rewrites(program, sigma, "synth", ctx)):
         sigma2 = rw.transform.apply(sigma)
-        c = cost_fn(rw.program, sigma2, ts)
+        c = cost_fn(rw, sigma2, ts)
         if c < cost:
             scored.append((c, order, rw, sigma2))
     scored.sort(key=lambda t: (t[0], t[1]))
     for c, _, rw, sigma2 in scored:
         if deadline.expired():
             return None, True
-        candidate = _close(rw.program, rw.specs, sigma2, ts, ctx, retry_bound)
+        candidate = _close(rw.program, rw.specs, sigma2, ts, ctx, retry_bound, deadline)
         if candidate is None:
             continue
         stats.log(rw, cost, c)
         return (candidate, sigma2, c), False
-    return None, False
+    # The deadline may have cut the last candidate's PBE short.
+    return None, deadline.expired()
 
 
 def _start(ts: TraceSet, cfg: SearchConfig):
@@ -291,7 +292,7 @@ def run_ksearch(ts: TraceSet, cfg: SearchConfig) -> SearchResult:
         if deadline.expired() and state is not start:
             timed_out = True
             continue
-        candidate = _close(state.program, state.specs, state.sigma, ts, ctx, retry_bound)
+        candidate = _close(state.program, state.specs, state.sigma, ts, ctx, retry_bound, deadline)
         if candidate is None:
             continue
         stats.pbe_calls = ctx.cache.pbe_calls

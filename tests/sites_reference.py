@@ -8,7 +8,8 @@ read counters, binders, loop ids, free variables, hidden-call checks,
 visible-let binders and the names in use. And the recursive rebuilders
 that dsl.map_instrs replaced: read renaming and const-inlining. And
 the recursive printer and the recursive matcher that compared programs
-up to renaming before dsl renamed them canonically. Kept verbatim as
+up to renaming before dsl renamed them canonically. And the recursive
+collector of a loop span's single-api conditional tree. Kept verbatim as
 the reference the index, the node counts, the linear walks, the
 rebuilds, the printer and the equivalence are tested against; nothing
 in src/ uses it."""
@@ -123,6 +124,25 @@ def _ite_reaching(program, sigma, ts, site_path, hidden) -> Optional[List[int]]:
         if ok:
             reaching.append(i)
     return reaching
+
+
+def _tree_stmts(ite, path, api):
+    """Statements of a conditional tree whose instructions are all
+    calls of one api (or nested such trees); None otherwise."""
+    out = []
+    for branch_code, branch in ((0, ite.then), (1, ite.els)):
+        for i, ins in enumerate(branch):
+            p = path + (branch_code, i)
+            if isinstance(ins, dsl.LetVisible) and ins.api == api:
+                out.append((p, ins))
+            elif isinstance(ins, dsl.Ite):
+                sub = _tree_stmts(ins, p, api)
+                if sub is None:
+                    return None
+                out.extend(sub)
+            else:
+                return None
+    return out
 
 
 # --- dsl.py ----------------------------------------------------------------------

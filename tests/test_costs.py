@@ -6,8 +6,6 @@ from tracesynth.costs import (
     CostWeights,
     cost_syn,
     cost_traces,
-    count_br_usages,
-    count_statements,
     make_cost_fn,
 )
 from tracesynth.dsl import (
@@ -35,6 +33,8 @@ def prog(body, params=("br",)):
 
 
 def test_count_statements_conventions():
+    """A program counts the statements of its body the syntactic cost
+    charges for."""
     body = (
         let("a"),
         LetHidden("h", "f_1", ()),
@@ -43,7 +43,7 @@ def test_count_statements_conventions():
         Foreach("loop_2", "u", VarRef("d"), (let("e"),)),
     )
     # a=1, hidden=0, if=1+(2)+(1), retry=1+1, foreach=1+1
-    assert count_statements(body) == 9
+    assert prog(body).n_statements == 9
 
 
 def test_count_br_usages_counts_reads_everywhere():
@@ -51,7 +51,7 @@ def test_count_br_usages_counts_reads_everywhere():
         let("a", x=Ternary(ValueCheck("br", 1), Const(1), Const(2))),
         Ite(ValueCheck("br", 2), (), ()),
     )
-    assert count_br_usages(prog(body)) == 2
+    assert prog(body).n_br == 2
 
 
 def test_cost_syn_weights():

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import sites_reference as reference
 from tracesynth import dsl, rewrites, search
-from tracesynth.costs import CostWeights, _visible_let_vars, cost_syn, count_statements, make_cost_fn
+from tracesynth.costs import CostWeights, _visible_let_vars, cost_syn, cost_traces, make_cost_fn
 from tracesynth.dsl import check_calls, free_vars, seq_binders, seq_loop_ids
+from tracesynth.jsonvals import ABSENT
 from tracesynth.parser import parse_program
 from tracesynth.search import SearchConfig, run_search
-from tracesynth.traces import TraceValuation, parse_traces
+from tracesynth.traces import PerIteration, TraceValuation, ValuationError, parse_traces
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
@@ -29,6 +30,29 @@ def reference_cost_syn(program, w=CostWeights()):
         + w.parameter * len(program.params)
         + w.br_usage * reference.count_reads(program.body, "br")
     )
+
+
+def reference_cost_traces(program, sigma, ts, w=CostWeights()):
+    """cost_traces over the recursive walks, looking up every visible
+    binder on every trace."""
+    let_vars = list(reference._visible_let_vars(program.body))
+    reproduced = 0
+    for v in let_vars:
+        for i in ts.indices():
+            try:
+                cell = sigma.lookup(v, i)
+            except ValuationError:
+                continue
+            if isinstance(cell, PerIteration):
+                reproduced += sum(1 for x in cell.values if x is not ABSENT)
+            else:
+                reproduced += cell.value is not ABSENT
+    cost = (
+        sum(len(t) for t in ts.traces)
+        + w.traces_statement * (len(let_vars) - reproduced)
+        + w.traces_br_usage * reference.count_reads(program.body, "br")
+    )
+    return cost + (w.traces_br_param if "br" in program.params else 0)
 
 
 def call_error(check, seq, known):
@@ -51,7 +75,8 @@ def assert_walks_match_reference(body):
             assert seq_loop_ids(part) == reference.seq_loop_ids(part)
             assert free_vars(part) == reference.free_vars(part)
             assert _visible_let_vars(part) == list(reference._visible_let_vars(part))
-            assert count_statements(part) == reference.count_statements(part)
+            assert dsl.Program(body=part).n_statements == reference.count_statements(part)
+            assert dsl.Program(body=part).n_br == reference.count_reads(part, "br")
         fns = {ins.fn for _, ins, _ in reference.iter_instr_sites(seq) if isinstance(ins, dsl.LetHidden)}
         fns.update(e.fn_name for e in hidden_calls(seq))
         in_sources = {e.fn_name for e in hidden_calls(seq, sources=True)}
@@ -273,17 +298,23 @@ def test_parsed_br_reads_are_counted_in_guards_arguments_and_loops():
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_candidate_costs_what_the_full_walk_gives(name, monkeypatch):
     """Every rewrite candidate of every state the alternating search
-    enumerates on a fixture: its syn cost from the node counts equals
-    the recursive full walk over the candidate."""
+    enumerates on a fixture: its syn and traces costs, scored from the
+    candidate as the search scores it, equal the costs of its built
+    program and the recursive full walk over that program."""
     ts = parse_traces((BENCH / name / "traces.json").read_text())
     enumerate_rewrites = search.enumerate_rewrites
+    w = CostWeights()
     checked = []
 
     def checking(program, sigma, kind, ctx):
         out = enumerate_rewrites(program, sigma, kind, ctx)
         for rw in out:
-            assert cost_syn(rw.program, CostWeights()) == reference_cost_syn(rw.program), rw.rule
-            for _, ins, _ in reference.iter_instr_sites(rw.program.body):
+            sigma2 = rw.transform.apply(sigma)
+            syn, traces = cost_syn(rw, w), cost_traces(rw, sigma2, ts, w)
+            built = rw.program
+            assert syn == cost_syn(built, w) == reference_cost_syn(built), rw.rule
+            assert traces == cost_traces(built, sigma2, ts, w) == reference_cost_traces(built, sigma2, ts), rw.rule
+            for _, ins, _ in reference.iter_instr_sites(built.body):
                 assert ins.n_statements == reference.count_statements((ins,))
                 assert ins.n_br == reference.count_reads((ins,), "br")
         checked.append(len(out))

@@ -30,7 +30,6 @@ PINNED = {
     # Script instructions: once per nested conditional or loop.
     "evaluator.py:execute.exec_instr",
     "evaluator.py:execute.exec_seq",
-    "rewrites.py:_tree_stmts",
     # The parser's descent: statements, predicates, script expressions
     # and JSON literals, and the helper-function grammar.
     "parser.py:_Parser.block",

@@ -10,7 +10,6 @@ from randprog import (
 )
 
 from tracesynth import dsl
-from tracesynth.costs import count_statements
 from tracesynth.evaluator import check_psi, default_retry_bound
 from tracesynth.pbe import ConstraintCache
 from tracesynth.rewrites import RewriteContext, enumerate_rewrites
@@ -38,7 +37,7 @@ def test_generator_respects_structural_budgets():
     for seed in range(200):
         program, _, _ = generate_case(random.Random(seed))
         conds, loops = structure_counts(program.body)
-        assert count_statements(program.body) <= MAX_STATEMENTS
+        assert program.n_statements <= MAX_STATEMENTS
         assert conds <= MAX_CONDITIONALS
         assert loops <= MAX_LOOPS
 

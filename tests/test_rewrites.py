@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from tracesynth import dsl
-from tracesynth.costs import count_statements
 from tracesynth.evaluator import check_psi, default_retry_bound
 from tracesynth.hidden import HiddenFnBody, ConstVal, Input, Length
 from tracesynth.jsonvals import ABSENT
@@ -69,7 +68,7 @@ def test_pull_hoists_common_head():
     assert isinstance(first, dsl.LetVisible) and first.api == "Login"
     assert isinstance(ite, dsl.Ite)
     assert [s.api for s in ite.then] == ["A"] and [s.api for s in ite.els] == ["B"]
-    assert count_statements(prog2.body) == count_statements(program.body) - 1
+    assert prog2.n_statements == program.n_statements - 1
     assert check_psi(prog2, sigma2, ts, default_retry_bound(ts))
 
 

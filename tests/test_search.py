@@ -1,11 +1,12 @@
 """Strategy behavior: alternating vs rts vs bounded ksearch."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from tracesynth import dsl, search
+from tracesynth import dsl, rewrites, search
 from tracesynth.costs import make_cost_fn
 from tracesynth.evaluator import default_retry_bound
 from tracesynth.search import (
@@ -241,3 +242,101 @@ def test_ill_formed_rewrites_are_rejected_not_raised(strategy):
     assert verify_final(result.program, result.sigma, ts)
     initial, sigma = build_initial(ts)
     assert result.cost < make_cost_fn("syn")(initial, sigma, ts)
+
+
+@pytest.mark.parametrize("strategy", ["alternating", "rts"])
+def test_the_overall_deadline_bounds_pbe(strategy):
+    """The search's deadline reaches the enumerator, and a run it cuts
+    short says so. Stopping each instance in the reverse of the order
+    listed leaves the InstanceIds argument underivable, so its
+    enumeration runs through every size over every slice of the
+    125-item list; with only its own (unset) timeout, run_search was
+    still enumerating after 300 s."""
+    running = [{"Name": "instance-state-name", "Values": ["running"]}]
+
+    def trace(ids):
+        return [
+            {"api": "ec2.DescribeInstances", "request": {"Filters": running},
+             "response": {"Reservations": [{"Instances": [{"InstanceId": i} for i in ids]}]}},
+            {"api": "ec2.StopInstances", "request": {"InstanceIds": ids[::-1]},
+             "response": {"StoppingInstances": [{"InstanceId": i} for i in ids]}},
+        ]
+
+    ts = parse_traces([trace([f"i-{k:08x}" for k in range(w)]) for w in (125, 62, 31)])
+    start = time.monotonic()
+    result = run_search(ts, config(strategy, timeout=1))
+    assert time.monotonic() - start < 30
+    assert result.timed_out
+    assert verify_final(result.program, result.sigma, ts)
+
+
+@pytest.mark.parametrize("name", ["backup_then_delete_table", "stop_instances_cond"])
+@pytest.mark.parametrize("kind", ["syn", "traces"])
+def test_a_plain_function_as_cost_fn_searches_as_the_cost_fn_does(name, kind):
+    """perfbench's traced runs pass cost_fn wrapped in a plain function,
+    so the search may only call it, with each candidate as it is."""
+    ts = load(name)
+    cost_fn = make_cost_fn(kind)
+    for strategy in ("alternating", "rts", "ksearch"):
+        a = run_search(ts, config(strategy, cost_fn=cost_fn))
+        b = run_search(ts, config(strategy, cost_fn=lambda *args: cost_fn(*args)))
+        assert dsl.pretty_print(a.program) == dsl.pretty_print(b.program)
+        assert (a.cost, a.timed_out, a.stats) == (b.cost, b.timed_out, b.stats)
+
+
+# The rules that build their candidates' bodies as they enumerate them:
+# renaming reads and inlining a constant walk a built body.
+EAGER_RULES = {"pull", "push", "merge_nested", "inline_trivial_hidden"}
+FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_only_the_rewrites_the_search_takes_are_built(name, monkeypatch):
+    """An alternating run builds the spine of a candidate's program
+    (replace_seq_at) only for a candidate it takes: a refinement it
+    accepts, or a synthesizing rewrite whose holes it tries to fill.
+    While rules enumerate, only the eager ones build."""
+    building = [None]  # the rule enumerating, if any
+    builds = []  # the rule that was enumerating at each build
+    real_replace = rewrites.replace_seq_at
+    monkeypatch.setattr(rewrites, "replace_seq_at", lambda *a: builds.append(building[0]) or real_replace(*a))
+    for table in (rewrites._REFINE_FNS, rewrites._SYNTH_FNS):
+        for rule, fn in list(table.items()):
+
+            def enumerating(ix, ctx, rule=rule, fn=fn):
+                building[0] = rule
+                try:
+                    return fn(ix, ctx)
+                finally:
+                    building[0] = None
+
+            monkeypatch.setitem(table, rule, enumerating)
+
+    lazy = []  # the candidates enumerate_rewrites left unbuilt
+    real_enumerate = search.enumerate_rewrites
+
+    def recording(*args):
+        out = real_enumerate(*args)
+        lazy.extend(rw for rw in out if rw._program is None)
+        return out
+
+    taken = {}  # id -> accepted rewrite or program handed to _close, kept alive
+    real_log, real_close = search.SearchStats.log, search._close
+
+    def log(stats, rw, *args):
+        taken[id(rw)] = rw
+        return real_log(stats, rw, *args)
+
+    def close(program, *args):
+        taken[id(program)] = program
+        return real_close(program, *args)
+
+    monkeypatch.setattr(search, "enumerate_rewrites", recording)
+    monkeypatch.setattr(search.SearchStats, "log", log)
+    monkeypatch.setattr(search, "_close", close)
+    run_search(load(name), config("alternating"))
+
+    assert set(builds) - {None} <= EAGER_RULES
+    built = [rw for rw in lazy if rw._program is not None]
+    assert builds.count(None) == len(built)
+    assert all(id(rw) in taken or id(rw.program) in taken for rw in built)

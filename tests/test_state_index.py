@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import sites_reference as reference
 from randprog import generate_case
 from test_node_counts import assert_walks_match_reference
-from tracesynth import dsl
-from tracesynth.costs import _visible_let_vars, count_br_usages, count_statements
+from tracesynth import dsl, rewrites
+from tracesynth.costs import _visible_let_vars
 from tracesynth.dsl import free_vars, seq_binders, seq_loop_ids, seq_reads
 from tracesynth.jsonvals import ABSENT
 from tracesynth.pbe import ConstraintCache
@@ -116,7 +116,7 @@ def assert_index_matches_reference(program, sigma, ts, order):
     reads = reference.seq_reads(body)
     assert seq_reads(body) == reads
     assert_walks_match_reference(body)
-    assert count_br_usages(program) == reference.count_reads(body, "br")
+    assert program.n_br == reference.count_reads(body, "br")
 
     ix = StateIndex(program, sigma, ts)
     assert ix.seqs == list(reference.iter_seqs(body))
@@ -233,8 +233,8 @@ def test_walks_survive_a_1200_deep_conditional_chain():
     assert len(sites) == 2401
     assert sites[-1][0] == (0, 1) * 1200 + (0,)
     program = dsl.Program(params=("br",), body=body)
-    assert count_br_usages(program) == 2401
-    assert count_statements(body) == 2401
+    assert program.n_br == 2401
+    assert program.n_statements == 2401
     with pytest.raises(RecursionError):
         reference.count_statements(body)
     assert seq_binders(body) == [f"x{n}" for n in range(1200, -1, -1)]
@@ -247,6 +247,53 @@ def test_walks_survive_a_1200_deep_conditional_chain():
     replaced = index_sites(replace_seq_at(body, (0, 1) * 1200, (let(-1),)))
     assert [path for path, _, _ in replaced] == [path for path, _, _ in sites]
     assert replaced[-1][1] == let(-1)
+
+
+# --- loop spans ------------------------------------------------------------------
+
+APIS = st.sampled_from(("A", "B"))
+span_leaves = st.one_of(
+    st.builds(lambda api, n: dsl.LetVisible(f"x{n}", api, ()), APIS, st.integers(0, 9)),
+    st.just(dsl.Return()),
+)
+span_trees = st.recursive(
+    st.builds(dsl.Ite, st.just(GUARD), st.lists(span_leaves, max_size=2).map(tuple), st.just(())),
+    lambda tree: st.builds(
+        dsl.Ite,
+        st.just(GUARD),
+        st.lists(st.one_of(span_leaves, tree), max_size=3).map(tuple),
+        st.lists(st.one_of(span_leaves, tree), max_size=3).map(tuple),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_trees, st.lists(st.integers(0, 3), max_size=3).map(tuple))
+def test_tree_stmts_matches_the_recursive_reference(ite, path):
+    """Every conditional of a tree of calls of two APIs, some trees
+    holding a return, collects the statements of either API as the
+    recursive collector does, or fails where it fails."""
+    for _, ins, _ in reference.iter_instr_sites((ite,)):
+        if isinstance(ins, dsl.Ite):
+            for api in ("A", "B", "C"):
+                assert rewrites._tree_stmts(ins, path, api) == reference._tree_stmts(ins, path, api)
+
+
+def test_tree_stmts_survives_a_2000_deep_single_api_chain():
+    """The initial program of 2,001 one-call traces of one API nests
+    2,000 conditionals in their else branches; the recursive collector
+    raised RecursionError on it."""
+    body = (let(0),)
+    for n in range(1, 2001):
+        body = (dsl.Ite(dsl.ValueCheck("br", n), (let(n),), body),)
+    with pytest.raises(RecursionError):
+        reference._tree_stmts(body[0], (0,), "Api")
+    stmts = rewrites._tree_stmts(body[0], (0,), "Api")
+    assert [ins.var for _, ins in stmts] == [f"x{n}" for n in range(2000, -1, -1)]
+    assert stmts[-1][0] == (0,) + (1, 0) * 2000
+    assert stmts[-2][0] == (0,) + (1, 0) * 1999 + (0, 0)
+    assert rewrites._tree_stmts(body[0], (0,), "Other") is None
 
 
 # --- lazily built valuations -------------------------------------------------------
