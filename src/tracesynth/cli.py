@@ -229,14 +229,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"tracesynth: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError as exc:
-        # Replay, the parser's descent and rewrites._tree_stmts still
-        # recurse once per nesting level, and the term walks (reads,
-        # printing, map_term) once per nested ternary or predicate, so a
-        # large enough trace set nests too deeply for them.
-        print(
-            f"tracesynth: the traces give a program nested too deeply to process ({exc})",
-            file=sys.stderr,
-        )
+        # Replay and the parser's descent still recurse once per nested
+        # conditional or loop, the term walks (reads, printing,
+        # map_term) once per nested ternary or predicate, and the
+        # JSON-value walks (jsonvals._tag, pbe's value keys, helper
+        # evaluation) once per nested array or object; the full list is
+        # pinned in tests/test_recursion_inventory.py. So a large enough
+        # input nests too deeply for them.
+        print(f"tracesynth: the input nests too deeply to process ({exc})", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -100,25 +100,13 @@ def cost_traces(scored, sigma: TraceValuation, ts: TraceSet, w: CostWeights) -> 
     return cost
 
 
-class CostFn:
-    """A named objective over (scored, valuation, traces), scored being
-    a Program or a rewrite candidate (see the module docstring)."""
-
-    def __init__(self, name: str, fn: Callable, weights: CostWeights):
-        self.name = name
-        self._fn = fn
-        self.weights = weights
-
-    def __call__(self, scored, sigma: TraceValuation, ts: TraceSet) -> float:
-        return self._fn(scored, sigma, ts, self.weights)
-
-
 COST_KINDS = ("syn", "traces")
 
 
-def make_cost_fn(kind: str, weights: CostWeights = CostWeights()) -> CostFn:
+def make_cost_fn(kind: str, weights: CostWeights = CostWeights()) -> Callable:
+    """The objective kind as a function of (scored, sigma, ts)."""
     if kind == "syn":
-        return CostFn("syn", lambda p, s, t, w: cost_syn(p, w), weights)
+        return lambda scored, sigma, ts: cost_syn(scored, weights)
     if kind == "traces":
-        return CostFn("traces", cost_traces, weights)
+        return lambda scored, sigma, ts: cost_traces(scored, sigma, ts, weights)
     raise ValueError(f"unknown cost kind {kind!r}; choose from {COST_KINDS}")

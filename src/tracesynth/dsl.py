@@ -170,26 +170,21 @@ COMPARE_OPS = (">=", ">", "<=", "<")
 
 
 # --- instructions ----------------------------------------------------------
-#
-# Instructions are rebuilt on the path of every rewrite the search
-# builds, so they set their fields in a constructor of their own rather
-# than through a generated one plus __post_init__.
 
 
-def _subtree_counts(own_br, body, els=()):
-    """(statements, br reads) of a node with own_br reads of its own,
-    counting itself as one statement, over its child sequences."""
+def _set_counts(node, own_br, *seqs):
+    """Set node's counts from own_br reads of its own and its child
+    sequences, counting node itself as one statement."""
     stmts, br = 1, own_br
-    for ins in body:
-        stmts += ins.n_statements
-        br += ins.n_br
-    for ins in els:
-        stmts += ins.n_statements
-        br += ins.n_br
-    return stmts, br
+    for seq in seqs:
+        for ins in seq:
+            stmts += ins.n_statements
+            br += ins.n_br
+    _set(node, "n_statements", stmts)
+    _set(node, "n_br", br)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LetVisible:
     var: str
     api: str
@@ -197,17 +192,11 @@ class LetVisible:
     n_statements: ClassVar[int] = 1
     n_br: int = _counted()
 
-    def __init__(self, var, api, args):
-        br = 0
-        for _, e in args:
-            br += term_br(e)
-        _set(self, "var", var)
-        _set(self, "api", api)
-        _set(self, "args", args)
-        _set(self, "n_br", br)
+    def __post_init__(self):
+        _set(self, "n_br", sum(term_br(e) for _, e in self.args))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LetHidden:
     var: str
     fn: str
@@ -215,14 +204,11 @@ class LetHidden:
     n_statements: ClassVar[int] = 0
     n_br: int = _counted()
 
-    def __init__(self, var, fn, args):
-        _set(self, "var", var)
-        _set(self, "fn", fn)
-        _set(self, "args", args)
-        _set(self, "n_br", args.count(BR))
+    def __post_init__(self):
+        _set(self, "n_br", self.args.count(BR))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Ite:
     pred: object
     then: Tuple[object, ...]
@@ -230,16 +216,11 @@ class Ite:
     n_statements: int = _counted()
     n_br: int = _counted()
 
-    def __init__(self, pred, then, els):
-        stmts, br = _subtree_counts(term_br(pred), then, els)
-        _set(self, "pred", pred)
-        _set(self, "then", then)
-        _set(self, "els", els)
-        _set(self, "n_statements", stmts)
-        _set(self, "n_br", br)
+    def __post_init__(self):
+        _set_counts(self, term_br(self.pred), self.then, self.els)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RetryUntil:
     loop_id: str
     body: Tuple[object, ...]
@@ -247,16 +228,11 @@ class RetryUntil:
     n_statements: int = _counted()
     n_br: int = _counted()
 
-    def __init__(self, loop_id, body, pred):
-        stmts, br = _subtree_counts(term_br(pred), body)
-        _set(self, "loop_id", loop_id)
-        _set(self, "body", body)
-        _set(self, "pred", pred)
-        _set(self, "n_statements", stmts)
-        _set(self, "n_br", br)
+    def __post_init__(self):
+        _set_counts(self, term_br(self.pred), self.body)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Foreach:
     loop_id: str
     var: str
@@ -265,14 +241,8 @@ class Foreach:
     n_statements: int = _counted()
     n_br: int = _counted()
 
-    def __init__(self, loop_id, var, source, body):
-        stmts, br = _subtree_counts(term_br(source), body)
-        _set(self, "loop_id", loop_id)
-        _set(self, "var", var)
-        _set(self, "source", source)
-        _set(self, "body", body)
-        _set(self, "n_statements", stmts)
-        _set(self, "n_br", br)
+    def __post_init__(self):
+        _set_counts(self, term_br(self.source), self.body)
 
 
 @dataclass(frozen=True)

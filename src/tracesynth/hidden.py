@@ -316,16 +316,12 @@ def _argname(i: int) -> str:
     return f"a{i}"
 
 
-def print_expr(e, names=None) -> str:
-    """Render an expression; names maps slot index to display name."""
-
-    def nm(i):
-        return names[i] if names else _argname(i)
-
+def print_expr(e) -> str:
+    """Render an expression, naming input slot i a<i>."""
     if isinstance(e, Input):
-        return nm(e.slot)
+        return _argname(e.slot)
     if isinstance(e, (Child, Descendants, Index, Slice)):
-        base = print_expr(e.base, names)
+        base = print_expr(e.base)
         # Unbracketed, 1 + a0.x would read back as 1 + (a0.x), and
         # {"a": 1}.a would not read back at all.
         if isinstance(e.base, (Add, Concat, ConstVal)):
@@ -338,24 +334,24 @@ def print_expr(e, names=None) -> str:
             return f"{base}[{e.i}]"
         return f"{base}[{e.i}:{e.j}]"
     if isinstance(e, Length):
-        return f"length({print_expr(e.base, names)})"
+        return f"length({print_expr(e.base)})"
     if isinstance(e, Add):
-        return f"{e.const} + {print_expr(e.base, names)}"
+        return f"{e.const} + {print_expr(e.base)}"
     if isinstance(e, Concat):
-        return f"{json.dumps(e.const)} + {print_expr(e.base, names)}"
+        return f"{json.dumps(e.const)} + {print_expr(e.base)}"
     if isinstance(e, ConstVal):
         return dumps_pretty(e.value)
     if isinstance(e, MakeList):
-        return "[" + ", ".join(print_expr(x, names) for x in e.items) + "]"
+        return "[" + ", ".join(print_expr(x) for x in e.items) + "]"
     if isinstance(e, Eq):
-        return f"{print_expr(e.base, names)} == {dumps_pretty(e.const)}"
+        return f"{print_expr(e.base)} == {dumps_pretty(e.const)}"
     if isinstance(e, Empty):
-        return f"empty({print_expr(e.base, names)})"
+        return f"empty({print_expr(e.base)})"
     if isinstance(e, Not):
-        return f"!({print_expr(e.inner, names)})"
+        return f"!({print_expr(e.inner)})"
     if isinstance(e, And):
-        left = print_expr(e.left, names)
-        right = print_expr(e.right, names)
+        left = print_expr(e.left)
+        right = print_expr(e.right)
         if isinstance(e.left, And):
             left = f"({left})"
         if isinstance(e.right, And):

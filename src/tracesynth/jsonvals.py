@@ -40,33 +40,41 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# The scalar types of json.loads, compared with == when both sides have
+# the same one.
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+def _leaf_eq(a, b) -> bool:
+    """canonical_eq where a is not a container: True when both are the
+    same scalar type and ==, or both are ABSENT."""
+    t = type(a)
+    return t is type(b) and (a == b if t in _SCALAR_TYPES else a is ABSENT)
+
+
 def canonical_eq(a, b) -> bool:
     """Structural JSON equality with strict types.
 
     Dict key order is ignored; list order is significant; bool, int,
-    float and str never compare equal across types.
+    float and str never compare equal across types. Containers are
+    compared off an explicit stack, so nesting depth is unbounded.
     """
-    if a is ABSENT or b is ABSENT:
-        return a is b
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if is_int(a) or is_int(b):
-        return is_int(a) and is_int(b) and a == b
-    if isinstance(a, float) or isinstance(b, float):
-        return isinstance(a, float) and isinstance(b, float) and a == b
-    if isinstance(a, str) or isinstance(b, str):
-        return isinstance(a, str) and isinstance(b, str) and a == b
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, list) or isinstance(b, list):
-        if not (isinstance(a, list) and isinstance(b, list)):
+    if not isinstance(a, (list, dict)):
+        return _leaf_eq(a, b)
+    stack = [(a, b)]  # pairs still to compare
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, list):
+            if not (isinstance(b, list) and len(a) == len(b)):
+                return False
+            stack.extend(zip(a, b))
+        elif isinstance(a, dict):
+            if not (isinstance(b, dict) and a.keys() == b.keys()):
+                return False
+            stack.extend((a[k], b[k]) for k in a)
+        elif not _leaf_eq(a, b):
             return False
-        return len(a) == len(b) and all(canonical_eq(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        if set(a.keys()) != set(b.keys()):
-            return False
-        return all(canonical_eq(a[k], b[k]) for k in a)
-    return False
+    return True
 
 
 def _tag(v):

@@ -29,6 +29,7 @@ import math
 from typing import Tuple
 
 from .dsl import (
+    COMPARE_OPS,
     Compare,
     Const,
     DslError,
@@ -386,7 +387,7 @@ class _Parser:
             if nk == "punct" and nv == "==":
                 self.next()
                 return ValueCheck(name, self.json_literal())
-            if nk == "punct" and nv in (">=", ">", "<=", "<"):
+            if nk == "punct" and nv in COMPARE_OPS:
                 self.next()
                 return Compare(name, nv, self.ident())
             return ValueCheck(name, True)

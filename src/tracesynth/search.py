@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import dsl
-from .costs import CostFn
 from .dsl import BR
 from .evaluator import check_psi, default_retry_bound
 from .pbe import ConstraintCache, GrammarConfig, _Deadline
@@ -52,7 +51,7 @@ class SearchError(Exception):
 class SearchConfig:
     strategy: str = "alternating"
     k: int = 2
-    cost_fn: Optional[CostFn] = None
+    cost_fn: Optional[Callable] = None  # (scored, sigma, ts) -> cost; see costs.py
     retry_bound: Optional[int] = None
     timeout: Optional[float] = None
     pbe: GrammarConfig = field(default_factory=GrammarConfig)
@@ -136,22 +135,31 @@ def _close(program, specs, sigma, ts, ctx, retry_bound, deadline) -> Optional[ds
     return candidate
 
 
+def _improving(program, sigma, cost, kind, ts, cost_fn, ctx, stats):
+    """The rewrites of kind at the state that cost less than cost, as
+    (cost, rewrite, valuation), sorted by cost; the sort is stable, so
+    of equal costs the first enumerated comes first."""
+    stats.states_seen += 1
+    scored = []
+    for rw in enumerate_rewrites(program, sigma, kind, ctx):
+        sigma2 = rw.transform.apply(sigma)
+        c = cost_fn(rw, sigma2, ts)
+        if c < cost:
+            scored.append((c, rw, sigma2))
+    scored.sort(key=lambda t: t[0])
+    return scored
+
+
 def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline):
     """Apply the cheapest strictly-improving refinement until none is
     left. Returns (program, sigma, cost, timed_out)."""
     while True:
         if deadline.expired():
             return program, sigma, cost, True
-        best = None
-        stats.states_seen += 1
-        for rw in enumerate_rewrites(program, sigma, "refine", ctx):
-            sigma2 = rw.transform.apply(sigma)
-            c = cost_fn(rw, sigma2, ts)
-            if c < cost and (best is None or c < best[0]):
-                best = (c, rw, sigma2)
-        if best is None:
+        scored = _improving(program, sigma, cost, "refine", ts, cost_fn, ctx, stats)
+        if not scored:
             return program, sigma, cost, False
-        c, rw, sigma2 = best
+        c, rw, sigma2 = scored[0]
         stats.log(rw, cost, c)
         program, sigma, cost = rw.program, sigma2, c
     # unreachable
@@ -161,15 +169,7 @@ def _try_synth(program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bo
     """Attempt synthesizing rewrites in order of resulting cost; apply
     the first fully solvable one that replays. Returns the new state or
     None, plus a timed-out flag."""
-    scored = []
-    stats.states_seen += 1
-    for order, rw in enumerate(enumerate_rewrites(program, sigma, "synth", ctx)):
-        sigma2 = rw.transform.apply(sigma)
-        c = cost_fn(rw, sigma2, ts)
-        if c < cost:
-            scored.append((c, order, rw, sigma2))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    for c, _, rw, sigma2 in scored:
+    for c, rw, sigma2 in _improving(program, sigma, cost, "synth", ts, cost_fn, ctx, stats):
         if deadline.expired():
             return None, True
         candidate = _close(rw.program, rw.specs, sigma2, ts, ctx, retry_bound, deadline)

@@ -142,6 +142,24 @@ def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
     assert "recursion" in captured.err and "Traceback" not in captured.err
 
 
+def test_a_request_value_nested_600_deep_synthesizes_and_replays(tmp_path, capsys):
+    """Replay compares each request with the recorded one through
+    jsonvals.canonical_eq, which walks an explicit stack. A request
+    value too deep for a recursive comparison (it stopped at about 340
+    levels) still synthesizes, verifies and prints."""
+    value = "leaf"
+    for _ in range(600):
+        value = [value]
+    traces = tmp_path / "deep_request.json"
+    traces.write_text(
+        json.dumps([[{"api": "svc.Put", "request": {"v": value}, "response": {"ok": t}}] for t in range(2)])
+    )
+    assert main(["synth", "--traces", str(traces)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("lambda") and "svc.Put(v=" + "[" * 600 + '"leaf"' in captured.out
+
+
 def assert_one_error_line(err):
     assert err.startswith("tracesynth: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ ill-formed ones, parsed ones, and every candidate the search scores on
 the checked-in fixtures."""
 
 from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,55 @@ def test_walks_and_counts_match_reference_on_arbitrary_programs(body):
     assert_rebuilds_match_reference(body)
     program = dsl.Program(params=("br",), body=body)
     assert cost_syn(program, CostWeights()) == reference_cost_syn(program)
+
+
+def init_fields(node):
+    return [f.name for f in fields(node) if f.init]
+
+
+def assert_replace_recounts(ins, donor):
+    """Each field of ins replaced, through dataclasses.replace, by
+    donor's: the node has the counts of a fresh construction and of the
+    recursive reference."""
+    for name in init_fields(ins):
+        new = replace(ins, **{name: getattr(donor, name)})
+        fresh = type(ins)(*(getattr(new, f) for f in init_fields(ins)))
+        assert new == fresh
+        counts = (new.n_statements, new.n_br)
+        assert counts == (fresh.n_statements, fresh.n_br)
+        assert counts == (reference.count_statements((new,)), reference.count_reads((new,), "br"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seqs, seqs)
+def test_replace_on_an_instruction_node_recounts_it(body, other):
+    """pull, push and the eager rules rebuild a node with
+    dataclasses.replace, which goes through the generated constructor."""
+    donors = [ins for _, ins, _ in reference.iter_instr_sites(other)]
+    for _, ins, _ in reference.iter_instr_sites(body):
+        for donor in donors:
+            if type(donor) is type(ins):
+                assert_replace_recounts(ins, donor)
+
+
+def test_replace_recounts_each_kind_of_instruction_node():
+    br_guard = dsl.PNot(dsl.ValueCheck("br", 1))
+    br_arg = dsl.Ternary(br_guard, dsl.VarRef("br"), dsl.Const(0))
+    call = dsl.LetVisible("x1", "Api", (("k", br_arg),))
+    hidden = dsl.LetHidden("h1", "f", ("br", "x1", "br"))
+    nodes = [
+        (call, dsl.LetVisible("x2", "Other", ())),
+        (hidden, dsl.LetHidden("h2", "g", ())),
+        (dsl.Ite(br_guard, (call, hidden), (dsl.Return(),)), dsl.Ite(dsl.PTrue(), (), (call,))),
+        (dsl.RetryUntil("l1", (call,), br_guard), dsl.RetryUntil("l2", (), dsl.PTrue())),
+        (dsl.Foreach("l1", "u", br_arg, (call, hidden)), dsl.Foreach("l2", "v", dsl.VarRef("a"), ())),
+    ]
+    assert {type(ins) for ins, _ in nodes} == {
+        dsl.LetVisible, dsl.LetHidden, dsl.Ite, dsl.RetryUntil, dsl.Foreach
+    }
+    for ins, donor in nodes:
+        assert_replace_recounts(ins, donor)
+        assert_replace_recounts(donor, ins)
 
 
 def test_a_hidden_call_in_a_loop_source_must_be_defined():

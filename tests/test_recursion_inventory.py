@@ -56,7 +56,6 @@ PINNED = {
     "hidden.py:expr_uses_input",
     "hidden.py:print_expr",
     "jsonvals.py:_tag",
-    "jsonvals.py:canonical_eq",
     "jsonvals.py:structural_size",
     "pbe.py:_Keys.of",
     "pbe.py:_leaves",

@@ -273,8 +273,9 @@ def test_the_overall_deadline_bounds_pbe(strategy):
 @pytest.mark.parametrize("name", ["backup_then_delete_table", "stop_instances_cond"])
 @pytest.mark.parametrize("kind", ["syn", "traces"])
 def test_a_plain_function_as_cost_fn_searches_as_the_cost_fn_does(name, kind):
-    """perfbench's traced runs pass cost_fn wrapped in a plain function,
-    so the search may only call it, with each candidate as it is."""
+    """perfbench's traced runs wrap cost_fn in another function, so the
+    search may only call cost_fn with (candidate, sigma, ts), each
+    candidate as it is: no other attribute of cost_fn is read."""
     ts = load(name)
     cost_fn = make_cost_fn(kind)
     for strategy in ("alternating", "rts", "ksearch"):
@@ -340,3 +341,54 @@ def test_only_the_rewrites_the_search_takes_are_built(name, monkeypatch):
     built = [rw for rw in lazy if rw._program is not None]
     assert builds.count(None) == len(built)
     assert all(id(rw) in taken or id(rw.program) in taken for rw in built)
+
+
+class _Stub:
+    """A rewrite as the search reads it, scored at a fixed cost. Its
+    program is the state's own, which replays, so synthesis can close
+    every stub."""
+
+    specs = ()
+    transform = ValuationTransform()
+
+    def __init__(self, rule, cost, program):
+        self.rule, self.site, self.cost, self.program = rule, "0", cost, program
+
+
+@pytest.mark.parametrize("order", [("first", "second"), ("second", "first")])
+@pytest.mark.parametrize("kind", ["refine", "synth"])
+def test_of_equal_cost_improving_candidates_the_first_enumerated_is_taken(kind, order, monkeypatch):
+    """Refinement and synthesis rank a state's candidates through one
+    stable sort: the cheapest wins, and of two at the same cost, the
+    one enumerated first. Candidates no cheaper than the state are
+    never taken."""
+    ts = load("create_table")
+    program, sigma = build_initial(ts)
+    stubs = [
+        _Stub("dearer", 5, program),
+        _Stub(order[0], 3, program),
+        _Stub("not_lower", 10, program),
+        _Stub(order[1], 3, program),
+    ]
+    enumerated = []
+
+    def enumerate_once(p, s, k, ctx):
+        enumerated.append(k)
+        return stubs if len(enumerated) == 1 else []
+
+    monkeypatch.setattr(search, "enumerate_rewrites", enumerate_once)
+    cost_fn = lambda scored, s, t: scored.cost if isinstance(scored, _Stub) else 10  # noqa: E731
+    ctx = rewrites.RewriteContext(ts, search.ConstraintCache())
+    stats = search.SearchStats()
+    deadline = search._Deadline(None)
+    if kind == "refine":
+        _, _, cost, timed_out = search._refine_to_fixpoint(
+            program, sigma, 10, ts, cost_fn, ctx, stats, deadline
+        )
+    else:
+        (_, _, cost), timed_out = search._try_synth(
+            program, sigma, 10, ts, cost_fn, ctx, stats, deadline, default_retry_bound(ts)
+        )
+    assert enumerated[0] == kind and not timed_out
+    assert cost == 3
+    assert [(r["rule"], r["cost_before"], r["cost_after"]) for r in stats.rewrites] == [(order[0], 10, 3)]
