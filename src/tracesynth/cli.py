@@ -49,6 +49,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", help="write the script here as well as stdout")
     synth.add_argument("--golden", help="expected script; grades the run Optimal on a match")
     synth.add_argument("--benchmark", help="name used in the report (default: traces file stem)")
+    synth.add_argument("--log-rewrites", help="write the applied-rewrite log here")
 
     bench = sub.add_parser("bench", help="run a fixture suite")
     _add_run_flags(bench)
@@ -71,7 +72,6 @@ def _add_run_flags(p) -> None:
     p.add_argument("--pbe-timeout", type=float, default=None)
     p.add_argument("--weights", help="JSON object overriding cost weights")
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument("--log-rewrites", help="write the applied-rewrite log here")
 
 
 def _positive(name: str, value) -> None:
@@ -229,9 +229,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"tracesynth: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError as exc:
-        # Replay and the parser's descent still recurse once per nested
+        # The parser's descent still recurses once per nested
         # conditional or loop, the term walks (reads, printing,
-        # map_term) once per nested ternary or predicate, and the
+        # map_term) once per nested ternary or predicate, such as the
+        # chain of ternaries that pull builds from many traces, and the
         # JSON-value walks (jsonvals._tag, pbe's value keys, helper
         # evaluation) once per nested array or object; the full list is
         # pinned in tests/test_recursion_inventory.py. So a large enough

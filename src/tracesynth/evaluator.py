@@ -4,7 +4,8 @@ Execution is run-to-completion: bindings persist after the block that
 introduced them, a return statement stops the whole program (the trace
 emitted so far is the result), and loop counters live in the local
 state, reset to zero whenever a loop exits normally and left untouched
-when a stop propagates out of its body.
+when a return leaves its body. The run walks an explicit stack of
+sequences, so no nesting depth is too deep for it.
 
 A retry loop executes its body at least once and at most K times,
 exiting as soon as the condition holds afterwards. A foreach loop runs
@@ -20,10 +21,6 @@ from . import dsl
 from .jsonvals import JsonValue, canonical_eq, canonical_dumps
 from .terms import term_evaluator
 from .traces import Trace, TraceSet, TraceValuation, extract_inputs
-
-CONT = "cont"
-STOP = "stop"
-
 
 class EvalError(Exception):
     pass
@@ -109,7 +106,7 @@ def execute(
 
     hidden = program.hidden_map()
     state = LocalState(bindings=dict(inputs))
-    loop_depth = 0
+    loop_depth = 0  # loops entered and not yet left
 
     def read(var: str) -> JsonValue:
         if var not in state.bindings:
@@ -123,69 +120,63 @@ def execute(
 
     ev = term_evaluator(read, read, hidden, EvalError)
 
-    def exec_instr(ins) -> str:
-        nonlocal loop_depth
-        if isinstance(ins, dsl.LetVisible):
+    # One frame per sequence being run: its instructions still to run,
+    # the loop whose body it is (None for a branch or the program body),
+    # and a foreach's items not yet bound, last first.
+    stack = [(iter(program.body), None, None)]
+    stopped = False
+    while stack:
+        instrs, loop, items = stack[-1]
+        ins = next(instrs, None)
+        if ins is None:
+            stack.pop()
+            if loop is None:
+                continue
+            counters = state.loop_counters
+            if isinstance(loop, dsl.RetryUntil):
+                counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
+                again = not ev(loop.pred) and counters[loop.loop_id] < retry_bound
+            elif items:
+                bind(loop.var, items.pop())
+                counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
+                again = True
+            else:
+                again = False
+            if again:
+                stack.append((iter(loop.body), loop, items))
+            else:
+                counters[loop.loop_id] = 0
+                loop_depth -= 1
+        elif isinstance(ins, dsl.LetVisible):
             request = {name: ev(arg) for name, arg in ins.args}
             response = visible(ins.api, request)
             if recorder:
                 recorder.on_call(ins.api, request, response)
             bind(ins.var, response)
-            return CONT
-        if isinstance(ins, dsl.LetHidden):
+        elif isinstance(ins, dsl.LetHidden):
             bind(ins.var, ev(dsl.HiddenCall(ins.fn, ins.args)))
-            return CONT
-        if isinstance(ins, dsl.Ite):
-            branch = ins.then if ev(ins.pred) else ins.els
-            return exec_seq(branch)
-        if isinstance(ins, dsl.RetryUntil):
-            count = state.loop_counters.get(ins.loop_id, 0)
+        elif isinstance(ins, dsl.Ite):
+            stack.append((iter(ins.then if ev(ins.pred) else ins.els), None, None))
+        elif isinstance(ins, dsl.RetryUntil):
             loop_depth += 1
-            try:
-                while True:
-                    status = exec_seq(ins.body)
-                    if status is STOP:
-                        return STOP
-                    count += 1
-                    state.loop_counters[ins.loop_id] = count
-                    if ev(ins.pred) or count >= retry_bound:
-                        state.loop_counters[ins.loop_id] = 0
-                        return CONT
-            finally:
-                loop_depth -= 1
-        if isinstance(ins, dsl.Foreach):
-            items = ev(ins.source)
-            if not isinstance(items, list):
+            stack.append((iter(ins.body), ins, None))
+        elif isinstance(ins, dsl.Foreach):
+            source = ev(ins.source)
+            if not isinstance(source, list):
                 raise EvalError(
-                    f"foreach source must be a list, got {type(items).__name__}"
+                    f"foreach source must be a list, got {type(source).__name__}"
                 )
-            count = state.loop_counters.get(ins.loop_id, 0)
             loop_depth += 1
-            try:
-                for item in items:
-                    bind(ins.var, item)
-                    count += 1
-                    state.loop_counters[ins.loop_id] = count
-                    status = exec_seq(ins.body)
-                    if status is STOP:
-                        return STOP
-                state.loop_counters[ins.loop_id] = 0
-                return CONT
-            finally:
-                loop_depth -= 1
-        if isinstance(ins, dsl.Return):
-            return STOP
-        raise EvalError(f"not an instruction: {ins!r}")
+            # An empty body frame: its end binds the first item.
+            stack.append((iter(()), ins, source[::-1]))
+        elif isinstance(ins, dsl.Return):
+            stopped = True
+            break
+        else:
+            raise EvalError(f"not an instruction: {ins!r}")
 
-    def exec_seq(seq) -> str:
-        for ins in seq:
-            if exec_instr(ins) is STOP:
-                return STOP
-        return CONT
-
-    status = exec_seq(program.body)
     if recorder:
-        recorder.stopped = status is STOP
+        recorder.stopped = stopped
     return state
 
 

@@ -420,46 +420,37 @@ def _merged_let_rewrite(ix, path, keep: dsl.LetVisible, drop: dsl.LetVisible, ne
     return Candidate(path, {}, transform, edit=edit)
 
 
-def rule_pull(ix, ctx):
+def _hoist_let(ix, end):
+    """Candidates that unify the lets at one end of both branches of a
+    conditional (0, the first; -1, the last) into one let, placed at
+    that end of the conditional."""
     out = []
     for path, ins, _ in ix.sites:
         if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
             continue
-        a, b = ins.then[0], ins.els[0]
+        a, b = ins.then[end], ins.els[end]
         if not (isinstance(a, dsl.LetVisible) and isinstance(b, dsl.LetVisible)):
             continue
         merged_args = _unify_args(a, b, ins.pred)
         if merged_args is None:
             continue
-        new = (
-            dsl.LetVisible(a.var, a.api, merged_args),
-            replace(ins, then=ins.then[1:], els=ins.els[1:]),
-        )
+        let = dsl.LetVisible(a.var, a.api, merged_args)
+        if end == 0:
+            new = (let, replace(ins, then=ins.then[1:], els=ins.els[1:]))
+        else:
+            new = (replace(ins, then=ins.then[:-1], els=ins.els[:-1]), let)
         cand = _merged_let_rewrite(ix, path, a, b, new)
         if cand:
             out.append(cand)
     return out
+
+
+def rule_pull(ix, ctx):
+    return _hoist_let(ix, 0)
 
 
 def rule_push(ix, ctx):
-    out = []
-    for path, ins, _ in ix.sites:
-        if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
-            continue
-        a, b = ins.then[-1], ins.els[-1]
-        if not (isinstance(a, dsl.LetVisible) and isinstance(b, dsl.LetVisible)):
-            continue
-        merged_args = _unify_args(a, b, ins.pred)
-        if merged_args is None:
-            continue
-        new = (
-            replace(ins, then=ins.then[:-1], els=ins.els[:-1]),
-            dsl.LetVisible(a.var, a.api, merged_args),
-        )
-        cand = _merged_let_rewrite(ix, path, a, b, new)
-        if cand:
-            out.append(cand)
-    return out
+    return _hoist_let(ix, -1)
 
 
 # --- conditional cleanup ------------------------------------------------------

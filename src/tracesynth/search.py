@@ -201,39 +201,31 @@ def _run_phased(ts: TraceSet, cfg: SearchConfig, alternate: bool) -> SearchResul
     stats = SearchStats()
     cost = cost_fn(program, sigma, ts)
 
-    timed_out = False
-    refined_once = False
-    while True:
-        if not refined_once or alternate:
-            program, sigma, cost, timed_out = _refine_to_fixpoint(
-                program, sigma, cost, ts, cost_fn, ctx, stats, deadline
-            )
-            refined_once = True
-            if timed_out:
-                break
+    program, sigma, cost, timed_out = _refine_to_fixpoint(
+        program, sigma, cost, ts, cost_fn, ctx, stats, deadline
+    )
+    while not timed_out:
         applied, timed_out = _try_synth(
             program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bound
         )
-        if timed_out:
-            break
         if applied is not None:
             program, sigma, cost = applied
-            continue
-        if not alternate:
+        elif timed_out or not alternate:
             break
-        # Synthesis is exhausted; its recorded failures may have
-        # unlocked parameter introduction, so look at refinements once
-        # more before giving up.
-        program2, sigma2, cost2, timed_out = _refine_to_fixpoint(
-            program, sigma, cost, ts, cost_fn, ctx, stats, deadline
-        )
-        if timed_out:
-            program, sigma, cost = program2, sigma2, cost2
-            break
-        if cost2 < cost:
-            program, sigma, cost = program2, sigma2, cost2
-            continue
-        break
+        else:
+            # Synthesis is exhausted; its recorded failures may have
+            # unlocked parameter introduction, so look at refinements
+            # once more, and stop unless they lower the cost.
+            before = cost
+            program, sigma, cost, timed_out = _refine_to_fixpoint(
+                program, sigma, cost, ts, cost_fn, ctx, stats, deadline
+            )
+            if timed_out or cost == before:
+                break
+        if alternate:
+            program, sigma, cost, timed_out = _refine_to_fixpoint(
+                program, sigma, cost, ts, cost_fn, ctx, stats, deadline
+            )
 
     stats.pbe_calls = ctx.cache.pbe_calls
     stats.pbe_sat = ctx.cache.pbe_sat

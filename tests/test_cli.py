@@ -115,11 +115,11 @@ def test_unreadable_or_invalid_inputs_exit_1(tmp_path, capsys):
 
 
 def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
-    """The initial program nests one conditional per trace, and replay
-    still recurses twice per level, so at the default recursion limit
-    600 one-call traces still raise RecursionError. A lowered
-    limit reaches the same failure with 200 traces, which are far
-    cheaper to build."""
+    """The initial program nests one conditional per trace. Replay walks
+    it with an explicit stack, but pull merges the branches' calls into
+    one call whose argument is a chain of ternaries, one per trace, and
+    dsl.expr_reads still recurses once per ternary. A lowered limit
+    makes 200 one-call traces stop there while the search refines."""
     traces = tmp_path / "deep.json"
     traces.write_text(
         json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(200)])
@@ -329,6 +329,19 @@ def test_bench_rejects_missing_or_empty_suites(tmp_path, capsys):
     assert main(["bench", "--suite", str(empty)]) == 1
     err = capsys.readouterr().err
     assert "suite" in err or "fixtures" in err
+
+
+def test_only_synth_takes_log_rewrites(tmp_path, capsys):
+    log = tmp_path / "log.json"
+    assert main(["synth", "--traces", fixture("create_table"), "--log-rewrites", str(log)]) == 0
+    assert [r["rule"] for r in json.loads(log.read_text())]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", str(BENCH), "--log-rewrites", "x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tracesynth")
+    assert "unrecognized arguments: --log-rewrites x" in err
 
 
 def test_pbe_subcommand_solves_and_reports_unsat(tmp_path, capsys):

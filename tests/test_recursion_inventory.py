@@ -27,9 +27,6 @@ PINNED = {
     "dsl.py:print_expr",
     "dsl.py:print_pred",
     "terms.py:term_evaluator.ev",
-    # Script instructions: once per nested conditional or loop.
-    "evaluator.py:execute.exec_instr",
-    "evaluator.py:execute.exec_seq",
     # The parser's descent: statements, predicates, script expressions
     # and JSON literals, and the helper-function grammar.
     "parser.py:_Parser.block",
