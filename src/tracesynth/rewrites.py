@@ -31,6 +31,14 @@ are renamed), inline_trivial_hidden, and introduce_parameter.
 Every rule computes the successor valuation's transform eagerly; a
 candidate whose transform cannot be built is simply not offered. The
 valuation itself is built from the transform when a cell is first read.
+A synthesizing candidate's examples are built only when the search
+reads them, that is when it tries to solve the candidate: the search
+solves candidates one at a time in cost order and stops at the first
+that closes. What decides whether a candidate is offered stays eager:
+the guard values, derived argument values, loop runs and items that are
+also its valuation's entries. Only the tuples of values in scope, the
+examples' arguments, wait.
+
 Candidates come back sorted by (site path, rule order), which is the
 deterministic tie-break the search relies on.
 """
@@ -40,7 +48,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import dsl
 from .dsl import BR
@@ -60,11 +69,23 @@ from .traces import (
 )
 
 
-@dataclass(frozen=True)
 class SynthesisSpec:
-    hole: str
-    kind: str  # "bool" | "value"
-    examples: Tuple[IOExample, ...]
+    """A hole and the examples its hidden function must satisfy. kind is
+    "bool" or "value". The examples are built by a thunk the first time
+    examples is read, and then kept; a candidate the search never tries
+    to solve never builds them."""
+
+    __slots__ = ("hole", "kind", "_build", "_examples")
+
+    def __init__(self, hole: str, kind: str, build: Callable[[], Iterable[IOExample]]):
+        self.hole, self.kind = hole, kind
+        self._build, self._examples = build, None
+
+    @property
+    def examples(self) -> Tuple[IOExample, ...]:
+        if self._build is not None:
+            self._examples, self._build = tuple(self._build()), None
+        return self._examples
 
 
 class Edit(NamedTuple):
@@ -117,15 +138,16 @@ class Rewrite:
     a Program (see costs.py): params, n_statements and n_br are set
     here, the counts being the state's plus the edit's delta, and body
     is read off program, which is built the first time it is read and
-    then kept. So a candidate the search does not take is never built."""
+    then kept. So a candidate the search does not take is never built,
+    and its site is printed only if the search logs it."""
 
     __slots__ = (
-        "rule", "site", "path", "transform", "specs",
-        "params", "n_statements", "n_br", "_base", "_fields", "_edit", "_program",
+        "rule", "path", "transform", "specs",
+        "params", "n_statements", "n_br", "_site", "_base", "_fields", "_edit", "_program",
     )
 
-    def __init__(self, rule, site, path, base: dsl.Program, cand: Candidate):
-        self.rule, self.site, self.path = rule, site, path
+    def __init__(self, rule, base: dsl.Program, cand: Candidate):
+        self.rule, self.path, self._site = rule, cand.path, cand.site
         self.transform, self.specs = cand.transform, cand.specs
         self.params = cand.fields.get("params", base.params)
         self._base, self._fields, self._edit = base, cand.fields, cand.edit
@@ -149,6 +171,10 @@ class Rewrite:
     @property
     def body(self):
         return self.program.body
+
+    @property
+    def site(self) -> str:
+        return _site_str(self.path) if self._site is None else self._site
 
 
 @dataclass
@@ -248,13 +274,18 @@ class StateIndex:
     """The analysis every rule reads of one (program, σ) state, done
     once per enumerate_rewrites call: the instruction sites, the names
     in scope at each site, how often each name is read, the names in
-    use, and the traces that reach each site.
+    use, the traces that reach each site, and the loop spans.
 
-    One pass over iter_seqs gathers all of it: each sequence and its
-    sites, the names each instruction reads of its own (a guard, a loop
-    source, arguments; nested sequences are visited as sequences of
-    their own), the binders and loop ids, and the bisection arrays of
-    scope_before. Reaching traces are filtered on first query."""
+    One pass over iter_seqs gathers the program's part: each sequence
+    and its sites, with the conditional, visible-let and hidden-let
+    sites also listed by kind (ites, visible_lets, hidden_lets, each in
+    site order), so a rule scans only the sites it can rewrite; the
+    names each instruction reads of its own (a guard, a loop source,
+    arguments; nested sequences are visited as sequences of their own);
+    the binders and loop ids; and the bisection arrays of scope_before.
+    What reads σ is computed on first query: reaching traces and guard
+    values per conditional, and the loop spans once for both loop
+    rules."""
 
     def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet):
         self.program = program
@@ -263,6 +294,7 @@ class StateIndex:
         self.hidden = program.hidden_map()
         self.seqs = []
         self.sites = []
+        self.ites, self.visible_lets, self.hidden_lets = [], [], []
         self.seq_by_path = {}
         reads = []
         used = set(program.params)
@@ -282,20 +314,24 @@ class StateIndex:
             self.seq_by_path[seq_path] = seq
             for i, ins in enumerate(seq):
                 path = seq_path + (i,)
-                self.sites.append((path, ins, in_loop))
+                site = (path, ins, in_loop)
+                self.sites.append(site)
                 if path > top:
                     top = path
                 max_path.append(top)
                 if isinstance(ins, dsl.LetVisible):
+                    self.visible_lets.append(site)
                     binders.append(ins.var)
                     used.add(ins.api)
                     for _, e in ins.args:
                         if not isinstance(e, dsl.Const):
                             reads += expr_reads(e)
                 elif isinstance(ins, dsl.LetHidden):
+                    self.hidden_lets.append(site)
                     binders.append(ins.var)
                     reads += ins.args
                 elif isinstance(ins, dsl.Ite):
+                    self.ites.append(site)
                     reads += pred_reads(ins.pred)
                 elif isinstance(ins, dsl.RetryUntil):
                     used.add(ins.loop_id)
@@ -310,6 +346,7 @@ class StateIndex:
         self.reads = Counter(reads)
         self._reach = {(): list(ts.indices())}  # sequence path -> traces
         self._guards = {}  # conditional's site path -> {trace: guard value}
+        self._spans = None  # see loop_spans
 
     def used_names(self) -> set:
         """A fresh copy of the names in use (parameters, binders, loop
@@ -355,8 +392,9 @@ class StateIndex:
 
     def _guard(self, path, ite, reach):
         """{trace: guard value} of a conditional over the traces that
-        reach it; traces where the guard cannot be evaluated are left
-        out."""
+        reach it, reach, in their order; traces where the guard cannot
+        be evaluated are left out. Each guard is evaluated once, for
+        reaching and eliminate_branch_condition both."""
         values = self._guards.get(path)
         if values is None:
             values = {}
@@ -367,6 +405,24 @@ class StateIndex:
                     pass
             self._guards[path] = values
         return values
+
+    def loop_spans(self):
+        """The spans (see _find_spans) that every trace enters and some
+        trace runs more than once, and whose calls unify, each as
+        (span, runs, names, varying, values): its runs per trace
+        (_span_iterations) and its argument profile (_span_arg_profile).
+        Computed on first query; introduce_retry and introduce_foreach
+        share it."""
+        if self._spans is None:
+            self._spans = []
+            for span in _find_spans(self):
+                runs = _span_iterations(span, self.sigma, self.ts)
+                if runs is None or max(len(r) for r in runs.values()) < 2:
+                    continue
+                profile = _span_arg_profile(span, runs, self.sigma, self.ts, self.hidden)
+                if profile is not None:
+                    self._spans.append((span, runs) + profile)
+        return self._spans
 
 
 def _merge_cells(ca, cb) -> Optional[Scalar]:
@@ -425,8 +481,8 @@ def _hoist_let(ix, end):
     conditional (0, the first; -1, the last) into one let, placed at
     that end of the conditional."""
     out = []
-    for path, ins, _ in ix.sites:
-        if not isinstance(ins, dsl.Ite) or not ins.then or not ins.els:
+    for path, ins, _ in ix.ites:
+        if not ins.then or not ins.els:
             continue
         a, b = ins.then[end], ins.els[end]
         if not (isinstance(a, dsl.LetVisible) and isinstance(b, dsl.LetVisible)):
@@ -458,16 +514,16 @@ def rule_push(ix, ctx):
 
 def rule_eliminate_empty_if(ix, ctx):
     out = []
-    for path, ins, _ in ix.sites:
-        if isinstance(ins, dsl.Ite) and not ins.then and not ins.els:
+    for path, ins, _ in ix.ites:
+        if not ins.then and not ins.els:
             out.append(Candidate(path, {}, edit=_splice(ix, path, ())))
     return out
 
 
 def rule_invert_empty_then(ix, ctx):
     out = []
-    for path, ins, _ in ix.sites:
-        if isinstance(ins, dsl.Ite) and not ins.then and ins.els:
+    for path, ins, _ in ix.ites:
+        if not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
             out.append(Candidate(path, {}, edit=_splice(ix, path, (flipped,))))
     return out
@@ -479,9 +535,7 @@ def rule_merge_nested(ix, ctx):
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
     {B} }` becomes `if c1 || !c2 {merged}`."""
     out = []
-    for path, ins, _ in ix.sites:
-        if not isinstance(ins, dsl.Ite):
-            continue
+    for path, ins, _ in ix.ites:
         if len(ins.then) != 1 or len(ins.els) != 1:
             continue
         a, inner = ins.then[0], ins.els[0]
@@ -517,8 +571,8 @@ def rule_sequence_nested(ix, ctx):
     second guarded by the conjunction; when the nested conditional is
     the whole branch it simply flattens."""
     out = []
-    for path, ins, _ in ix.sites:
-        if not isinstance(ins, dsl.Ite) or ins.els or not ins.then:
+    for path, ins, _ in ix.ites:
+        if ins.els or not ins.then:
             continue
         inner = ins.then[-1]
         if not isinstance(inner, dsl.Ite) or inner.els:
@@ -575,8 +629,8 @@ def rule_inline_trivial_hidden(ix, ctx):
     inputs entirely inline away."""
     defs = ix.hidden
     out = []
-    for path, ins, _ in ix.sites:
-        if not isinstance(ins, dsl.LetHidden) or ins.fn not in defs:
+    for path, ins, _ in ix.hidden_lets:
+        if ins.fn not in defs:
             continue
         fn_body = defs[ins.fn]
         projection = isinstance(fn_body.body, Input)
@@ -618,8 +672,8 @@ def rule_introduce_parameter(ix, ctx):
 
     candidates = []  # (first_path, stmt, expr, key), distinct by printed form
     seen = set()
-    for path, ins, in_loop in ix.sites:
-        if not isinstance(ins, dsl.LetVisible) or not ins.n_br:
+    for path, ins, in_loop in ix.visible_lets:
+        if not ins.n_br:
             continue
         for _, e in ins.args:
             if not isinstance(e, dsl.Ternary) or not e.n_br:
@@ -646,8 +700,8 @@ def rule_introduce_parameter(ix, ctx):
             # hold this one, so the examples need not be built.
             if not ctx.cache.records_unsat():
                 continue
-            examples = _derivation_examples(ix, scope, False, stmt, e)
-            if examples is None or not ctx.cache.has_unsat(list(examples), "value"):
+            derived = _derivation_examples(ix, scope, False, stmt, e)
+            if derived is None or not ctx.cache.has_unsat(derived[1](), "value"):
                 continue
         try:
             values = {
@@ -712,11 +766,19 @@ def _scope_values(sigma, scope, trace_idx):
     return tuple(_cell_value(sigma.lookup(s, trace_idx)) for s in scope)
 
 
+def _trace_examples(sigma, scope, traces, outputs):
+    """One example per trace: the values in scope on it, and its output.
+    A SynthesisSpec's thunk, so a candidate never solved never reads the
+    scope; every name in scope has a σ column, so reading it cannot
+    fail."""
+    return [IOExample(_scope_values(sigma, scope, i), out) for i, out in zip(traces, outputs)]
+
+
 def rule_eliminate_branch_condition(ix, ctx):
-    program, sigma, hidden = ix.program, ix.sigma, ix.hidden
+    program = ix.program
     out = []
-    for path, ins, in_loop in ix.sites:
-        if not isinstance(ins, dsl.Ite) or in_loop:
+    for path, ins, in_loop in ix.ites:
+        if in_loop:
             continue
         guard_br = dsl.term_br(ins.pred)
         if not guard_br:
@@ -727,26 +789,17 @@ def rule_eliminate_branch_condition(ix, ctx):
         reaching = ix.reaching(path)
         if not reaching:
             continue
-        examples = []
-        guard = {}
-        ok = True
-        for i in reaching:
-            try:
-                guard[i] = bool(evaluate_in_trace(ins.pred, sigma, i, hidden))
-                args = _scope_values(sigma, scope, i)
-            except ValuationError:
-                ok = False
-                break
-            examples.append(IOExample(args=args, output=guard[i]))
-        if not ok:
-            continue
+        guard = ix._guard(path, ins, reaching)
+        if len(guard) < len(reaching):
+            continue  # the guard cannot be evaluated on some trace
+        outputs = [bool(g) for g in guard.values()]
         used = ix.used_names()
         fn = fresh_name("f_", used)
         bvar = fresh_name("b_", used)
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
         edit = _splice(ix, path, (hidden_let, new_ite))
-        new_entries = {(bvar, i): Scalar(g) for i, g in guard.items()}
+        new_entries = {(bvar, i): Scalar(g) for i, g in zip(reaching, outputs)}
         # A branch selector that selected only this guard has no job
         # left; retiring it is part of the same rewrite. The new body
         # reads br as often as the old one, less the replaced guard's
@@ -756,7 +809,8 @@ def rule_eliminate_branch_condition(ix, ctx):
             params = tuple(p for p in params if p != BR)
         fields = {"params": params, "holes": program.holes + (fn,)}
         transform = ValuationTransform(new_entries=new_entries, params=params)
-        spec = SynthesisSpec(fn, "bool", tuple(examples))
+        examples = partial(_trace_examples, ix.sigma, scope, reaching, outputs)
+        spec = SynthesisSpec(fn, "bool", examples)
         out.append(Candidate(path, fields, transform, (spec,), edit=edit))
     return out
 
@@ -775,19 +829,28 @@ def _iteration_lookup(sigma, trace_idx, it, n):
     return lookup
 
 
+def _iteration_examples(scope, lookups, outputs):
+    """One example per loop iteration, whose lookup reads the values in
+    scope there; a SynthesisSpec's thunk, as _trace_examples."""
+    return [IOExample(tuple(lk(s) for s in scope), out) for lk, out in zip(lookups, outputs)]
+
+
 def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
-    """Examples for deriving one argument of a visible call, at a site
-    with this non-empty scope, from the values in scope. None when they
-    cannot be built."""
+    """How to derive one argument of a visible call, at a site with this
+    non-empty scope, from the values in scope: (outputs, examples), the
+    argument's value at each run of the call and a thunk building the
+    examples that pair each with the values in scope there. None when
+    the call never runs or the argument cannot be evaluated."""
     sigma, ts, hidden = ix.sigma, ix.ts, ix.hidden
-    examples = []
+    outputs = []
     try:
         if not in_loop:
-            for i in sigma.traces_with_value(stmt.var):
-                args = _scope_values(sigma, scope, i)
-                out = evaluate_in_trace(arg_expr, sigma, i, hidden)
-                examples.append(IOExample(args=args, output=out))
+            traces = sigma.traces_with_value(stmt.var)
+            for i in traces:
+                outputs.append(evaluate_in_trace(arg_expr, sigma, i, hidden))
+            examples = partial(_trace_examples, sigma, scope, traces, outputs)
         else:
+            lookups = []
             for i in ts.indices():
                 cell = sigma.lookup(stmt.var, i)
                 if not isinstance(cell, PerIteration):
@@ -795,21 +858,21 @@ def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
                 n = len(cell.values)
                 for it in range(n):
                     lk = _iteration_lookup(sigma, i, it, n)
-                    args = tuple(lk(s) for s in scope)
-                    out = eval_with_lookup(arg_expr, lk, hidden)
-                    examples.append(IOExample(args=args, output=out))
+                    lookups.append(lk)
+                    outputs.append(eval_with_lookup(arg_expr, lk, hidden))
+            examples = partial(_iteration_examples, scope, lookups, outputs)
     except ValuationError:
         return None
-    if not examples:
+    if not outputs:
         return None
-    return tuple(examples)
+    return outputs, examples
 
 
 def rule_eliminate_argument(ix, ctx):
     program, sigma = ix.program, ix.sigma
     out = []
-    for path, ins, in_loop in ix.sites:
-        if not isinstance(ins, dsl.LetVisible) or not ins.n_br:
+    for path, ins, in_loop in ix.visible_lets:
+        if not ins.n_br:
             continue
         for arg_idx, (name, e) in enumerate(ins.args):
             if not dsl.term_br(e):
@@ -817,9 +880,10 @@ def rule_eliminate_argument(ix, ctx):
             scope = ix.scope_before(path)
             if not scope:
                 continue
-            examples = _derivation_examples(ix, scope, in_loop, ins, e)
-            if examples is None:
+            derived = _derivation_examples(ix, scope, in_loop, ins, e)
+            if derived is None:
                 continue
+            outputs, examples = derived
             used = ix.used_names()
             fn = fresh_name("f_", used)
             vvar = fresh_name("v_", used)
@@ -832,16 +896,13 @@ def rule_eliminate_argument(ix, ctx):
             edit = _splice(ix, path, (hidden_let, new_stmt))
             if not in_loop:
                 reaching = sigma.traces_with_value(ins.var)
-                new_entries = {(vvar, i): Scalar(ex.output) for i, ex in zip(reaching, examples)}
+                new_entries = {(vvar, i): Scalar(v) for i, v in zip(reaching, outputs)}
             else:
                 new_entries = {}
                 k = 0
                 for i in ctx.ts.indices():
-                    cell = sigma.lookup(ins.var, i)
-                    n = len(cell.values)
-                    new_entries[(vvar, i)] = PerIteration(
-                        tuple(examples[k + j].output for j in range(n))
-                    )
+                    n = len(sigma.lookup(ins.var, i).values)
+                    new_entries[(vvar, i)] = PerIteration(tuple(outputs[k : k + n]))
                     k += n
             fields = {"holes": program.holes + (fn,)}
             transform = ValuationTransform(new_entries=new_entries)
@@ -1015,29 +1076,20 @@ def _span_outside_reads(ix, span) -> bool:
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
 
-def _loop_spans(ix, ctx, n_varying):
-    """Spans that some trace runs more than once, whose calls unify
-    with exactly n_varying arguments varying within a trace, and whose
+def _loop_spans(ix, n_varying):
+    """The index's loop spans (StateIndex.loop_spans) whose calls have
+    exactly n_varying arguments varying within a trace, and whose
     binders are read only inside the span. Yields (span, runs, names,
     varying, values, chosen), chosen mapping each constant argument to
     an expression for it."""
     sigma, hidden = ix.sigma, ix.hidden
-    for span in _find_spans(ix):
-        runs = _span_iterations(span, sigma, ctx.ts)
-        if runs is None:
-            continue
-        if max(len(r) for r in runs.values()) < 2:
-            continue
-        profile = _span_arg_profile(span, runs, sigma, ctx.ts, hidden)
-        if profile is None:
-            continue
-        names, varying, values = profile
+    for span, runs, names, varying, values in ix.loop_spans():
         if len(varying) != n_varying:
             continue
         if _span_outside_reads(ix, span):
             continue
         chosen = _pick_constant_exprs(
-            span, values, sigma, ctx.ts, hidden, names, varying
+            span, values, sigma, ix.ts, hidden, names, varying
         )
         if chosen is None:
             continue
@@ -1056,22 +1108,28 @@ def _roll_span(ix, span, loop_instrs, fn, new_entries, spec):
     return Candidate(path, fields, transform, (spec,), edit=edit)
 
 
+def _retry_examples(sigma, scope, runs):
+    """One example per run of a retried call: the values in scope before
+    the loop plus the call's response, and whether the run is its
+    trace's last. A SynthesisSpec's thunk, as _trace_examples."""
+    examples = []
+    for i, run in runs.items():
+        before = _scope_values(sigma, scope, i)
+        n = len(run)
+        for it, (_, response) in enumerate(run):
+            examples.append(IOExample(before + (response,), it == n - 1))
+    return examples
+
+
 def rule_introduce_retry(ix, ctx):
-    sigma = ix.sigma
     out = []
-    for span, runs, names, _, _, chosen in _loop_spans(ix, ctx, 0):
+    for span, runs, names, _, _, chosen in _loop_spans(ix, 0):
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path) + [first.var]
         used = ix.used_names()
         fn = fresh_name("f_", used)
         svar = fresh_name("s_", used)
         loop_id = fresh_name("loop_", used)
-        examples = []
-        for i in ctx.ts.indices():
-            n = len(runs[i])
-            for it, (_, response) in enumerate(runs[i]):
-                args = _scope_values(sigma, scope[:-1], i) + (response,)
-                examples.append(IOExample(args=args, output=(it == n - 1)))
         call_args = tuple((k, chosen[k]) for k in names)
         loop = dsl.RetryUntil(
             loop_id,
@@ -1089,15 +1147,14 @@ def rule_introduce_retry(ix, ctx):
             new_entries[(svar, i)] = PerIteration(
                 tuple(it == n - 1 for it in range(n))
             )
-        spec = SynthesisSpec(fn, "bool", tuple(examples))
+        spec = SynthesisSpec(fn, "bool", partial(_retry_examples, ix.sigma, scope[:-1], runs))
         out.append(_roll_span(ix, span, (loop,), fn, new_entries, spec))
     return out
 
 
 def rule_introduce_foreach(ix, ctx):
-    sigma = ix.sigma
     out = []
-    for span, runs, names, varying, values, chosen in _loop_spans(ix, ctx, 1):
+    for span, runs, names, varying, values, chosen in _loop_spans(ix, 1):
         vname = varying[0]
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path)
@@ -1108,12 +1165,8 @@ def rule_introduce_foreach(ix, ctx):
         lvar = fresh_name("L_", used)
         uvar = fresh_name("u_", used)
         loop_id = fresh_name("loop_", used)
-        examples = []
-        items = {}
-        for i in ctx.ts.indices():
-            items[i] = list(values[vname][i])
-            args = _scope_values(sigma, scope, i)
-            examples.append(IOExample(args=args, output=items[i]))
+        traces = list(ctx.ts.indices())
+        items = [list(values[vname][i]) for i in traces]
         call_args = tuple(
             (k, dsl.VarRef(uvar) if k == vname else chosen[k]) for k in names
         )
@@ -1125,12 +1178,12 @@ def rule_introduce_foreach(ix, ctx):
             (dsl.LetVisible(first.var, span.api, call_args),),
         )
         new_entries = {}
-        for i in ctx.ts.indices():
+        for i, trace_items in zip(traces, items):
             responses = tuple(r for _, r in runs[i])
-            new_entries[(lvar, i)] = Scalar(list(items[i]))
-            new_entries[(uvar, i)] = PerIteration(tuple(items[i]))
+            new_entries[(lvar, i)] = Scalar(list(trace_items))
+            new_entries[(uvar, i)] = PerIteration(tuple(trace_items))
             new_entries[(first.var, i)] = PerIteration(responses)
-        spec = SynthesisSpec(fn, "value", tuple(examples))
+        spec = SynthesisSpec(fn, "value", partial(_trace_examples, ix.sigma, scope, traces, items))
         out.append(_roll_span(ix, span, (prelude, loop), fn, new_entries, spec))
     return out
 
@@ -1178,8 +1231,7 @@ def enumerate_rewrites(
     out: List[Rewrite] = []
     for rule, fn in fns.items():
         for c in fn(ix, ctx):
-            site = _site_str(c.path) if c.site is None else c.site
-            out.append(Rewrite(rule, site, c.path, program, c))
+            out.append(Rewrite(rule, program, c))
     # Stable, so candidates at one path keep their rules' table order.
     out.sort(key=lambda rw: rw.path)
     return out

@@ -116,7 +116,9 @@ def build_initial(ts: TraceSet) -> Tuple[dsl.Program, TraceValuation]:
 def _close(program, specs, sigma, ts, ctx, retry_bound, deadline) -> Optional[dsl.Program]:
     """The program with every hole filled by its solution; None when a
     hole has none within the search's deadline, the filled program is
-    ill-formed, or it does not replay."""
+    ill-formed, or it does not replay. Each spec's examples are built
+    here, when they are first read, and not for the specs after one
+    that has no solution."""
     holes = list(program.holes)
     hidden_defs = list(program.hidden_defs)
     for spec in specs:

@@ -119,6 +119,23 @@ def test_initial_program_of_1200_one_call_traces_validates():
     assert sigma.lookup("x1", 1200).value == {"r": 1199}
 
 
+def test_600_one_call_traces_return_near_a_3s_deadline():
+    """The first synthesis enumeration on 600 one-call traces over 7 APIs
+    offers one branch-condition candidate per conditional. When each
+    built its examples as it was enumerated, the scope-value tuples of
+    them all (about 180,000 tuples of up to 600 values) kept the search
+    from checking its 3 s deadline until 12 s had passed. Examples are
+    built only for the candidates the search tries to solve."""
+    apis = [f"svc.Op{a}" for a in range(7)]
+    ts = parse_traces(
+        json.dumps([[{"api": apis[t % 7], "request": {"k": t}, "response": {"r": t}}] for t in range(600)])
+    )
+    start = time.perf_counter()
+    result = run_search(ts, config("alternating", timeout=3))
+    assert time.perf_counter() - start < 5
+    assert verify_final(result.program, result.sigma, ts)
+
+
 def test_initial_valuation_is_linear_in_the_traces():
     """sigma stores one br cell per trace and one cell per call: a call
     reads as Absent on every other trace without a cell of its own."""

@@ -121,6 +121,8 @@ def assert_index_matches_reference(program, sigma, ts, order):
     ix = StateIndex(program, sigma, ts)
     assert ix.seqs == list(reference.iter_seqs(body))
     assert ix.sites == list(reference.iter_instr_sites(body))
+    for kind, sites in ((dsl.Ite, ix.ites), (dsl.LetVisible, ix.visible_lets), (dsl.LetHidden, ix.hidden_lets)):
+        assert sites == [site for site in reference.iter_instr_sites(body) if isinstance(site[1], kind)]
     assert ix.reads == Counter(reads)
     assert ix.used_names() == reference.used_names(program)
     for path in every_query_path(body):
