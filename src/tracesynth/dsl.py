@@ -386,25 +386,43 @@ def expr_reads(e) -> list:
         return []
     if isinstance(e, VarRef):
         return [e.name]
-    if isinstance(e, Ternary):
-        return pred_reads(e.pred) + expr_reads(e.then_expr) + expr_reads(e.else_expr)
-    if isinstance(e, HiddenCall):
-        return list(e.args)
-    raise DslError(f"not an expression: {e!r}")
+    return _term_reads(e, False)
 
 
 def pred_reads(p) -> list:
-    if isinstance(p, (PTrue, PFalse)):
-        return []
-    if isinstance(p, (PAnd, POr)):
-        return pred_reads(p.left) + pred_reads(p.right)
-    if isinstance(p, PNot):
-        return pred_reads(p.inner)
+    """Variable names read by a predicate, in occurrence order."""
     if isinstance(p, ValueCheck):
         return [p.var]
-    if isinstance(p, Compare):
-        return [p.left, p.right]
-    raise DslError(f"not a predicate: {p!r}")
+    return _term_reads(p, True)
+
+
+def _term_reads(t, is_pred: bool) -> list:
+    """expr_reads or pred_reads of t, over an explicit stack of (term,
+    is a predicate), so a chain of ternaries of any depth is read."""
+    out = []
+    stack = [(t, is_pred)]
+    while stack:
+        t, is_pred = stack.pop()
+        if is_pred:
+            if isinstance(t, ValueCheck):
+                out.append(t.var)
+            elif isinstance(t, (PAnd, POr)):
+                stack += ((t.right, True), (t.left, True))
+            elif isinstance(t, PNot):
+                stack.append((t.inner, True))
+            elif isinstance(t, Compare):
+                out += (t.left, t.right)
+            elif not isinstance(t, (PTrue, PFalse)):
+                raise DslError(f"not a predicate: {t!r}")
+        elif isinstance(t, VarRef):
+            out.append(t.name)
+        elif isinstance(t, Ternary):
+            stack += ((t.else_expr, False), (t.then_expr, False), (t.pred, True))
+        elif isinstance(t, HiddenCall):
+            out += t.args
+        elif not isinstance(t, Const):
+            raise DslError(f"not an expression: {t!r}")
+    return out
 
 
 def seq_reads(seq) -> list:
@@ -438,6 +456,115 @@ def seq_reads(seq) -> list:
         elif not isinstance(instr, Return):
             raise DslError(f"not an instruction: {instr!r}")
     return out
+
+
+def _parts(instr) -> tuple:
+    """What an instruction holds of its own, as (its nested sequences'
+    instructions, the names it takes: binder, loop id, visible API; the
+    names it reads directly: a hidden let's arguments; the terms that
+    may read a name: a visible call's arguments other than constants, a
+    guard or exit predicate, a loop source)."""
+    if isinstance(instr, LetVisible):
+        return (), (instr.var, instr.api), (), [e for _, e in instr.args if not isinstance(e, Const)]
+    if isinstance(instr, Ite):
+        return instr.then + instr.els, (), (), (instr.pred,)
+    if isinstance(instr, LetHidden):
+        return (), (instr.var,), instr.args, ()
+    if isinstance(instr, RetryUntil):
+        return instr.body, (instr.loop_id,), (), (instr.pred,)
+    if isinstance(instr, Foreach):
+        return instr.body, (instr.loop_id, instr.var), (), (instr.source,)
+    return (), (), (), ()
+
+
+def _subterms(t) -> tuple:
+    """The terms a ternary or connective is built of; a leaf has none."""
+    if isinstance(t, Ternary):
+        return (t.pred, t.then_expr, t.else_expr)
+    if isinstance(t, (PAnd, POr)):
+        return (t.left, t.right)
+    if isinstance(t, PNot):
+        return (t.inner,)
+    return ()
+
+
+def _count_term_reads(reads: Counter, stack: list, sign: int, pending: dict) -> None:
+    """Add sign times the reads of the terms on stack to reads. A term
+    with occurrences left in pending (id -> [term, occurrences])
+    cancels one of them instead and is not walked."""
+    while stack:
+        t = stack.pop()
+        hit = pending.get(id(t)) if pending else None
+        if hit is not None and hit[1]:
+            hit[1] -= 1
+        elif isinstance(t, Const):
+            continue
+        elif isinstance(t, VarRef):
+            reads[t.name] += sign
+        elif isinstance(t, ValueCheck):
+            reads[t.var] += sign
+        elif isinstance(t, Compare):
+            reads[t.left] += sign
+            reads[t.right] += sign
+        elif isinstance(t, HiddenCall):
+            for name in t.args:
+                reads[name] += sign
+        else:
+            stack += _subterms(t)
+
+
+def count_changes(old, new, reads: Counter, names: Counter) -> None:
+    """Update a body's read counts, reads, and the counts of the names
+    it takes (binders, loop ids and visible APIs), names, for replacing
+    its run of instructions old by the run new. A name no longer counted
+    is left at zero, as a Counter reads one it never counted.
+
+    An identity diff. An instruction that is the same object on both
+    sides is the same subtree, so neither side is walked below it, and
+    an edit that rebuilds a conditional around its old branches'
+    instructions costs what it rebuilt, not the branches. new is matched
+    against old's instructions down to two levels below the run, where
+    the refinements take theirs from; an instruction shared from deeper
+    down is walked and counted on both sides, which cancels. Likewise a
+    term of a new instruction that is the same object as a term of a
+    replaced one cancels it unread, and a new term built around old
+    ones (a pull's ternary over the two merged arguments) is walked only
+    down to them. With old empty, every instruction and term of new is
+    counted in."""
+    in_old, level = set(), old
+    for _ in range(3):
+        in_old.update(map(id, level))
+        level = [n for instr in level for n in _parts(instr)[0]]
+    kept, added_names, added_reads, terms = set(), [], [], []
+    stack = list(new)
+    while stack:
+        instr = stack.pop()
+        if id(instr) in in_old:
+            kept.add(id(instr))
+            continue
+        nested, taken, read, held = _parts(instr)
+        stack += nested
+        added_names += taken
+        added_reads += read
+        terms += held
+    reads.update(added_reads)
+    names.update(added_names)
+    pending = {}  # id of a gone instruction's term -> [term, occurrences]
+    stack = list(old)
+    while stack:
+        instr = stack.pop()
+        if id(instr) in kept:
+            continue
+        nested, taken, read, held = _parts(instr)
+        stack += nested
+        for name in taken:
+            names[name] -= 1
+        for name in read:
+            reads[name] -= 1
+        for t in held:
+            pending.setdefault(id(t), [t, 0])[1] += 1
+    _count_term_reads(reads, terms, 1, pending)
+    _count_term_reads(reads, [t for t, n in pending.values() for _ in range(n)], -1, {})
 
 
 def seq_binders(seq) -> list:

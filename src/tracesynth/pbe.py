@@ -117,8 +117,8 @@ _NAN_KEY = ("f", "nan")
 
 
 class _Keys:
-    """Structural keys of JSON values, for one synthesize or mine_pools
-    call.
+    """Structural keys of JSON values, for one synthesize call, which
+    shares them with the mine_pools call it makes.
 
     Two keys are equal exactly when the values' canonical_dumps are.
     Strings, ints, None and the absent marker are their own keys; bools
@@ -235,9 +235,13 @@ def _leaves(v, keys, lengths):
         yield v
 
 
-def mine_pools(examples: List[IOExample]) -> MinedPools:
+def mine_pools(examples: List[IOExample], value_keys: Optional[_Keys] = None) -> MinedPools:
+    """The constant pools of a set of examples. value_keys, when given,
+    is the caller's key table, which then keys the examples' values
+    for both."""
     pools = MinedPools()
-    value_keys = _Keys()
+    if value_keys is None:
+        value_keys = _Keys()
     seen_values = set()
     keys: Dict[str, None] = {}
     lengths = [0]
@@ -352,10 +356,10 @@ def synthesize(
     if kind == "bool" and not all(isinstance(ex.output, bool) for ex in examples):
         raise ValueError("bool synthesis needs boolean outputs")
 
-    pools = mine_pools(examples)
+    keys = _Keys()
+    pools = mine_pools(examples, keys)
     arg_lists = [list(ex.args) for ex in examples]
     deadlines = [_Deadline(cfg.timeout)] + ([deadline] if deadline else [])
-    keys = _Keys()
     enumerated = 0
 
     # Per input slot: the examples' arguments in classes, and the map

@@ -41,6 +41,21 @@ examples' arguments, wait.
 
 Candidates come back sorted by (site path, rule order), which is the
 deterministic tie-break the search relies on.
+
+Refinement carries its candidates from state to state. The local
+refinements (pull, push, eliminate_empty_if, invert_empty_then,
+merge_nested, sequence_nested) read one conditional and nothing global,
+so when the search takes an unbuilt edit, the next state's enumeration
+re-runs them only on the conditionals the edit rebuilt: its new ones
+and the ancestors on its path, which are new objects. Every other
+conditional is the very object it was, and its candidates carry over
+with their path re-pointed (_carry). The read counts and names in use
+are updated from an identity diff of the replaced and new instructions,
+and the global refinements (eliminate_unused_param,
+inline_trivial_hidden, introduce_parameter) re-run in full. With no
+previous enumeration (the first state, after a synthesis or a built
+body, and every synthesis or ksearch enumeration) every conditional is
+dirty, through the same code.
 """
 
 from __future__ import annotations
@@ -89,31 +104,30 @@ class SynthesisSpec:
 
 
 class Edit(NamedTuple):
-    """An unbuilt change to a state's body: the length instructions of
-    the sequence at seq_path, from start on, replaced by new. seq is
-    the state's sequence at seq_path."""
+    """An unbuilt change to a state's body: the instructions old of the
+    sequence at seq_path, from start on, replaced by new. The sequence
+    itself is looked up when the edit is built, so an edit carried to a
+    later state needs only its seq_path and start re-pointed."""
 
     seq_path: Tuple[int, ...]
-    seq: Tuple[object, ...]
     start: int
-    length: int
+    old: Tuple[object, ...]
     new: Tuple[object, ...]
 
     def build(self, body):
         """body, the state's, with the edit made: the spine of the
         ancestors on seq_path is rebuilt."""
-        seq, start = self.seq, self.start
-        return replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + self.length :])
+        seq, start = seq_at(body, self.seq_path), self.start
+        return replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + len(self.old) :])
 
     def delta(self) -> Tuple[int, int]:
         """What the edit adds to the body's statement and br-read
         counts. A rebuilt ancestor keeps its own reads and passes its
         child sequence's change up unchanged, so the replaced
         instructions' counts against the new ones' is the whole of it."""
-        old = self.seq[self.start : self.start + self.length]
         return (
-            sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in old),
-            sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in old),
+            sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in self.old),
+            sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in self.old),
         )
 
 
@@ -139,18 +153,20 @@ class Rewrite:
     here, the counts being the state's plus the edit's delta, and body
     is read off program, which is built the first time it is read and
     then kept. So a candidate the search does not take is never built,
-    and its site is printed only if the search logs it."""
+    and its site is printed only if the search logs it. A refinement
+    also keeps its enumeration, from which the enumeration of the state
+    it leads to carries what its edit left alone."""
 
     __slots__ = (
         "rule", "path", "transform", "specs",
-        "params", "n_statements", "n_br", "_site", "_base", "_fields", "_edit", "_program",
+        "params", "n_statements", "n_br", "_cand", "_base", "_program", "_refined",
     )
 
     def __init__(self, rule, base: dsl.Program, cand: Candidate):
-        self.rule, self.path, self._site = rule, cand.path, cand.site
+        self.rule, self.path, self._cand = rule, cand.path, cand
         self.transform, self.specs = cand.transform, cand.specs
         self.params = cand.fields.get("params", base.params)
-        self._base, self._fields, self._edit = base, cand.fields, cand.edit
+        self._base, self._refined = base, None
         if cand.edit is None:
             self._program = replace(base, **cand.fields)
             self.n_statements = self._program.n_statements
@@ -164,8 +180,8 @@ class Rewrite:
     @property
     def program(self) -> dsl.Program:
         if self._program is None:
-            body = self._edit.build(self._base.body)
-            self._program = replace(self._base, body=body, **self._fields)
+            body = self._cand.edit.build(self._base.body)
+            self._program = replace(self._base, body=body, **self._cand.fields)
         return self._program
 
     @property
@@ -174,7 +190,7 @@ class Rewrite:
 
     @property
     def site(self) -> str:
-        return _site_str(self.path) if self._site is None else self._site
+        return _site_str(self.path) if self._cand.site is None else self._cand.site
 
 
 @dataclass
@@ -197,27 +213,19 @@ class RewriteContext:
 # An instruction site is a tuple of ints: index within its sequence,
 # then (branch, index) pairs while descending. Branch 0 is the
 # then-branch or loop body, branch 1 the else-branch. Sites are visited
-# sequence by sequence (see StateIndex.sites), which is not
+# sequence by sequence (see StateIndex.seqs), which is not
 # lexicographic order: (1,) comes before (0, 0, 0).
 
 
-def iter_seqs(seq, path=(), in_loop=False):
-    """All sequence locations, (seq_path, seq, in_loop), in preorder
-    over sequences: a sequence, then each nested sequence of its
-    instructions in order, then-branch before else-branch. Uses an
-    explicit stack, so each item costs O(1) whatever the depth."""
-    stack = [(path, seq, in_loop)]
-    while stack:
-        path, seq, in_loop = stack.pop()
-        yield path, seq, in_loop
-        nested = []
-        for i, ins in enumerate(seq):
-            if isinstance(ins, dsl.Ite):
-                nested.append((path + (i, 0), ins.then, in_loop))
-                nested.append((path + (i, 1), ins.els, in_loop))
-            elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
-                nested.append((path + (i, 0), ins.body, True))
-        stack.extend(reversed(nested))
+def seq_at(seq, seq_path):
+    """The sequence at seq_path in seq."""
+    for p in range(0, len(seq_path), 2):
+        ins = seq[seq_path[p]]
+        if isinstance(ins, dsl.Ite):
+            seq = ins.then if seq_path[p + 1] == 0 else ins.els
+        else:
+            seq = ins.body
+    return seq
 
 
 def replace_seq_at(seq, seq_path, new_seq):
@@ -253,8 +261,8 @@ def replace_seq_at(seq, seq_path, new_seq):
 def _splice(ix, path, new, length=1) -> Edit:
     """The edit replacing the length instructions starting at site path
     by the instructions in new."""
-    seq_path = path[:-1]
-    return Edit(seq_path, ix.seq_by_path[seq_path], path[-1], length, new)
+    seq_path, start = path[:-1], path[-1]
+    return Edit(seq_path, start, ix.seq_by_path[seq_path][start : start + length], new)
 
 
 def _site_str(path) -> str:
@@ -270,100 +278,144 @@ def fresh_name(prefix: str, used: set) -> str:
     return name
 
 
+class _Refined(NamedTuple):
+    """A refine enumeration, as its rewrites keep it for the next
+    state's: its index's read counts and names in use, and, by id, each
+    of its conditionals with the local rules' candidates at it, as
+    (rule, candidate) in enumeration order."""
+
+    reads: Counter
+    names: Counter
+    local: Dict[int, Tuple[object, List[Tuple[str, Candidate]]]]
+
+
 class StateIndex:
     """The analysis every rule reads of one (program, σ) state, done
-    once per enumerate_rewrites call: the instruction sites, the names
-    in scope at each site, how often each name is read, the names in
-    use, the traces that reach each site, and the loop spans.
+    once per enumerate_rewrites call: the instruction sites by kind,
+    the names in scope at each site, how often each name is read, the
+    names in use, the traces that reach each site, and the loop spans.
 
-    One pass over iter_seqs gathers the program's part: each sequence
-    and its sites, with the conditional, visible-let and hidden-let
-    sites also listed by kind (ites, visible_lets, hidden_lets, each in
-    site order), so a rule scans only the sites it can rewrite; the
-    names each instruction reads of its own (a guard, a loop source,
-    arguments; nested sequences are visited as sequences of their own);
-    the binders and loop ids; and the bisection arrays of scope_before.
-    What reads σ is computed on first query: reaching traces and guard
-    values per conditional, and the loop spans once for both loop
-    rules."""
+    One walk gathers each sequence (seqs, seq_by_path) and the
+    conditional sites, the visible-let sites whose arguments read br
+    and the hidden-let sites (ites, br_lets, hidden_lets, each in site
+    order), so a rule scans only the sites it can rewrite.
+    dirty_ites are the conditionals the local refinements enumerate:
+    all of them, unless enumerate_rewrites carries the candidates of
+    the others from the previous state.
 
-    def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet):
+    The read counts and the names in use (binders, loop ids and APIs of
+    the body) are kept as counts. prev, when given, is the previous
+    state's refine enumeration and the edit that led here, and its
+    counts are updated by what the edit changes (dsl.count_changes, an
+    identity diff of its replaced and new instructions). With no prev
+    they are the change from an empty body, that is every
+    instruction's. The rebuilt ancestors on the edit's path keep their
+    guards and loop headers, so they change no count.
+
+    What reads σ, and the bisection arrays of scope_before, are
+    computed on first query: reaching traces and guard values per
+    conditional, and the loop spans once for both loop rules."""
+
+    def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet, prev=None):
         self.program = program
         self.sigma = sigma
         self.ts = ts
         self.hidden = program.hidden_map()
-        self.seqs = []
-        self.sites = []
-        self.ites, self.visible_lets, self.hidden_lets = [], [], []
-        self.seq_by_path = {}
-        reads = []
-        used = set(program.params)
-        used.update(n for n, _ in program.hidden_defs)
-        used.update(program.holes)
-        # scope_before by bisection: _max_path[k] is the largest of the
-        # first k + 1 site paths, and _n_binders[k] counts the binders
-        # among the first k sites.
+        if prev is None:
+            self.reads, self._names, old, new = Counter(), Counter(), (), program.body
+        else:
+            refined, edit = prev
+            self.reads, self._names = refined.reads.copy(), refined.names.copy()
+            old, new = edit.old, edit.new
+        dsl.count_changes(old, new, self.reads, self._names)
         self._params = [p for p in program.params if p != BR]
-        binders = self._binders = []
-        n_binders = self._n_binders = [0]
-        max_path = self._max_path = []
-        top = ()
-        expr_reads, pred_reads = dsl.expr_reads, dsl.pred_reads
-        for seq_path, seq, in_loop in iter_seqs(program.body):
-            self.seqs.append((seq_path, seq, in_loop))
-            self.seq_by_path[seq_path] = seq
+        # One walk over the sequences, in preorder: a sequence, then each
+        # nested sequence of its instructions in order, then-branch
+        # before else-branch. An explicit stack, so depth is unbounded.
+        seqs, seq_by_path = [], {}
+        ites, br_lets, hidden_lets = [], [], []
+        # The largest site path scanned up to the first binder, in the
+        # order of scope_before's scan; None while no binder is met.
+        first, top = None, ()
+        stack = [((), program.body, False)]
+        while stack:
+            seq_path, seq, in_loop = located = stack.pop()
+            seqs.append(located)
+            seq_by_path[seq_path] = seq
+            nested = []
             for i, ins in enumerate(seq):
-                path = seq_path + (i,)
-                site = (path, ins, in_loop)
-                self.sites.append(site)
-                if path > top:
-                    top = path
-                max_path.append(top)
                 if isinstance(ins, dsl.LetVisible):
-                    self.visible_lets.append(site)
-                    binders.append(ins.var)
-                    used.add(ins.api)
-                    for _, e in ins.args:
-                        if not isinstance(e, dsl.Const):
-                            reads += expr_reads(e)
-                elif isinstance(ins, dsl.LetHidden):
-                    self.hidden_lets.append(site)
-                    binders.append(ins.var)
-                    reads += ins.args
+                    if ins.n_br:
+                        br_lets.append((seq_path + (i,), ins, in_loop))
                 elif isinstance(ins, dsl.Ite):
-                    self.ites.append(site)
-                    reads += pred_reads(ins.pred)
-                elif isinstance(ins, dsl.RetryUntil):
-                    used.add(ins.loop_id)
-                    reads += pred_reads(ins.pred)
-                elif isinstance(ins, dsl.Foreach):
-                    used.add(ins.loop_id)
-                    binders.append(ins.var)
-                    reads += expr_reads(ins.source)
-                n_binders.append(len(binders))
-        used.update(binders)
-        self._used = used
-        self.reads = Counter(reads)
+                    path = seq_path + (i,)
+                    ites.append((path, ins, in_loop))
+                    nested += ((path + (0,), ins.then, in_loop), (path + (1,), ins.els, in_loop))
+                elif isinstance(ins, dsl.LetHidden):
+                    hidden_lets.append((seq_path + (i,), ins, in_loop))
+                elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+                    nested.append((seq_path + (i, 0), ins.body, True))
+                if first is None:
+                    path = seq_path + (i,)
+                    if path > top:
+                        top = path
+                    if isinstance(ins, (dsl.LetVisible, dsl.LetHidden, dsl.Foreach)):
+                        first = top
+            stack += reversed(nested)
+        self.seqs, self.seq_by_path = seqs, seq_by_path
+        self.ites, self.br_lets, self.hidden_lets = ites, br_lets, hidden_lets
+        self._first_binder_top = first
+        self.dirty_ites = self.ites
+        self._scope = None  # see scope_before
         self._reach = {(): list(ts.indices())}  # sequence path -> traces
         self._guards = {}  # conditional's site path -> {trace: guard value}
         self._spans = None  # see loop_spans
 
     def used_names(self) -> set:
-        """A fresh copy of the names in use (parameters, binders, loop
+        """A fresh set of the names in use (parameters, binders, loop
         ids, hidden functions, holes and visible APIs), for fresh_name
         to grow. A helper named as an API would read back as a call of
         it."""
-        return set(self._used)
+        used = {name for name, n in self._names.items() if n}
+        used.update(self.program.params)
+        used.update(n for n, _ in self.program.hidden_defs)
+        used.update(self.program.holes)
+        return used
+
+    def has_scope(self, site_path) -> bool:
+        """Whether scope_before(site_path) is not empty, without its
+        arrays: there is a parameter other than br, or the scan meets a
+        binder before its first site whose path is >= site_path, that
+        is the largest path scanned up to the first binder is less."""
+        top = self._first_binder_top
+        return bool(self._params) or (top is not None and top < tuple(site_path))
 
     def scope_before(self, site_path) -> List[str]:
         """Input names usable at a site: the parameters except br, then
         the binders (lets and loop variables) of the sites that the scan
-        in self.sites order meets before its first site whose path
-        is >= site_path. That order is not lexicographic, so a binder
+        over self.seqs meets before its first site whose path is >=
+        site_path. That order is not lexicographic, so a binder
         enclosing a nested site may be left out of its scope, and a
         binder in a sibling branch may be in it."""
-        k = bisect_left(self._max_path, tuple(site_path))
-        return self._params + self._binders[: self._n_binders[k]]
+        if self._scope is None:
+            # By bisection: max_path[k] is the largest of the first
+            # k + 1 site paths, and n_binders[k] counts the binders
+            # among the first k sites.
+            binders, n_binders, max_path = [], [0], []
+            top = ()
+            for seq_path, seq, _ in self.seqs:
+                for i, ins in enumerate(seq):
+                    path = seq_path + (i,)
+                    if path > top:
+                        top = path
+                    max_path.append(top)
+                    if isinstance(ins, (dsl.LetVisible, dsl.LetHidden, dsl.Foreach)):
+                        binders.append(ins.var)
+                    n_binders.append(len(binders))
+            self._scope = binders, n_binders, max_path
+        binders, n_binders, max_path = self._scope
+        k = bisect_left(max_path, tuple(site_path))
+        return self._params + binders[: n_binders[k]]
 
     def reaching(self, site_path) -> List[int]:
         """Traces whose control path arrives at a site: each enclosing
@@ -481,7 +533,7 @@ def _hoist_let(ix, end):
     conditional (0, the first; -1, the last) into one let, placed at
     that end of the conditional."""
     out = []
-    for path, ins, _ in ix.ites:
+    for path, ins, _ in ix.dirty_ites:
         if not ins.then or not ins.els:
             continue
         a, b = ins.then[end], ins.els[end]
@@ -514,7 +566,7 @@ def rule_push(ix, ctx):
 
 def rule_eliminate_empty_if(ix, ctx):
     out = []
-    for path, ins, _ in ix.ites:
+    for path, ins, _ in ix.dirty_ites:
         if not ins.then and not ins.els:
             out.append(Candidate(path, {}, edit=_splice(ix, path, ())))
     return out
@@ -522,7 +574,7 @@ def rule_eliminate_empty_if(ix, ctx):
 
 def rule_invert_empty_then(ix, ctx):
     out = []
-    for path, ins, _ in ix.ites:
+    for path, ins, _ in ix.dirty_ites:
         if not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
             out.append(Candidate(path, {}, edit=_splice(ix, path, (flipped,))))
@@ -535,7 +587,7 @@ def rule_merge_nested(ix, ctx):
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
     {B} }` becomes `if c1 || !c2 {merged}`."""
     out = []
-    for path, ins, _ in ix.ites:
+    for path, ins, _ in ix.dirty_ites:
         if len(ins.then) != 1 or len(ins.els) != 1:
             continue
         a, inner = ins.then[0], ins.els[0]
@@ -571,7 +623,7 @@ def rule_sequence_nested(ix, ctx):
     second guarded by the conjunction; when the nested conditional is
     the whole branch it simply flattens."""
     out = []
-    for path, ins, _ in ix.ites:
+    for path, ins, _ in ix.dirty_ites:
         if ins.els or not ins.then:
             continue
         inner = ins.then[-1]
@@ -672,9 +724,7 @@ def rule_introduce_parameter(ix, ctx):
 
     candidates = []  # (first_path, stmt, expr, key), distinct by printed form
     seen = set()
-    for path, ins, in_loop in ix.visible_lets:
-        if not ins.n_br:
-            continue
+    for path, ins, in_loop in ix.br_lets:
         for _, e in ins.args:
             if not isinstance(e, dsl.Ternary) or not e.n_br:
                 continue
@@ -692,15 +742,15 @@ def rule_introduce_parameter(ix, ctx):
     ctx.param_keys = kept
     out = []
     for path, stmt, e, key in candidates:
-        scope = ix.scope_before(path)
-        if scope:
+        if ix.has_scope(path):
             # Something is in scope that might derive this value; hold
             # off until the derivation attempt is recorded unsolvable.
             # While the cache records no unsat verdict at all, it cannot
-            # hold this one, so the examples need not be built.
+            # hold this one, so neither the scope nor the examples need
+            # be built.
             if not ctx.cache.records_unsat():
                 continue
-            derived = _derivation_examples(ix, scope, False, stmt, e)
+            derived = _derivation_examples(ix, ix.scope_before(path), False, stmt, e)
             if derived is None or not ctx.cache.has_unsat(derived[1](), "value"):
                 continue
         try:
@@ -871,9 +921,7 @@ def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
 def rule_eliminate_argument(ix, ctx):
     program, sigma = ix.program, ix.sigma
     out = []
-    for path, ins, in_loop in ix.visible_lets:
-        if not ins.n_br:
-            continue
+    for path, ins, in_loop in ix.br_lets:
         for arg_idx, (name, e) in enumerate(ins.args):
             if not dsl.term_br(e):
                 continue
@@ -1214,24 +1262,116 @@ _SYNTH_FNS = {
 REFINE_RULES = tuple(_REFINE_FNS)
 SYNTH_RULES = tuple(_SYNTH_FNS)
 
+# The refinements that read one conditional and nothing global: the
+# conditional itself, its branches' ends and nested conditional, σ's
+# columns of the binders they merge, and whether the dropped binder is
+# read. Their candidates at a conditional an accepted edit left alone
+# carry to the next state.
+_LOCAL_RULES = frozenset(
+    rule
+    for rule, fn in _REFINE_FNS.items()
+    if fn in (
+        rule_pull, rule_push, rule_eliminate_empty_if,
+        rule_invert_empty_then, rule_merge_nested, rule_sequence_nested,
+    )
+)
+
+
+def _repoint(c: Candidate, path) -> Candidate:
+    """c, whose conditional now sits at path."""
+    edit = Edit(path[:-1], path[-1], c.edit.old, c.edit.new)
+    return Candidate(path, c.fields, c.transform, c.specs, c.site, edit)
+
+
+def _carry(ix: StateIndex, prev: Dict[int, Tuple[object, List[Tuple[str, Candidate]]]]):
+    """The local candidates carried from the previous state's prev, and
+    this state's map of them by conditional (as _Refined.local). Each
+    carried candidate is re-pointed at its conditional's site in this
+    state. The other conditionals are left in ix.dirty_ites for the
+    local rules, with empty entries in the map for their candidates.
+
+    A conditional carries when it is the very object of the previous
+    state, so its branches are too, and no candidate at it is a built
+    body: enumerate_rewrites leaves a conditional with a built-body
+    candidate out of the map. prev holds each of its conditionals, so
+    no new object can take one's id. So the conditionals the accepted
+    edit rebuilt are dirty: its new ones and the ancestors on its path,
+    which replace_seq_at builds anew.
+
+    The accepted edit is a local rule's, which copies the state's terms
+    and so reads no name that was unread. A dropped binder unread before
+    is unread still, and its candidate stays an unbuilt edit; one read
+    before was renamed in a built body, whose conditional is dirty."""
+    carried = {}
+    local = {}
+    dirty = ix.dirty_ites = []
+    for site in ix.ites:
+        path, ins, _ = site
+        hit = prev.get(id(ins))
+        if hit is None:
+            dirty.append(site)
+            local[id(ins)] = (ins, [])
+            continue
+        cands = hit[1]
+        if cands and cands[0][1].path != path:
+            cands = [(rule, _repoint(c, path)) for rule, c in cands]
+            hit = (ins, cands)
+        local[id(ins)] = hit
+        for rule, c in cands:
+            carried.setdefault(rule, []).append(c)
+    return carried, local
+
 
 def enumerate_rewrites(
     program: dsl.Program,
     sigma: TraceValuation,
     kind: str,
     ctx: RewriteContext,
+    after: Optional[Rewrite] = None,
 ) -> List[Rewrite]:
+    """The rewrites of kind at the state (program, sigma), sorted by
+    path. after, when given, is the refinement the search took from the
+    previous refine enumeration to reach this state: program is its
+    program and sigma its transform applied to that state's valuation.
+    When it is an unbuilt edit and nothing else, a refine enumeration
+    re-runs the local rules only on the conditionals the edit rebuilt
+    (_carry) and carries every other local candidate over; the global
+    refinements re-run in full. Otherwise every conditional is dirty,
+    which is the same code path with nothing carried."""
     if kind == "refine":
         fns = _REFINE_FNS
     elif kind == "synth":
         fns = _SYNTH_FNS
     else:
         raise ValueError(f"unknown rewrite kind {kind!r}")
-    ix = StateIndex(program, sigma, ctx.ts)
+    prev = None  # the previous refine enumeration, if its edit led here
+    if kind == "refine" and after is not None and after._refined is not None:
+        cand = after._cand
+        if cand.edit is not None and not cand.fields and after._program is program:
+            prev = after._refined
+    ix = StateIndex(program, sigma, ctx.ts, None if prev is None else (prev, after._cand.edit))
+    if kind == "refine":
+        carried, local = _carry(ix, {} if prev is None else prev.local)
+        at = {path: id(ins) for path, ins, _ in ix.dirty_ites}
+    else:
+        carried, local, at = {}, None, None
     out: List[Rewrite] = []
     for rule, fn in fns.items():
-        for c in fn(ix, ctx):
+        for c in carried.get(rule, ()):
             out.append(Rewrite(rule, program, c))
+        fresh = fn(ix, ctx)
+        for c in fresh:
+            out.append(Rewrite(rule, program, c))
+        if rule in _LOCAL_RULES:
+            for c in fresh:
+                if c.edit is None:  # a built body holds this state's
+                    local.pop(at[c.path], None)
+                elif at[c.path] in local:
+                    local[at[c.path]][1].append((rule, c))
     # Stable, so candidates at one path keep their rules' table order.
     out.sort(key=lambda rw: rw.path)
+    if local is not None:
+        refined = _Refined(ix.reads, ix._names, local)
+        for rw in out:
+            rw._refined = refined
     return out

@@ -4,13 +4,16 @@ eliminate_branch_condition evaluated each guard itself, and the two loop
 rules each analysed the spans on their own. Kept verbatim as the eager
 reference that the rules, whose examples wait until a candidate is
 solved, are tested against; the helpers that did not change are
-imported from tracesynth.rewrites. Nothing in src/ uses it."""
+imported from tracesynth.rewrites. The sites the rules scan come from
+sites_reference, as StateIndex no longer lists them all. Nothing in
+src/ uses it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+import sites_reference
 from tracesynth import dsl
 from tracesynth.dsl import BR
 from tracesynth.pbe import IOExample
@@ -52,7 +55,7 @@ def _scope_values(sigma, scope, trace_idx):
 def rule_eliminate_branch_condition(ix, ctx):
     program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     out = []
-    for path, ins, in_loop in ix.sites:
+    for path, ins, in_loop in sites_reference.iter_instr_sites(ix.program.body):
         if not isinstance(ins, dsl.Ite) or in_loop:
             continue
         guard_br = dsl.term_br(ins.pred)
@@ -131,7 +134,7 @@ def _derivation_examples(ix, scope, in_loop, stmt, arg_expr):
 def rule_eliminate_argument(ix, ctx):
     program, sigma = ix.program, ix.sigma
     out = []
-    for path, ins, in_loop in ix.sites:
+    for path, ins, in_loop in sites_reference.iter_instr_sites(ix.program.body):
         if not isinstance(ins, dsl.LetVisible) or not ins.n_br:
             continue
         for arg_idx, (name, e) in enumerate(ins.args):

@@ -7,7 +7,8 @@ with stacks or read the counts kept on program nodes: the statement and
 read counters, binders, loop ids, free variables, hidden-call checks,
 visible-let binders and the names in use. And the recursive rebuilders
 that dsl.map_instrs replaced: read renaming and const-inlining. And
-the recursive printer and the recursive matcher that compared programs
+the recursive term readers, expr_reads and pred_reads. And the
+recursive printer and the recursive matcher that compared programs
 up to renaming before dsl renamed them canonically. And the recursive
 collector of a loop span's single-api conditional tree. Kept verbatim as
 the reference the index, the node counts, the linear walks, the
@@ -42,8 +43,6 @@ from tracesynth.dsl import (
     VarRef,
     _arg_key,
     _dotted,
-    expr_reads,
-    pred_reads,
     print_expr,
     print_pred,
 )
@@ -146,6 +145,33 @@ def _tree_stmts(ite, path, api):
 
 
 # --- dsl.py ----------------------------------------------------------------------
+
+
+def expr_reads(e) -> list:
+    """Variable names read by an expression, in occurrence order."""
+    if isinstance(e, Const):
+        return []
+    if isinstance(e, VarRef):
+        return [e.name]
+    if isinstance(e, Ternary):
+        return pred_reads(e.pred) + expr_reads(e.then_expr) + expr_reads(e.else_expr)
+    if isinstance(e, HiddenCall):
+        return list(e.args)
+    raise DslError(f"not an expression: {e!r}")
+
+
+def pred_reads(p) -> list:
+    if isinstance(p, (PTrue, PFalse)):
+        return []
+    if isinstance(p, (PAnd, POr)):
+        return pred_reads(p.left) + pred_reads(p.right)
+    if isinstance(p, PNot):
+        return pred_reads(p.inner)
+    if isinstance(p, ValueCheck):
+        return [p.var]
+    if isinstance(p, Compare):
+        return [p.left, p.right]
+    raise DslError(f"not a predicate: {p!r}")
 
 
 def instr_reads(instr) -> list:

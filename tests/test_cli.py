@@ -118,8 +118,9 @@ def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
     """The initial program nests one conditional per trace. Replay walks
     it with an explicit stack, but pull merges the branches' calls into
     one call whose argument is a chain of ternaries, one per trace, and
-    dsl.expr_reads still recurses once per ternary. A lowered limit
-    makes 200 one-call traces stop there while the search refines."""
+    terms.ev still recurses once per ternary. A lowered limit makes 200
+    one-call traces stop there while the search refines, when
+    introduce_parameter evaluates the chain."""
     traces = tmp_path / "deep.json"
     traces.write_text(
         json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(200)])

@@ -1,7 +1,9 @@
 """Program AST helpers: reads, binders, renaming, validation, equivalence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sites_reference as reference
 from tracesynth.dsl import (
     Compare,
     Const,
@@ -12,6 +14,7 @@ from tracesynth.dsl import (
     LetHidden,
     LetVisible,
     PAnd,
+    PFalse,
     PNot,
     POr,
     PTrue,
@@ -22,7 +25,9 @@ from tracesynth.dsl import (
     ValueCheck,
     VarRef,
     equiv_mod_renaming,
+    expr_reads,
     free_vars,
+    pred_reads,
     pretty_print,
     rename_reads,
     seq_binders,
@@ -59,6 +64,55 @@ def test_ternary_and_hidden_call_reads():
     e = Ternary(ValueCheck("b", 2), VarRef("t"), HiddenCall("f", ("a", "c")))
     seq = (let("x", arg=e),)
     assert sorted(set(seq_reads(seq))) == ["a", "b", "c", "t"]
+
+
+NAMES = st.sampled_from(("a", "b", "br"))
+pred_leaves = st.one_of(
+    st.builds(ValueCheck, NAMES, st.integers(0, 2)),
+    st.builds(Compare, NAMES, st.just(">="), NAMES),
+    st.builds(PTrue),
+    st.builds(PFalse),
+)
+preds = st.recursive(
+    pred_leaves,
+    lambda p: st.one_of(st.builds(PAnd, p, p), st.builds(POr, p, p), st.builds(PNot, p)),
+    max_leaves=6,
+)
+expr_leaves = st.one_of(
+    st.builds(Const, st.integers(0, 2)),
+    st.builds(VarRef, NAMES),
+    st.builds(HiddenCall, st.just("f_1"), st.lists(NAMES, max_size=2).map(tuple)),
+)
+exprs = st.recursive(expr_leaves, lambda e: st.builds(Ternary, preds, e, e), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, preds)
+def test_term_reads_match_the_recursive_reference(e, p):
+    assert expr_reads(e) == reference.expr_reads(e)
+    assert pred_reads(p) == reference.pred_reads(p)
+    # A term of the wrong kind fails with the same message.
+    ite_of_pred, not_of_expr = Ternary(ValueCheck("a", 1), VarRef("b"), p), PNot(e)
+    for read, ref, bad in (
+        (expr_reads, reference.expr_reads, ite_of_pred),
+        (pred_reads, reference.pred_reads, not_of_expr),
+    ):
+        with pytest.raises(DslError) as got:
+            read(bad)
+        with pytest.raises(DslError) as want:
+            ref(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_term_reads_survive_a_3000_deep_ternary_chain():
+    """Pull merges one call per trace into one call whose argument nests
+    a ternary per trace; the recursive readers stopped on it."""
+    e = Const(0)
+    for n in range(3000):
+        e = Ternary(PAnd(ValueCheck("br", n), PNot(Compare("a", ">=", "b"))), VarRef("x"), e)
+    with pytest.raises(RecursionError):
+        reference.expr_reads(e)
+    assert expr_reads(e) == ["br", "a", "b", "x"] * 3000
 
 
 def test_rename_reads_leaves_binders_alone():

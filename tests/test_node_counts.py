@@ -356,8 +356,8 @@ def test_every_candidate_costs_what_the_full_walk_gives(name, monkeypatch):
     w = CostWeights()
     checked = []
 
-    def checking(program, sigma, kind, ctx):
-        out = enumerate_rewrites(program, sigma, kind, ctx)
+    def checking(program, sigma, kind, ctx, after=None):
+        out = enumerate_rewrites(program, sigma, kind, ctx, after)
         for rw in out:
             sigma2 = rw.transform.apply(sigma)
             syn, traces = cost_syn(rw, w), cost_traces(rw, sigma2, ts, w)

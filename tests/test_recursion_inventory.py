@@ -21,9 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracesynth"
 # recursing; adding one is a design change to record in CHANGES.md.
 PINNED = {
     # Script terms: once per nested ternary or predicate.
-    "dsl.py:expr_reads",
     "dsl.py:map_term",
-    "dsl.py:pred_reads",
     "dsl.py:print_expr",
     "dsl.py:print_pred",
     "terms.py:term_evaluator.ev",

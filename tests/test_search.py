@@ -92,9 +92,9 @@ def test_phased_strategies_count_every_enumerated_state(strategy, monkeypatch):
     enumerate_rewrites = search.enumerate_rewrites
     kinds = []
 
-    def counting(program, sigma, kind, ctx):
+    def counting(program, sigma, kind, ctx, after=None):
         kinds.append(kind)
-        return enumerate_rewrites(program, sigma, kind, ctx)
+        return enumerate_rewrites(program, sigma, kind, ctx, after)
 
     monkeypatch.setattr(search, "enumerate_rewrites", counting)
     result = run_search(ts, config(strategy))
@@ -389,7 +389,7 @@ def test_of_equal_cost_improving_candidates_the_first_enumerated_is_taken(kind, 
     ]
     enumerated = []
 
-    def enumerate_once(p, s, k, ctx):
+    def enumerate_once(p, s, k, ctx, after=None):
         enumerated.append(k)
         return stubs if len(enumerated) == 1 else []
 

@@ -21,7 +21,6 @@ from tracesynth.rewrites import (
     RewriteContext,
     StateIndex,
     enumerate_rewrites,
-    iter_seqs,
     replace_seq_at,
 )
 from tracesynth.search import build_initial
@@ -112,7 +111,6 @@ def every_query_path(body):
 
 def assert_index_matches_reference(program, sigma, ts, order):
     body = program.body
-    assert list(iter_seqs(body)) == list(reference.iter_seqs(body))
     reads = reference.seq_reads(body)
     assert seq_reads(body) == reads
     assert_walks_match_reference(body)
@@ -120,14 +118,20 @@ def assert_index_matches_reference(program, sigma, ts, order):
 
     ix = StateIndex(program, sigma, ts)
     assert ix.seqs == list(reference.iter_seqs(body))
-    assert ix.sites == list(reference.iter_instr_sites(body))
-    for kind, sites in ((dsl.Ite, ix.ites), (dsl.LetVisible, ix.visible_lets), (dsl.LetHidden, ix.hidden_lets)):
+    for kind, sites in ((dsl.Ite, ix.ites), (dsl.LetHidden, ix.hidden_lets)):
         assert sites == [site for site in reference.iter_instr_sites(body) if isinstance(site[1], kind)]
+    assert ix.br_lets == [
+        site
+        for site in reference.iter_instr_sites(body)
+        if isinstance(site[1], dsl.LetVisible) and reference.count_reads(site[1:2], "br")
+    ]
     assert ix.reads == Counter(reads)
     assert ix.used_names() == reference.used_names(program)
     for path in every_query_path(body):
-        assert ix.scope_before(path) == reference.scope_before(program, path), path
-    sites = [path for path, _, _ in ix.sites]
+        scope = reference.scope_before(program, path)
+        assert ix.scope_before(path) == scope, path
+        assert ix.has_scope(path) == bool(scope), path
+    sites = [path for path, _, _ in reference.iter_instr_sites(body)]
     hidden = program.hidden_map()
     for k in order(len(sites)):
         path = sites[k]
@@ -219,9 +223,12 @@ def test_sites_inside_loops_are_reached_by_no_trace():
 
 
 def index_sites(body):
-    """StateIndex.sites of a program over br with this body."""
+    """The instruction sites of a program over br with this body, read
+    off its StateIndex's sequences, in site order; the recursive
+    reference walk cannot reach this deep."""
     program = dsl.Program(params=("br",), body=body)
-    return StateIndex(program, TraceValuation(params=("br",), entries={}), make_ts(2)).sites
+    ix = StateIndex(program, TraceValuation(params=("br",), entries={}), make_ts(2))
+    return [(path + (i,), ins, loop) for path, seq, loop in ix.seqs for i, ins in enumerate(seq)]
 
 
 def test_walks_survive_a_1200_deep_conditional_chain():
