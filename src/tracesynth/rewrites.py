@@ -10,7 +10,10 @@ Synthesizing rewrites leave a named hole for a hidden function plus the
 input/output examples its implementation must satisfy: replacing a
 branch guard with a hidden predicate, deriving an API argument from
 values already in scope, and rolling repeated calls into retry or
-foreach loops.
+foreach loops. A loop rolls a run of the top-level body, since no
+sequence nested in a conditional is entered by every trace
+(_find_spans); StateIndex.loop_spans finds and vets those runs once per
+state for both loop rules.
 
 A rule takes (ix, ctx), the state's StateIndex and the RewriteContext,
 and returns a list of Candidate. Its name is its key in _REFINE_FNS or
@@ -459,21 +462,30 @@ class StateIndex:
         return values
 
     def loop_spans(self):
-        """The spans (see _find_spans) that every trace enters and some
-        trace runs more than once, and whose calls unify, each as
-        (span, runs, names, varying, values): its runs per trace
-        (_span_iterations) and its argument profile (_span_arg_profile).
-        Computed on first query; introduce_retry and introduce_foreach
-        share it."""
+        """The spans of the top-level body (_find_spans) that can roll
+        into a loop, each as (span, runs, names, varying, values,
+        chosen): every trace enters the span and some trace runs it more
+        than once (runs, _span_iterations); its calls unify with at most
+        one argument varying within a trace (_span_arg_profile); no
+        binder of the span is read outside it (_span_outside_reads); and
+        chosen maps each constant argument to an expression for it
+        (_pick_constant_exprs). Computed on first query; introduce_retry
+        takes the spans with no varying argument, introduce_foreach those
+        with one."""
         if self._spans is None:
             self._spans = []
-            for span in _find_spans(self):
-                runs = _span_iterations(span, self.sigma, self.ts)
+            sigma, ts, hidden = self.sigma, self.ts, self.hidden
+            for span in _find_spans(self.program.body):
+                runs = _span_iterations(span, sigma, ts)
                 if runs is None or max(len(r) for r in runs.values()) < 2:
                     continue
-                profile = _span_arg_profile(span, runs, self.sigma, self.ts, self.hidden)
-                if profile is not None:
-                    self._spans.append((span, runs) + profile)
+                profile = _span_arg_profile(span, runs, sigma, ts, hidden)
+                if profile is None or len(profile[1]) > 1 or _span_outside_reads(self, span):
+                    continue
+                names, varying, values = profile
+                chosen = _pick_constant_exprs(span, values, sigma, ts, hidden, names, varying)
+                if chosen is not None:
+                    self._spans.append((span, runs, names, varying, values, chosen))
         return self._spans
 
 
@@ -965,23 +977,17 @@ def rule_eliminate_argument(ix, ctx):
 
 @dataclass
 class _Span:
-    seq_path: Tuple[int, ...]
-    start: int
-    length: int  # instructions consumed in the sequence
+    start: int  # in the top-level body
+    length: int  # instructions consumed there
     stmts: Tuple[Tuple[Tuple[int, ...], dsl.LetVisible], ...]  # preorder
     api: str
 
 
-def _first_leaf_api(ite) -> Optional[str]:
-    """The api of a conditional's first call in dsl.walk order. A call
-    in a loop counts too: _tree_stmts then rejects the tree anyway."""
-    return next((i.api for i in dsl.walk((ite,)) if isinstance(i, dsl.LetVisible)), None)
-
-
-def _tree_stmts(ite, path, api):
+def _tree_stmts(ite, path, api=None):
     """Statements of a conditional tree whose instructions are all
     calls of one api (or nested such trees), in preorder, then-branch
-    before else-branch; None otherwise. Uses an explicit stack."""
+    before else-branch; None otherwise. With no api, the api of the
+    tree's first call. Uses an explicit stack."""
     out = []
     stack = [(path, ite)]
     while stack:
@@ -989,52 +995,52 @@ def _tree_stmts(ite, path, api):
         if isinstance(ins, dsl.Ite):
             for branch_code, branch in ((1, ins.els), (0, ins.then)):
                 stack.extend((p + (branch_code, i), branch[i]) for i in reversed(range(len(branch))))
-        elif isinstance(ins, dsl.LetVisible) and ins.api == api:
+        elif isinstance(ins, dsl.LetVisible) and api in (None, ins.api):
+            api = ins.api
             out.append((p, ins))
         else:
             return None
     return out
 
 
-def _find_spans(ix) -> List[_Span]:
-    """Maximal runs of instructions that are all calls of one api,
-    where conditionals whose contents are such calls count too. The
-    statement list is in program order (preorder), which within any one
-    trace is also execution order, since each trace takes one branch."""
+def _find_spans(body) -> List[_Span]:
+    """Maximal runs of the top-level body's instructions that are all
+    calls of one api, where conditionals whose contents are such calls
+    count too. The statement list is in program order (preorder), which
+    within any one trace is also execution order, since each trace
+    takes one branch.
+
+    A nested sequence never holds a loop span, because a span must be
+    entered by every trace (_span_iterations) and no nested sequence is
+    entered by every trace:
+    - every search state descends from build_initial, whose br == i
+      conditionals each split the traces that reach them into two
+      non-empty parts;
+    - every rule keeps each branch of each conditional outside a loop
+      taken by at least one trace. A synthesized guard always reads an
+      input, so inline_trivial_hidden never folds one to true or false,
+      and the search never creates a return.
+    tests/test_search.py checks this at every searched state."""
     spans = []
-    for seq_path, seq, in_loop in ix.seqs:
-        if in_loop:
-            continue
-        i = 0
-        while i < len(seq):
-            ins = seq[i]
-            if isinstance(ins, dsl.LetVisible):
-                api = ins.api
+    i = 0
+    while i < len(body):
+        stmts, api, j = [], None, i
+        while j < len(body):
+            ins = body[j]
+            if isinstance(ins, dsl.LetVisible) and api in (None, ins.api):
+                sub = [((j,), ins)]
             elif isinstance(ins, dsl.Ite):
-                api = _first_leaf_api(ins)
-            else:
-                api = None
-            if api is None:
-                i += 1
-                continue
-            stmts: List = []
-            j = i
-            while j < len(seq):
-                nxt = seq[j]
-                if isinstance(nxt, dsl.LetVisible) and nxt.api == api:
-                    stmts.append((seq_path + (j,), nxt))
-                    j += 1
-                elif isinstance(nxt, dsl.Ite):
-                    sub = _tree_stmts(nxt, seq_path + (j,), api)
-                    if not sub:
-                        break
-                    stmts.extend(sub)
-                    j += 1
-                else:
+                sub = _tree_stmts(ins, (j,), api)
+                if not sub:
                     break
-            if len(stmts) >= 2:
-                spans.append(_Span(seq_path, i, j - i, tuple(stmts), api))
-            i = max(j, i + 1)
+            else:
+                break
+            api = sub[0][1].api
+            stmts.extend(sub)
+            j += 1
+        if len(stmts) >= 2:
+            spans.append(_Span(i, j - i, tuple(stmts), api))
+        i = max(j, i + 1)
     return spans
 
 
@@ -1119,35 +1125,14 @@ def _span_outside_reads(ix, span) -> bool:
     """Whether any variable bound inside the span is read outside the
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
-    seq = ix.seq_by_path[span.seq_path]
-    consumed = Counter(dsl.seq_reads(seq[span.start : span.start + span.length]))
+    consumed = Counter(dsl.seq_reads(ix.program.body[span.start : span.start + span.length]))
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
-
-
-def _loop_spans(ix, n_varying):
-    """The index's loop spans (StateIndex.loop_spans) whose calls have
-    exactly n_varying arguments varying within a trace, and whose
-    binders are read only inside the span. Yields (span, runs, names,
-    varying, values, chosen), chosen mapping each constant argument to
-    an expression for it."""
-    sigma, hidden = ix.sigma, ix.hidden
-    for span, runs, names, varying, values in ix.loop_spans():
-        if len(varying) != n_varying:
-            continue
-        if _span_outside_reads(ix, span):
-            continue
-        chosen = _pick_constant_exprs(
-            span, values, sigma, ix.ts, hidden, names, varying
-        )
-        if chosen is None:
-            continue
-        yield span, runs, names, varying, values, chosen
 
 
 def _roll_span(ix, span, loop_instrs, fn, new_entries, spec):
     """The rewrite replacing the span by loop_instrs, which keep only
     the first call's binder and leave fn as a hole."""
-    path = span.seq_path + (span.start,)
+    path = (span.start,)
     first = span.stmts[0][1]
     edit = _splice(ix, path, loop_instrs, span.length)
     drop = tuple(stmt.var for _, stmt in span.stmts if stmt.var != first.var)
@@ -1171,7 +1156,9 @@ def _retry_examples(sigma, scope, runs):
 
 def rule_introduce_retry(ix, ctx):
     out = []
-    for span, runs, names, _, _, chosen in _loop_spans(ix, 0):
+    for span, runs, names, varying, _, chosen in ix.loop_spans():
+        if varying:
+            continue
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path) + [first.var]
         used = ix.used_names()
@@ -1202,7 +1189,9 @@ def rule_introduce_retry(ix, ctx):
 
 def rule_introduce_foreach(ix, ctx):
     out = []
-    for span, runs, names, varying, values, chosen in _loop_spans(ix, 1):
+    for span, runs, names, varying, values, chosen in ix.loop_spans():
+        if not varying:
+            continue
         vname = varying[0]
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path)

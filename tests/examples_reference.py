@@ -5,13 +5,17 @@ rules each analysed the spans on their own. Kept verbatim as the eager
 reference that the rules, whose examples wait until a candidate is
 solved, are tested against; the helpers that did not change are
 imported from tracesynth.rewrites. The sites the rules scan come from
-sites_reference, as StateIndex no longer lists them all. Nothing in
-src/ uses it."""
+sites_reference, as StateIndex no longer lists them all. The loop rules
+collect their spans from every sequence outside a loop, as they did
+before the spans were taken from the top-level body alone, so comparing
+the two at every search state also tests that no nested span is ever
+lost. Nothing in src/ uses it."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import sites_reference
 from tracesynth import dsl
@@ -19,14 +23,11 @@ from tracesynth.dsl import BR
 from tracesynth.pbe import IOExample
 from tracesynth.rewrites import (
     Candidate,
-    _find_spans,
     _iteration_lookup,
     _pick_constant_exprs,
-    _roll_span,
     _site_str,
     _span_arg_profile,
     _span_iterations,
-    _span_outside_reads,
     _splice,
     fresh_name,
 )
@@ -175,6 +176,102 @@ def rule_eliminate_argument(ix, ctx):
             site = f"{name} at {_site_str(path)}"
             out.append(Candidate(path + (arg_idx,), fields, transform, (spec,), site, edit))
     return out
+
+
+@dataclass
+class _Span:
+    seq_path: Tuple[int, ...]
+    start: int
+    length: int  # instructions consumed in the sequence
+    stmts: Tuple[Tuple[Tuple[int, ...], dsl.LetVisible], ...]  # preorder
+    api: str
+
+
+def _first_leaf_api(ite) -> Optional[str]:
+    """The api of a conditional's first call in dsl.walk order. A call
+    in a loop counts too: _tree_stmts then rejects the tree anyway."""
+    return next((i.api for i in dsl.walk((ite,)) if isinstance(i, dsl.LetVisible)), None)
+
+
+def _tree_stmts(ite, path, api):
+    """Statements of a conditional tree whose instructions are all
+    calls of one api (or nested such trees), in preorder, then-branch
+    before else-branch; None otherwise. Uses an explicit stack."""
+    out = []
+    stack = [(path, ite)]
+    while stack:
+        p, ins = stack.pop()
+        if isinstance(ins, dsl.Ite):
+            for branch_code, branch in ((1, ins.els), (0, ins.then)):
+                stack.extend((p + (branch_code, i), branch[i]) for i in reversed(range(len(branch))))
+        elif isinstance(ins, dsl.LetVisible) and ins.api == api:
+            out.append((p, ins))
+        else:
+            return None
+    return out
+
+
+def _find_spans(ix) -> List[_Span]:
+    """Maximal runs of instructions that are all calls of one api,
+    where conditionals whose contents are such calls count too. The
+    statement list is in program order (preorder), which within any one
+    trace is also execution order, since each trace takes one branch."""
+    spans = []
+    for seq_path, seq, in_loop in ix.seqs:
+        if in_loop:
+            continue
+        i = 0
+        while i < len(seq):
+            ins = seq[i]
+            if isinstance(ins, dsl.LetVisible):
+                api = ins.api
+            elif isinstance(ins, dsl.Ite):
+                api = _first_leaf_api(ins)
+            else:
+                api = None
+            if api is None:
+                i += 1
+                continue
+            stmts: List = []
+            j = i
+            while j < len(seq):
+                nxt = seq[j]
+                if isinstance(nxt, dsl.LetVisible) and nxt.api == api:
+                    stmts.append((seq_path + (j,), nxt))
+                    j += 1
+                elif isinstance(nxt, dsl.Ite):
+                    sub = _tree_stmts(nxt, seq_path + (j,), api)
+                    if not sub:
+                        break
+                    stmts.extend(sub)
+                    j += 1
+                else:
+                    break
+            if len(stmts) >= 2:
+                spans.append(_Span(seq_path, i, j - i, tuple(stmts), api))
+            i = max(j, i + 1)
+    return spans
+
+
+def _span_outside_reads(ix, span) -> bool:
+    """Whether any variable bound inside the span is read outside the
+    instructions the span consumes (those reads would change meaning
+    once the span collapses into a loop)."""
+    seq = ix.seq_by_path[span.seq_path]
+    consumed = Counter(dsl.seq_reads(seq[span.start : span.start + span.length]))
+    return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
+
+
+def _roll_span(ix, span, loop_instrs, fn, new_entries, spec):
+    """The rewrite replacing the span by loop_instrs, which keep only
+    the first call's binder and leave fn as a hole."""
+    path = span.seq_path + (span.start,)
+    first = span.stmts[0][1]
+    edit = _splice(ix, path, loop_instrs, span.length)
+    drop = tuple(stmt.var for _, stmt in span.stmts if stmt.var != first.var)
+    transform = ValuationTransform(drop_vars=drop, new_entries=new_entries)
+    fields = {"holes": ix.program.holes + (fn,)}
+    return Candidate(path, fields, transform, (spec,), edit=edit)
 
 
 def _loop_spans(ix, ctx, n_varying):

@@ -1,11 +1,14 @@
 """Strategy behavior: alternating vs rts vs bounded ksearch."""
 
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from randprog import generate_case
 from tracesynth import dsl, rewrites, search
 from tracesynth.costs import make_cost_fn
 from tracesynth.evaluator import default_retry_bound
@@ -409,3 +412,50 @@ def test_of_equal_cost_improving_candidates_the_first_enumerated_is_taken(kind, 
     assert enumerated[0] == kind and not timed_out
     assert cost == 3
     assert [(r["rule"], r["cost_before"], r["cost_after"]) for r in stats.rewrites] == [(order[0], 10, 3)]
+
+
+# --- every branch is taken -------------------------------------------------------
+
+FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
+
+
+def assert_every_branch_is_taken(ts, cfg):
+    """At every state the search enumerates, each branch of each
+    conditional outside a loop is reached by at least one trace. So no
+    sequence nested in such a conditional is entered by every trace,
+    and a loop span, which every trace must enter, can only lie in the
+    top-level body: rewrites._find_spans scans nothing else."""
+    states = []
+    real_enumerate = search.enumerate_rewrites
+
+    def recording(program, sigma, kind, ctx, after=None):
+        states.append((program, sigma))
+        return real_enumerate(program, sigma, kind, ctx, after)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "enumerate_rewrites", recording)
+        run_search(ts, cfg)
+    assert states
+    for program, sigma in states:
+        ix = rewrites.StateIndex(program, sigma, ts)
+        for path, _, in_loop in ix.ites:
+            for branch in () if in_loop else (0, 1):
+                assert ix.reaching(path + (branch, 0)), (dsl.pretty_print(program), path, branch)
+
+
+@pytest.mark.parametrize("cost", ["syn", "traces"])
+@pytest.mark.parametrize("strategy", ["alternating", "rts", "ksearch"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_branch_of_every_searched_state_is_taken(name, strategy, cost):
+    assert_every_branch_is_taken(load(name), config(strategy, k=2, cost_fn=make_cost_fn(cost)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["alternating", "rts", "ksearch"]),
+    st.sampled_from(["syn", "traces"]),
+)
+def test_every_branch_is_taken_on_random_trace_sets(seed, strategy, cost):
+    _, _, ts = generate_case(random.Random(seed))
+    assert_every_branch_is_taken(ts, config(strategy, k=2, cost_fn=make_cost_fn(cost)))

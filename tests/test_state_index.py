@@ -281,12 +281,16 @@ span_trees = st.recursive(
 @given(span_trees, st.lists(st.integers(0, 3), max_size=3).map(tuple))
 def test_tree_stmts_matches_the_recursive_reference(ite, path):
     """Every conditional of a tree of calls of two APIs, some trees
-    holding a return, collects the statements of either API as the
-    recursive collector does, or fails where it fails."""
+    holding a return, collects the statements of either API, or of its
+    first call's API when none is given, as the recursive collector
+    does, or fails where it fails."""
     for _, ins, _ in reference.iter_instr_sites((ite,)):
         if isinstance(ins, dsl.Ite):
             for api in ("A", "B", "C"):
                 assert rewrites._tree_stmts(ins, path, api) == reference._tree_stmts(ins, path, api)
+            # With no api given, the api of the tree's first call.
+            first = next((i.api for i in dsl.walk((ins,)) if isinstance(i, dsl.LetVisible)), None)
+            assert rewrites._tree_stmts(ins, path) == reference._tree_stmts(ins, path, first)
 
 
 def test_tree_stmts_survives_a_2000_deep_single_api_chain():
@@ -303,6 +307,20 @@ def test_tree_stmts_survives_a_2000_deep_single_api_chain():
     assert stmts[-1][0] == (0,) + (1, 0) * 2000
     assert stmts[-2][0] == (0,) + (1, 0) * 1999 + (0, 0)
     assert rewrites._tree_stmts(body[0], (0,), "Other") is None
+
+
+@pytest.mark.parametrize("n", [400, 2001])
+def test_a_deep_single_api_chain_makes_one_span(n):
+    """The initial program of n one-call traces of one API is one
+    conditional nesting the rest in its else branches. Its calls make
+    one span, at the top-level body; collecting a span at every nested
+    sequence as well made 399 at 400 traces, in time cubic in the
+    depth. No trace runs the span twice, so no loop span is left."""
+    ts = make_ts(n)
+    program, sigma = build_initial(ts)
+    (span,) = rewrites._find_spans(program.body)
+    assert (span.start, span.length, len(span.stmts)) == (0, 1, n)
+    assert StateIndex(program, sigma, ts).loop_spans() == []
 
 
 # --- lazily built valuations -------------------------------------------------------
