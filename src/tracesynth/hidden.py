@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Tuple
 
 from .jsonvals import ABSENT, canonical_dumps, canonical_eq, dumps_pretty, is_int
@@ -151,63 +152,69 @@ def _descend(v, key, out):
             _descend(item, key, out)
 
 
-# One step per operator: the value of e given v, the value of e.base.
-# eval_path/eval_bool recurse through these, and the enumerator applies
-# them to the stored values of a candidate's base.
+# One step per operator: the value of e given its parameter p and v, the
+# value of e.base. The parameter is the node's key, index, (i, j) bounds
+# or constant, or None (_STEP_PARAMS reads it off a node). eval_path and
+# eval_bool recurse through these, and the enumerator applies them to the
+# stored values of a candidate's base before it builds the node.
 
 
-def _child(e, v):
-    if isinstance(v, dict) and e.key in v:
-        return v[e.key]
+def _child(key, v):
+    if isinstance(v, dict) and key in v:
+        return v[key]
     return None
 
 
-def _descendants(e, v):
+def _descendants(key, v):
     out = []
-    _descend(v, e.key, out)
+    _descend(v, key, out)
     return out
 
 
-def _index(e, v):
-    if isinstance(v, list) and 0 <= e.i < len(v):
-        return v[e.i]
+def _index(i, v):
+    if isinstance(v, list) and 0 <= i < len(v):
+        return v[i]
     return None
 
 
-def _slice(e, v):
+def _slice(ij, v):
     if isinstance(v, list):
-        return v[e.i : e.j]
+        return v[ij[0] : ij[1]]
     return None
 
 
-def _length(e, v):
+def _length(_, v):
     if isinstance(v, (list, str, dict)):
         return len(v)
     return None
 
 
-def _add(e, v):
+def _add(const, v):
     if is_int(v):
-        return e.const + v
+        return const + v
     return None
 
 
-def _concat(e, v):
+def _concat(const, v):
     if isinstance(v, str):
-        return e.const + v
+        return const + v
     return None
 
 
-def _eq(e, v) -> bool:
-    return canonical_eq(v, e.const)
+def _eq(const, v) -> bool:
+    return canonical_eq(v, const)
 
 
-def _empty(e, v) -> bool:
+def _empty(_, v) -> bool:
     if v is None:
         return True
     if isinstance(v, (str, list, dict)):
         return len(v) == 0
     return False
+
+
+def _no_param(_):
+    return None
 
 
 PATH_STEPS = {
@@ -220,13 +227,24 @@ PATH_STEPS = {
     Concat: _concat,
 }
 BOOL_STEPS = {Eq: _eq, Empty: _empty}
+_STEP_PARAMS = {
+    Child: attrgetter("key"),
+    Descendants: attrgetter("key"),
+    Index: attrgetter("i"),
+    Slice: attrgetter("i", "j"),
+    Length: _no_param,
+    Add: attrgetter("const"),
+    Concat: attrgetter("const"),
+    Eq: attrgetter("const"),
+    Empty: _no_param,
+}
 
 
 def eval_path(e, args):
     """Evaluate a path/value expression; misses yield None."""
     step = PATH_STEPS.get(type(e))
     if step is not None:
-        return step(e, eval_path(e.base, args))
+        return step(_STEP_PARAMS[type(e)](e), eval_path(e.base, args))
     if isinstance(e, Input):
         if not 0 <= e.slot < len(args):
             raise HiddenEvalError(f"slot {e.slot} out of range for arity {len(args)}")
@@ -242,7 +260,7 @@ def eval_path(e, args):
 def eval_bool(e, args) -> bool:
     step = BOOL_STEPS.get(type(e))
     if step is not None:
-        return step(e, eval_path(e.base, args))
+        return step(_STEP_PARAMS[type(e)](e), eval_path(e.base, args))
     if isinstance(e, Not):
         return not eval_bool(e.inner, args)
     if isinstance(e, And):

@@ -106,12 +106,20 @@ def canonical_dumps(v) -> str:
 
 
 def structural_size(v) -> int:
-    """Node count of a JSON value: scalars 1, containers 1 + members."""
-    if isinstance(v, list):
-        return 1 + sum(structural_size(x) for x in v)
-    if isinstance(v, dict):
-        return 1 + sum(structural_size(x) for x in v.values())
-    return 1
+    """Node count of a JSON value: scalars 1, containers 1 + members.
+    Counts off an explicit stack, so nesting depth is unbounded."""
+    if not isinstance(v, (list, dict)):
+        return 1
+    n = 0
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        n += 1
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+    return n
 
 
 def dumps_pretty(v) -> str:

@@ -19,29 +19,37 @@ equal structural keys, and objects listing their keys in the same order
 at every depth (canonical equality ignores key order, but `..key`
 follows it). Every path reads exactly one slot, so the bank stores a
 path with one output and one key per class of its slot. A new
-candidate's outputs come from its base's stored outputs through the
+candidate's outputs come from its base's stored outputs and the
+operator's parameter (key, index, bounds or constant) through the
 operator's step in hidden.PATH_STEPS / BOOL_STEPS, the steps eval_path
 itself recurses through, and Eq and Empty likewise work per class. The
-key vector over all examples, which pruning compares, is rebuilt from
-the class keys by index; a predicate is stored with its bool vector
-over all examples, which Not and And combine. Only the slots' class
-representatives are evaluated from the examples, and the winner is
-checked again with eval_path / eval_bool on every example before it is
-returned.
+candidate's node is built only when its vector is new and it is banked.
+The key vector over all examples, which pruning compares, is rebuilt
+from the class keys by index; a predicate is stored with its bool
+vector over all examples, which Not and And combine. Only the slots'
+class representatives are evaluated from the examples, and the winner
+is checked again with eval_path / eval_bool on every example before it
+is returned.
 
 Observational equivalence pruning keeps only the first expression per
 output vector. A value vector is keyed by the values' structural keys
 (_Keys), which are equal exactly when their canonical_dumps are; a bool
-vector is its own key. Constants, keys, indices, addends, and
-concatenation prefixes are mined from the examples (arguments before
-outputs, in encounter order), in time linear in the examples' size; the
-slice bounds are produced on demand.
+vector is its own key. A search's ConstraintCache keeps one key table
+for the whole search: it keys each example value once, for the cache
+key and for every synthesize call that reads it. Each call keys its
+enumeration outputs in a table of its own layered on that one, so the
+search table holds only the examples. Constants, keys, indices,
+addends, and concatenation prefixes are mined from the examples
+(arguments before outputs, in encounter order), in time linear in the
+examples' size; the slice bounds are produced on demand. Every walk
+over a JSON value runs off an explicit stack, so values of any depth
+are keyed and mined.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
@@ -69,7 +77,9 @@ from .hidden import (
 from .jsonvals import (
     ABSENT,
     JsonValue,
-    canonical_dumps,
+    # Not called here: perfbench/tracer.py counts its calls by rebinding
+    # pbe.canonical_dumps, and perfbench/ changes only with the benchmark.
+    canonical_dumps,  # noqa: F401
     canonical_eq,
     is_absent,
     structural_size,
@@ -116,23 +126,57 @@ _BOOL_KEYS = {False: ("b", False), True: ("b", True)}
 _NAN_KEY = ("f", "nan")
 
 
-class _Keys:
-    """Structural keys of JSON values, for one synthesize call, which
-    shares them with the mine_pools call it makes.
+def _scalar_key(v):
+    """The structural key of a value that is neither a list nor a dict."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return _BOOL_KEYS[v]
+    if isinstance(v, int) or v is None or v is ABSENT:
+        return v
+    if isinstance(v, float):
+        return ("f", v) if v == v else _NAN_KEY
+    raise TypeError(f"not a JSON value: {v!r}")
 
-    Two keys are equal exactly when the values' canonical_dumps are.
+
+class _Keys:
+    """Structural keys of JSON values. Two keys are equal exactly when
+    the values' canonical_dumps are.
+
     Strings, ints, None and the absent marker are their own keys; bools
     and floats are tagged tuples, every NaN sharing one (NaN dumps
-    alike); a list or dict is keyed by a small ("c", n) tuple interned
+    alike); a list or dict is keyed by a small (tag, n) tuple interned
     from its members' keys, so hashing a vector never walks a value.
-    Containers are memoized by id. The memo holds each container, so its
-    id cannot be reused while this object lives."""
 
-    def __init__(self):
-        self._by_id: Dict[int, tuple] = {}
+    A search table (made with no argument) lives as long as the
+    search's ConstraintCache, which keys every example with it, and
+    synthesize keys the examples' values with it too. It memoizes
+    containers by id and holds each one, so its id cannot be reused;
+    the examples are σ cells, which stay alive anyway. Its shapes are
+    tagged "c".
+
+    A call table (_Keys(search)) keys one synthesize call's enumeration
+    outputs, which are mostly fresh lists from `..key` and slices. It
+    reads the search table's memo and shapes and writes only its own
+    shapes, tagged "t", and memoizes nothing, so an output is freed as
+    soon as its candidate is pruned. Its keys equal the search table's
+    exactly when the dumps are equal, as long as the search table keys
+    no new value while the call table is in use."""
+
+    def __init__(self, search: Optional[_Keys] = None):
         self._interned: Dict[tuple, tuple] = {}
+        if search is None:
+            self._by_id: Dict[int, tuple] = {}  # id -> (container, key)
+            self._fixed: Dict[tuple, tuple] = {}
+            self._tag = "c"
+        else:
+            self._by_id = search._by_id
+            self._fixed = search._interned
+            self._tag = "t"
+        self._memoize = search is None
 
     def of(self, v):
+        # _scalar_key's cases, inline: most values keyed are scalars.
         if isinstance(v, str):
             return v
         if isinstance(v, bool):
@@ -141,18 +185,53 @@ class _Keys:
             return v
         if isinstance(v, float):
             return ("f", v) if v == v else _NAN_KEY
+        if not isinstance(v, (list, dict)):
+            raise TypeError(f"not a JSON value: {v!r}")
         hit = self._by_id.get(id(v))
         if hit is not None:
             return hit[1]
-        if isinstance(v, list):
-            shape = ("l",) + tuple([self.of(x) for x in v])
-        elif isinstance(v, dict):
-            shape = ("d",) + tuple(sorted([(k, self.of(x)) for k, x in v.items()]))
-        else:
-            raise TypeError(f"not a JSON value: {v!r}")
-        key = self._interned.setdefault(shape, ("c", len(self._interned)))
-        self._by_id[id(v)] = (v, key)
+        return self._key_new(v)
+
+    def _key_new(self, root):
+        """Key root, a container not in the memo, and every container
+        in it not in the memo, members before their container. Walks an
+        explicit stack of (container, its member iterator, its members'
+        keys so far), so each new container is visited once, at any
+        depth."""
+        if not root:  # most often an `..key` that matched nothing
+            return self._intern(("l",) if isinstance(root, list) else ("d",))
+        by_id = self._by_id
+        stack = [(root, iter(root.values() if isinstance(root, dict) else root), [])]
+        while stack:
+            c, members, got = stack[-1]
+            for x in members:
+                if isinstance(x, str):
+                    got.append(x)
+                elif isinstance(x, (list, dict)):
+                    hit = by_id.get(id(x))
+                    if hit is None:
+                        stack.append((x, iter(x.values() if isinstance(x, dict) else x), []))
+                        break
+                    got.append(hit[1])
+                else:
+                    got.append(_scalar_key(x))
+            else:
+                stack.pop()
+                if isinstance(c, list):
+                    shape = ("l", *got)
+                else:
+                    shape = ("d", *sorted(zip(c, got)))
+                key = self._intern(shape)
+                if self._memoize:
+                    by_id[id(c)] = (c, key)
+                if stack:
+                    stack[-1][2].append(key)
         return key
+
+    def _intern(self, shape: tuple) -> tuple:
+        return self._fixed.get(shape) or self._interned.setdefault(
+            shape, (self._tag, len(self._interned))
+        )
 
     def vector(self, values) -> tuple:
         return tuple([self.of(v) for v in values])
@@ -207,32 +286,45 @@ def _add_consts(out_leaves, arg_leaves) -> List[JsonValue]:
 def _concat_prefixes(out_leaves, arg_leaves) -> List[str]:
     """For each output string, in order, the prefixes that some nonempty
     argument string completes to it, in the order those arguments first
-    occur. A proper suffix of the output is looked up among the
-    arguments, so no output is compared with every argument."""
+    occur. Only the output's proper suffixes as long as some argument
+    are looked up among the arguments, so no output is compared with
+    every argument."""
     rank = {
         a: i
         for i, a in enumerate(dict.fromkeys(a for a in arg_leaves if isinstance(a, str) and a))
     }
+    lengths = sorted({len(a) for a in rank})
     prefixes = {}
     for out in dict.fromkeys(o for o in out_leaves if isinstance(o, str)):
-        for _, cut in sorted((rank[out[k:]], k) for k in range(1, len(out)) if out[k:] in rank):
+        n = len(out)
+        cuts = [(rank[tail], n - m) for m in lengths if m < n and (tail := out[n - m :]) in rank]
+        for _, cut in sorted(cuts):
             prefixes.setdefault(out[:cut], None)
     return list(prefixes)
 
 
 def _leaves(v, keys, lengths):
-    """v's scalar leaves, depth first. Object keys are added to the dict
-    keys in encounter order, list lengths to the list lengths."""
-    if isinstance(v, dict):
-        for k, sub in v.items():
-            keys.setdefault(k, None)
-            yield from _leaves(sub, keys, lengths)
-    elif isinstance(v, list):
-        lengths.append(len(v))
-        for sub in v:
-            yield from _leaves(sub, keys, lengths)
-    else:
-        yield v
+    """v's scalar leaves, depth first. Each object key is added to the
+    dict keys just before its value is walked, in encounter order, and
+    list lengths to the list lengths. Walks a stack of member iterators,
+    as the values are JSON of any depth."""
+    stack = [(iter((v,)), False)]  # (members, are they (key, value) pairs)
+    while stack:
+        members, pairs = stack[-1]
+        for x in members:
+            if pairs:
+                k, x = x
+                keys.setdefault(k, None)
+            if isinstance(x, dict):
+                stack.append((iter(x.items()), True))
+                break
+            if isinstance(x, list):
+                lengths.append(len(x))
+                stack.append((iter(x), False))
+                break
+            yield x
+        else:
+            stack.pop()
 
 
 def mine_pools(examples: List[IOExample], value_keys: Optional[_Keys] = None) -> MinedPools:
@@ -340,12 +432,15 @@ def synthesize(
     kind: str,
     cfg: GrammarConfig,
     deadline: Optional[_Deadline] = None,
+    keys: Optional[_Keys] = None,
 ) -> SynthesisResult:
     """Enumerate until the first expression consistent with all
     examples. kind "value" wants path expressions reproducing outputs;
     kind "bool" wants predicates over the path layer with boolean
     outputs. The enumeration times out at cfg.timeout or at deadline,
-    a caller's own, whichever expires first."""
+    a caller's own, whichever expires first. keys is the search's key
+    table, which has keyed the examples already; without one, the call
+    makes its own."""
     if kind not in ("value", "bool"):
         raise ValueError(f"unknown synthesis kind {kind!r}")
     if not examples:
@@ -356,7 +451,8 @@ def synthesize(
     if kind == "bool" and not all(isinstance(ex.output, bool) for ex in examples):
         raise ValueError("bool synthesis needs boolean outputs")
 
-    keys = _Keys()
+    if keys is None:
+        keys = _Keys()
     pools = mine_pools(examples, keys)
     arg_lists = [list(ex.args) for ex in examples]
     deadlines = [_Deadline(cfg.timeout)] + ([deadline] if deadline else [])
@@ -381,52 +477,6 @@ def synthesize(
     expected = tuple(ex.output for ex in examples)
     goal = keys.vector(expected) if want_value else expected
 
-    def check_budget():
-        if any(d.expired() for d in deadlines):
-            raise _Timeout()
-
-    def admit(bank, seen, vec, size, entry) -> bool:
-        """Count a candidate, and bank it if its vector is new."""
-        nonlocal enumerated
-        enumerated += 1
-        if enumerated % 512 == 0:
-            check_budget()
-        if vec in seen:
-            return False
-        seen.add(vec)
-        bank.setdefault(size, []).append(entry)
-        return True
-
-    def paths_of(size):
-        return path_by_size.get(size, [])
-
-    def bools_of(size):
-        return bool_by_size.get(size, [])
-
-    def grow(bases, params, make):
-        """make(base, p) for every base and p, with its outputs computed
-        from its base's."""
-        for base, slot, outs, _ in bases:
-            for p in params:
-                expr = make(base, p)
-                step = _STEPS[type(expr)]
-                yield expr, slot, tuple([step(expr, v) for v in outs])
-
-    def path_candidates(size):
-        if size == 1:
-            for slot, (_, reps) in enumerate(slots):
-                expr = Input(slot)
-                yield expr, slot, tuple([eval_path(expr, args) for args in reps])
-            return
-        yield from grow(paths_of(size - 1), pools.keys, Child)
-        yield from grow(paths_of(size - 1), pools.keys, Descendants)
-        yield from grow(paths_of(size - 1), pools.indices, Index)
-        yield from grow(paths_of(size - 1), pools.slices, lambda b, ij: Slice(b, *ij))
-        yield from grow(paths_of(size - 1), (None,), lambda b, _: Length(b))
-        if size >= 3:
-            yield from grow(paths_of(size - 2), pools.add_consts, lambda b, c: Add(c, b))
-            yield from grow(paths_of(size - 2), pools.concat_prefixes, lambda b, c: Concat(c, b))
-
     # Eq compares keys, which agrees with canonical_eq except on NaN; a
     # constant holding a NaN, which canonical_eq equates with nothing,
     # gets a key that equals nothing.
@@ -436,28 +486,127 @@ def synthesize(
         if not want_value
     }
 
-    def bool_candidates(size):
+    # The enumeration's outputs are keyed in a table of their own, so
+    # the search table keeps only the examples' values.
+    out_keys = _Keys(keys)
+
+    def check_budget():
+        if any(d.expired() for d in deadlines):
+            raise _Timeout()
+
+    def admit(seen, vec) -> bool:
+        """Count a candidate; is its vector new?"""
+        nonlocal enumerated
+        enumerated += 1
+        if enumerated % 512 == 0:
+            check_budget()
+        if vec in seen:
+            return False
+        seen.add(vec)
+        return True
+
+    def paths_of(size):
+        return path_by_size.get(size, [])
+
+    def bools_of(size):
+        return bool_by_size.get(size, [])
+
+    def bank_path(size, slot, outs, make, *parts):
+        """Bank make(*parts), a path whose outputs per class of its slot
+        are outs, if its vector is new; the winner, or None."""
+        okeys = out_keys.vector(outs)
+        vec = spread[slot](okeys)
+        if not admit(seen_path_vectors, vec):
+            return None
+        expr = make(*parts)
+        path_by_size.setdefault(size, []).append((expr, slot, outs, okeys))
+        return expr if want_value and vec == goal else None
+
+    def grow(size, bases, params, node, make=None):
+        """make(base, p) (by default node(base, p)) for every base and
+        p, bases outer, its outputs computed from its base's through
+        node's step; the winner, or None."""
+        step = _STEPS[node]
+        make = make or node
+        for base, slot, outs, _ in bases:
+            for p in params:
+                hit = bank_path(size, slot, tuple([step(p, v) for v in outs]), make, base, p)
+                if hit is not None:
+                    return hit
+        return None
+
+    def paths(size):
+        """Bank the paths of one size; the winner, or None."""
+        if size == 1:
+            for slot, (_, reps) in enumerate(slots):
+                read = Input(slot)
+                outs = tuple([eval_path(read, args) for args in reps])
+                hit = bank_path(size, slot, outs, Input, slot)
+                if hit is not None:
+                    return hit
+            return None
+        smaller = paths_of(size - 1)
+        productions = [
+            (smaller, pools.keys, Child),
+            (smaller, pools.keys, Descendants),
+            (smaller, pools.indices, Index),
+            (smaller, pools.slices, Slice, lambda b, ij: Slice(b, *ij)),
+            (smaller, (None,), Length, lambda b, _: Length(b)),
+        ]
+        if size >= 3:
+            productions.append((paths_of(size - 2), pools.add_consts, Add, lambda b, c: Add(c, b)))
+            productions.append(
+                (paths_of(size - 2), pools.concat_prefixes, Concat, lambda b, c: Concat(c, b))
+            )
+        for production in productions:
+            hit = grow(size, *production)
+            if hit is not None:
+                return hit
+        return None
+
+    def bank_bool(size, outs, make, *parts):
+        """Bank make(*parts) if its vector is new; the winner, or None."""
+        if not admit(seen_bool_vectors, outs):
+            return None
+        expr = make(*parts)
+        bool_by_size.setdefault(size, []).append((expr, outs))
+        return expr if outs == goal else None
+
+    def bools(size):
+        """Bank the predicates of one size; the winner, or None."""
         for j in range(1, size - 1):
             consts = eq_consts.get(size - 1 - j, [])
             if not consts:
                 continue
             for base, slot, _, okeys in paths_of(j):
                 for c, ckey in consts:
-                    yield Eq(base, c), spread[slot](tuple([k == ckey for k in okeys]))
-        for expr, slot, outs in grow(paths_of(size - 1), (None,), lambda b, _: Empty(b)):
-            yield expr, spread[slot](outs)
+                    outs = spread[slot](tuple([k == ckey for k in okeys]))
+                    hit = bank_bool(size, outs, Eq, base, c)
+                    if hit is not None:
+                        return hit
+        empty = _STEPS[Empty]
+        for base, slot, outs, _ in paths_of(size - 1):
+            hit = bank_bool(size, spread[slot](tuple([empty(None, v) for v in outs])), Empty, base)
+            if hit is not None:
+                return hit
         for inner, outs in bools_of(size - 1):
-            yield Not(inner), tuple([not b for b in outs])
+            hit = bank_bool(size, tuple([not b for b in outs]), Not, inner)
+            if hit is not None:
+                return hit
         for j in range(1, size - 1):
             for left, louts in bools_of(j):
                 for right, routs in bools_of(size - 1 - j):
-                    yield And(left, right), tuple([a and b for a, b in zip(louts, routs)])
+                    outs = tuple([a and b for a, b in zip(louts, routs)])
+                    hit = bank_bool(size, outs, And, left, right)
+                    if hit is not None:
+                        return hit
+        return None
 
     def found(expr, size):
         """The winner, once the reference interpreter agrees with its
         stored outputs on every example."""
         for args, want in zip(arg_lists, goal):
-            got = keys.of(eval_path(expr, args)) if want_value else eval_bool(expr, args)
+            got = out_keys.of(eval_path(expr, args)) if want_value else eval_bool(expr, args)
             if got != want:
                 raise RuntimeError(f"incremental evaluation disagrees with eval on {expr!r}")
         return SynthesisResult("sat", expr, size, arity, enumerated)
@@ -465,19 +614,11 @@ def synthesize(
     try:
         for size in range(1, cfg.max_size + 1):
             check_budget()
-            for expr, slot, outs in path_candidates(size):
-                okeys = keys.vector(outs)
-                vec = spread[slot](okeys)
-                entry = (expr, slot, outs, okeys)
-                if admit(path_by_size, seen_path_vectors, vec, size, entry) and (
-                    want_value and vec == goal
-                ):
-                    return found(expr, size)
-            if want_value:
-                continue
-            for expr, outs in bool_candidates(size):
-                if admit(bool_by_size, seen_bool_vectors, outs, size, (expr, outs)) and outs == goal:
-                    return found(expr, size)
+            hit = paths(size)
+            if hit is None and not want_value:
+                hit = bools(size)
+            if hit is not None:
+                return found(hit, size)
     except _Timeout:
         return SynthesisResult("timeout", None, 0, arity, enumerated)
 
@@ -487,37 +628,33 @@ def synthesize(
 # --- caching -----------------------------------------------------------------
 
 
-def _example_digest(ex: IOExample) -> str:
-    parts = []
-    for a in ex.args:
-        parts.append("absent" if is_absent(a) else canonical_dumps(a))
-    parts.append(canonical_dumps(ex.output))
-    return "\x1e".join(parts)
-
-
-def constraint_digest(examples: List[IOExample], kind: str) -> str:
-    arity = len(examples[0].args) if examples else 0
-    encoded = sorted(_example_digest(ex) for ex in examples)
-    h = hashlib.sha256()
-    h.update(f"{kind}|{arity}|".encode())
-    for e in encoded:
-        h.update(e.encode())
-        h.update(b"\x1d")
-    return h.hexdigest()
-
-
 class ConstraintCache:
-    """Memo of solved constraint sets, keyed order-insensitively.
-    Satisfying expressions are reused outright; unsat verdicts are kept
-    with the budget they were proved at, so only a larger budget
-    re-runs the enumeration. pbe_calls and pbe_sat count actual
-    enumerator runs (cache hits are free)."""
+    """Memo of solved constraint sets, for one search. Satisfying
+    expressions are reused outright; unsat verdicts are kept with the
+    budget they were proved at, so only a larger budget re-runs the
+    enumeration. pbe_calls and pbe_sat count actual enumerator runs
+    (cache hits are free).
+
+    A constraint set is keyed by its kind, its arity and the multiset
+    of its examples, each example being the tuple of its arguments' and
+    output's structural keys: example order is ignored, and two sets
+    share an entry exactly when their examples' canonical_dumps agree
+    (the absent marker is a key of its own). The keys come from one
+    _Keys table for the whole search, which synthesize reuses, so each
+    example value is keyed once per search, not once per call."""
 
     def __init__(self):
-        self._sat: Dict[str, SynthesisResult] = {}
-        self._unsat_budget: Dict[str, int] = {}
+        self.keys = _Keys()
+        self._sat: Dict[tuple, SynthesisResult] = {}
+        self._unsat_budget: Dict[tuple, int] = {}
         self.pbe_calls = 0
         self.pbe_sat = 0
+
+    def _key(self, examples: List[IOExample], kind: str) -> tuple:
+        of = self.keys.of
+        arity = len(examples[0].args) if examples else 0
+        rows = Counter(tuple([of(a) for a in ex.args] + [of(ex.output)]) for ex in examples)
+        return kind, arity, frozenset(rows.items())
 
     def records_unsat(self) -> bool:
         """Is any constraint set recorded unsat?"""
@@ -525,7 +662,7 @@ class ConstraintCache:
 
     def has_unsat(self, examples: List[IOExample], kind: str) -> bool:
         """Is this constraint set recorded unsat at any budget?"""
-        return constraint_digest(examples, kind) in self._unsat_budget
+        return self._key(examples, kind) in self._unsat_budget
 
     def solve(
         self,
@@ -534,18 +671,16 @@ class ConstraintCache:
         cfg: GrammarConfig,
         deadline: Optional[_Deadline] = None,
     ) -> SynthesisResult:
-        digest = constraint_digest(examples, kind)
-        if digest in self._sat:
-            return self._sat[digest]
-        if self._unsat_budget.get(digest, -1) >= cfg.max_size:
+        key = self._key(examples, kind)
+        if key in self._sat:
+            return self._sat[key]
+        if self._unsat_budget.get(key, -1) >= cfg.max_size:
             return SynthesisResult("unsat", None, 0, len(examples[0].args), 0)
         self.pbe_calls += 1
-        result = synthesize(examples, kind, cfg, deadline)
+        result = synthesize(examples, kind, cfg, deadline, keys=self.keys)
         if result.sat:
             self.pbe_sat += 1
-            self._sat[digest] = result
+            self._sat[key] = result
         elif result.status == "unsat":
-            self._unsat_budget[digest] = max(
-                cfg.max_size, self._unsat_budget.get(digest, 0)
-            )
+            self._unsat_budget[key] = max(cfg.max_size, self._unsat_budget.get(key, 0))
         return result

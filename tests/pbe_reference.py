@@ -2,10 +2,16 @@
 candidate is evaluated from the examples' inputs with eval_path /
 eval_bool, and output vectors are keyed by canonical_dumps. Kept
 verbatim as the reference the incremental enumerator is tested against;
-nothing in src/ uses it."""
+nothing in src/ uses it.
+
+Below it, verbatim too, the recursive JSON walks that pbe.py and
+jsonvals.py now run off explicit stacks (_Keys.of, _leaves,
+structural_size), and the digest that keyed ConstraintCache before it
+keyed examples by their structural keys."""
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +33,7 @@ from tracesynth.hidden import (
     eval_path,
 )
 from tracesynth.jsonvals import (
+    ABSENT,
     JsonValue,
     canonical_dumps,
     is_absent,
@@ -291,3 +298,85 @@ def synthesize(
         return SynthesisResult("timeout", None, 0, arity, enumerated)
 
     return SynthesisResult("unsat", None, 0, arity, enumerated)
+
+
+# --- the recursive walks -----------------------------------------------------
+
+
+_BOOL_KEYS = {False: ("b", False), True: ("b", True)}
+_NAN_KEY = ("f", "nan")
+
+
+class Keys:
+    """pbe._Keys before it walked a stack (one table per call)."""
+
+    def __init__(self):
+        self._by_id: Dict[int, tuple] = {}
+        self._interned: Dict[tuple, tuple] = {}
+
+    def of(self, v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, bool):
+            return _BOOL_KEYS[v]
+        if isinstance(v, int) or v is None or v is ABSENT:
+            return v
+        if isinstance(v, float):
+            return ("f", v) if v == v else _NAN_KEY
+        hit = self._by_id.get(id(v))
+        if hit is not None:
+            return hit[1]
+        if isinstance(v, list):
+            shape = ("l",) + tuple([self.of(x) for x in v])
+        elif isinstance(v, dict):
+            shape = ("d",) + tuple(sorted([(k, self.of(x)) for k, x in v.items()]))
+        else:
+            raise TypeError(f"not a JSON value: {v!r}")
+        key = self._interned.setdefault(shape, ("c", len(self._interned)))
+        self._by_id[id(v)] = (v, key)
+        return key
+
+
+def leaves(v, keys, lengths):
+    """pbe._leaves before it walked a stack."""
+    if isinstance(v, dict):
+        for k, sub in v.items():
+            keys.setdefault(k, None)
+            yield from leaves(sub, keys, lengths)
+    elif isinstance(v, list):
+        lengths.append(len(v))
+        for sub in v:
+            yield from leaves(sub, keys, lengths)
+    else:
+        yield v
+
+
+def recursive_structural_size(v) -> int:
+    """jsonvals.structural_size before it walked a stack."""
+    if isinstance(v, list):
+        return 1 + sum(recursive_structural_size(x) for x in v)
+    if isinstance(v, dict):
+        return 1 + sum(recursive_structural_size(x) for x in v.values())
+    return 1
+
+
+# --- the cache digest ----------------------------------------------------------
+
+
+def _example_digest(ex: IOExample) -> str:
+    parts = []
+    for a in ex.args:
+        parts.append("absent" if is_absent(a) else canonical_dumps(a))
+    parts.append(canonical_dumps(ex.output))
+    return "\x1e".join(parts)
+
+
+def constraint_digest(examples: List[IOExample], kind: str) -> str:
+    arity = len(examples[0].args) if examples else 0
+    encoded = sorted(_example_digest(ex) for ex in examples)
+    h = hashlib.sha256()
+    h.update(f"{kind}|{arity}|".encode())
+    for e in encoded:
+        h.update(e.encode())
+        h.update(b"\x1d")
+    return h.hexdigest()

@@ -161,6 +161,34 @@ def test_a_request_value_nested_600_deep_synthesizes_and_replays(tmp_path, capsy
     assert captured.out.startswith("lambda") and "svc.Put(v=" + "[" * 600 + '"leaf"' in captured.out
 
 
+@pytest.mark.parametrize("depth", [600, 900])
+def test_a_response_value_nested_deep_feeds_a_helper(depth, tmp_path, capsys):
+    """PBE keys every example value, and mines its constants, off
+    explicit stacks: a response too deep for the recursive walks (they
+    stopped between 450 and 500 levels) still yields the helper that
+    reads its id."""
+
+    def trace(t):
+        value = "leaf"
+        for _ in range(depth):
+            value = [value]
+        return [
+            {
+                "api": "svc.Create",
+                "request": {"name": f"n{t}"},
+                "response": {"deep": value, "id": f"id-{t}"},
+            },
+            {"api": "svc.Get", "request": {"id": f"id-{t}"}, "response": {"ok": True}},
+        ]
+
+    traces = tmp_path / "deep_response.json"
+    traces.write_text(json.dumps([trace(t) for t in range(3)]))
+    assert main(["synth", "--traces", str(traces)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "f_1 := (a0, a1) -> a1.id" in captured.out
+
+
 def assert_one_error_line(err):
     assert err.startswith("tracesynth: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pbe_reference as reference
-from tracesynth import pbe
+from tracesynth import hidden, jsonvals, pbe
 from tracesynth.hidden import (
     Add,
     And,
@@ -322,16 +322,222 @@ def test_the_reference_interpreter_has_the_final_word(monkeypatch):
         synthesize(examples, "value", GrammarConfig(max_size=3))
 
 
-@pytest.mark.parametrize("name", ["eval_path", "eval_bool", "canonical_dumps", "mine_pools", "synthesize"])
+VALUE_SET = [IOExample(args=({"a": 5},), output=5), IOExample(args=({"a": 7},), output=7)]
+FLAG_SET = [IOExample(args=({"s": "ok"},), output=True), IOExample(args=({"s": "no"},), output=False)]
+
+
+@pytest.mark.parametrize("name", ["eval_path", "eval_bool", "mine_pools", "synthesize"])
 def test_pbe_calls_its_helpers_through_module_globals(monkeypatch, name):
     """perfbench/tracer.py counts these calls by rebinding the names."""
     calls = []
     real = getattr(pbe, name)
     monkeypatch.setattr(pbe, name, lambda *a, **k: calls.append(name) or real(*a, **k))
     cfg = GrammarConfig(max_size=4)
-    value = [IOExample(args=({"a": 5},), output=5), IOExample(args=({"a": 7},), output=7)]
-    flag = [IOExample(args=({"s": "ok"},), output=True), IOExample(args=({"s": "no"},), output=False)]
     cache = ConstraintCache()
-    assert cache.solve(value, "value", cfg).expr == Child(Input(0), "a")
-    assert cache.solve(flag, "bool", cfg).sat
+    assert cache.solve(VALUE_SET, "value", cfg).expr == Child(Input(0), "a")
+    assert cache.solve(FLAG_SET, "bool", cfg).sat
     assert calls
+
+
+def test_solving_never_dumps_a_value(monkeypatch):
+    """The cache and the enumerator key values structurally; no value is
+    serialized, at any of the names canonical_dumps is looked up by."""
+    calls = []
+    for module in (pbe, hidden, jsonvals):
+        real = module.canonical_dumps
+        monkeypatch.setattr(
+            module, "canonical_dumps", lambda v, real=real: calls.append(v) or real(v)
+        )
+    cfg = GrammarConfig(max_size=4)
+    cache = ConstraintCache()
+    assert cache.solve(VALUE_SET, "value", cfg).expr == Child(Input(0), "a")
+    assert cache.solve(FLAG_SET, "bool", cfg).sat
+    assert cache.solve(list(reversed(FLAG_SET)), "bool", cfg).sat
+    assert not cache.has_unsat(VALUE_SET, "bool")
+    assert calls == []
+
+
+# --- the walks that replaced recursion ---------------------------------------
+
+
+def shared(draw, v):
+    """v, or a list holding v twice, so one container is met twice."""
+    return [v, v] if draw(st.booleans()) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iterative_walks_match_their_recursive_copies(data):
+    values = data.draw(st.lists(any_values, min_size=1, max_size=4))
+    values = [shared(data.draw, v) for v in values]
+    values.append(copy.deepcopy(values[0]))
+    new, old = pbe._Keys(), reference.Keys()
+    assert [new.of(v) for v in values] == [old.of(v) for v in values]
+    for v in values:
+        assert jsonvals.structural_size(v) == reference.recursive_structural_size(v)
+        keys, lengths, old_keys, old_lengths = {}, [], {}, []
+        assert list(pbe._leaves(v, keys, lengths)) == list(
+            reference.leaves(v, old_keys, old_lengths)
+        )
+        assert (list(keys), lengths) == (list(old_keys), old_lengths)
+
+
+def nested(depth):
+    value = {"deep": "leaf", "also": 1}
+    for _ in range(depth):
+        value = [{"k": value}]
+    return value
+
+
+def test_the_walks_take_any_depth():
+    value = nested(5_000)
+    assert jsonvals.structural_size(value) == 10_003
+    keys, lengths = {}, []
+    assert list(pbe._leaves(value, keys, lengths)) == ["leaf", 1]
+    assert list(keys) == ["k", "deep", "also"] and len(lengths) == 5_000
+    table = pbe._Keys()
+    assert table.of(value) == table.of(nested(5_000)) != table.of(nested(4_999))
+
+
+# --- the cache key -----------------------------------------------------------
+
+# Values that dump alike or nearly so: NaN, -0.0, True against 1, 1
+# against 1.0, objects whose keys come in another order.
+look_alikes = st.recursive(
+    st.sampled_from([None, True, False, 0, 1, 0.0, -0.0, 1.0, float("nan"), "", "1", "absent"]),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def example_list_pairs(draw):
+    """Two example lists, the second often the first with its examples
+    reordered or repeated, and its values swapped for look-alikes."""
+    kind = draw(st.sampled_from(["value", "bool"]))
+    arity = draw(st.integers(1, 2))
+    pool = draw(st.lists(st.one_of(look_alikes, st.just(ABSENT)), min_size=1, max_size=4))
+    outputs = pool + [True, False] if kind == "value" else [True, False]
+
+    def examples():
+        return [
+            IOExample(
+                tuple(draw(st.sampled_from(pool)) for _ in range(arity)),
+                draw(st.sampled_from(outputs)),
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+
+    first = examples()
+    if draw(st.integers(0, 3)) == 0:
+        second = examples()
+    else:
+        second = [
+            IOExample(
+                tuple(twin(draw, a) if draw(st.booleans()) else a for a in e.args),
+                twin(draw, e.output) if kind == "value" else e.output,
+            )
+            for e in first
+        ]
+        second = draw(st.permutations(second))
+        if draw(st.booleans()):
+            second.append(draw(st.sampled_from(second)))
+    return kind, first, second
+
+
+NAN = float("nan")
+
+
+@settings(max_examples=500, deadline=None)
+@given(example_list_pairs())
+@example(("value", [ex([True], 1)], [ex([1], 1)]))
+@example(("value", [ex([1], 1)], [ex([1.0], 1)]))
+@example(("value", [ex([NAN], NAN)], [ex([float("nan")], float("nan"))]))
+@example(("value", [ex([[-0.0]], 0.0)], [ex([[0.0]], -0.0)]))
+@example(("value", [ex([{"a": 1, "b": [2]}], 1)], [ex([{"b": [2], "a": 1}], 1)]))
+@example(("value", [ex([ABSENT], None)], [ex([None], None)]))
+@example(("value", [ex([ABSENT], None)], [ex(["absent"], None)]))
+@example(("bool", [ex([1], True), ex([1], True), ex([2], False)], [ex([1], True)] + [ex([2], False)] * 2))
+@example(("bool", [ex([1], True), ex([2], False)], [ex([2], False), ex([1], True)]))
+def test_examples_share_a_cache_entry_exactly_when_their_digests_agree(case):
+    """The cache key splits example lists into the groups the sha256
+    digest of their canonical_dumps did (tests/pbe_reference.py)."""
+    kind, first, second = case
+    cache = ConstraintCache()
+    same = cache._key(first, kind) == cache._key(second, kind)
+    assert same == (
+        reference.constraint_digest(first, kind) == reference.constraint_digest(second, kind)
+    )
+
+
+def test_an_unsat_verdict_is_found_again_under_another_example_order():
+    examples = [ex([{"a": 1, "b": 2}], "x"), ex([[-0.0]], "y")]
+    cache = ConstraintCache()
+    assert cache.solve(examples, "value", GrammarConfig(max_size=2)).status == "unsat"
+    assert cache.has_unsat([ex([[0.0]], "y"), ex([{"b": 2, "a": 1}], "x")], "value")
+    assert not cache.has_unsat([ex([[0]], "y"), ex([{"b": 2, "a": 1}], "x")], "value")
+
+
+# --- the search table and the call table --------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(value_pairs(), st.lists(any_values, max_size=3))
+@example((float("nan"), float("nan")), [])
+@example(([-0.0], [0.0]), [])
+@example(({"a": [1], "b": 2}, {"b": 2, "a": [1]}), [[1]])
+@example(([[True]], [[1]]), [[True]])
+def test_call_table_keys_equal_search_table_keys_exactly_when_dumps_do(pair, others):
+    """The search table keys a and some other values first; a call table
+    made afterwards keys b, and every value once more."""
+    a, b = pair
+    search = pbe._Keys()
+    ka = search.of(a)
+    for v in others:
+        search.of(v)
+    call = pbe._Keys(search)
+    kb = call.of(b)
+    assert (ka == kb) == (canonical_dumps(a) == canonical_dumps(b))
+    assert call.of(copy.deepcopy(a)) == ka
+    for v in others:
+        assert call.of(copy.deepcopy(v)) == search.of(v)
+        assert (call.of(v) == kb) == (canonical_dumps(v) == canonical_dumps(b))
+
+
+def containers(values):
+    """Every list and dict in values, at any depth."""
+    found, stack = [], list(values)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, dict)):
+            found.append(v)
+            stack.extend(v.values() if isinstance(v, dict) else v)
+    return found
+
+
+def test_enumeration_outputs_stay_out_of_the_search_table():
+    """`..key` and slice outputs are fresh lists; keying them in the
+    search table would keep every one alive for the whole search."""
+    examples = [
+        IOExample(args=(items,), output=items[:2])
+        for items in (
+            [{"id": f"i-{n}", "v": n} for n in range(2_000)],
+            [{"id": f"j-{n}", "v": -n} for n in range(2_000)],
+        )
+    ]
+    cache = ConstraintCache()
+    calls = []
+    real_step = pbe._STEPS[Descendants]
+    pbe._STEPS[Descendants] = lambda p, v: calls.append(p) or real_step(p, v)
+    try:
+        result = cache.solve(examples, "value", GrammarConfig(max_size=2))
+    finally:
+        pbe._STEPS[Descendants] = real_step
+    assert result.expr == Slice(Input(0), 0, 2)
+    assert calls
+    held = [c for c, _ in cache.keys._by_id.values()]
+    expected = containers([ex.args[0] for ex in examples] + [ex.output for ex in examples])
+    assert {id(c) for c in held} == {id(c) for c in expected}

@@ -51,9 +51,6 @@ PINNED = {
     "hidden.py:expr_uses_input",
     "hidden.py:print_expr",
     "jsonvals.py:_tag",
-    "jsonvals.py:structural_size",
-    "pbe.py:_Keys.of",
-    "pbe.py:_leaves",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
