@@ -231,9 +231,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RecursionError as exc:
         # The parser's descent still recurses once per nested
         # conditional or loop, the term walks (reads, printing,
-        # map_term) once per nested ternary or predicate, such as the
-        # chain of ternaries that pull builds from many traces, and the
-        # JSON-value walks (jsonvals._tag, pbe's value keys, helper
+        # map_term) once per nested case expression or predicate, and
+        # the JSON-value walks (jsonvals._tag, pbe's value keys, helper
         # evaluation) once per nested array or object; the full list is
         # pinned in tests/test_recursion_inventory.py. So a large enough
         # input nests too deeply for them.

@@ -46,7 +46,7 @@ def _counted():
 
 def term_br(t) -> int:
     """Reads of br in an expression or predicate."""
-    if isinstance(t, (Ternary, PAnd, POr, PNot)):
+    if isinstance(t, (Select, PAnd, POr, PNot)):
         return t.n_br
     if isinstance(t, VarRef):
         return t.name == BR
@@ -86,14 +86,23 @@ class VarRef:
 
 
 @dataclass(frozen=True)
-class Ternary:
-    pred: object
-    then_expr: object
-    else_expr: object
+class Select:
+    """A conditional expression: the expression of the first of cases,
+    (predicate, expression) pairs, whose predicate holds, else default.
+    `(p) ? a : b` is Select(((p, a),), b). A default that is itself a
+    Select is folded into the cases, so a chain of any length is one
+    flat node, equal to and hashed as the same chain built in one go."""
+
+    cases: Tuple[Tuple[object, object], ...]
+    default: object
     n_br: int = _counted()
 
     def __post_init__(self):
-        _set(self, "n_br", term_br(self.pred) + term_br(self.then_expr) + term_br(self.else_expr))
+        d = self.default
+        _set(self, "n_br", sum(term_br(p) + term_br(e) for p, e in self.cases) + term_br(d))
+        if isinstance(d, Select):
+            _set(self, "cases", self.cases + d.cases)
+            _set(self, "default", d.default)
 
 
 @dataclass(frozen=True)
@@ -334,13 +343,18 @@ def map_instrs(seq, f, in_loop=False):
 
 def map_term(t, leaf):
     """t with leaf applied to each of its leaves (a read, constant,
-    hidden call, value check, comparison, true or false); a ternary or
-    connective is rebuilt only when a part of it changed."""
-    if isinstance(t, Ternary):
-        p, a, b = map_term(t.pred, leaf), map_term(t.then_expr, leaf), map_term(t.else_expr, leaf)
-        if p is t.pred and a is t.then_expr and b is t.else_expr:
+    hidden call, value check, comparison, true or false); a Select or
+    connective is rebuilt only when a part of it changed, around the same
+    case pairs where they did not."""
+    if isinstance(t, Select):
+        cases = []
+        for case in t.cases:
+            p, e = map_term(case[0], leaf), map_term(case[1], leaf)
+            cases.append(case if p is case[0] and e is case[1] else (p, e))
+        default = map_term(t.default, leaf)
+        if default is t.default and all(map(_is, cases, t.cases)):
             return t
-        return Ternary(p, a, b)
+        return Select(tuple(cases), default)
     if isinstance(t, (PAnd, POr)):
         a, b = map_term(t.left, leaf), map_term(t.right, leaf)
         return t if a is t.left and b is t.right else type(t)(a, b)
@@ -398,7 +412,7 @@ def pred_reads(p) -> list:
 
 def _term_reads(t, is_pred: bool) -> list:
     """expr_reads or pred_reads of t, over an explicit stack of (term,
-    is a predicate), so a chain of ternaries of any depth is read."""
+    is a predicate): cases in order, then the default."""
     out = []
     stack = [(t, is_pred)]
     while stack:
@@ -416,45 +430,14 @@ def _term_reads(t, is_pred: bool) -> list:
                 raise DslError(f"not a predicate: {t!r}")
         elif isinstance(t, VarRef):
             out.append(t.name)
-        elif isinstance(t, Ternary):
-            stack += ((t.else_expr, False), (t.then_expr, False), (t.pred, True))
+        elif isinstance(t, Select):
+            stack.append((t.default, False))
+            for p, e in reversed(t.cases):
+                stack += ((e, False), (p, True))
         elif isinstance(t, HiddenCall):
             out += t.args
         elif not isinstance(t, Const):
             raise DslError(f"not an expression: {t!r}")
-    return out
-
-
-def seq_reads(seq) -> list:
-    """Variable names read anywhere in seq, in occurrence order: a
-    conditional's guard, then its branches; a loop's source or body,
-    then a retry loop's exit predicate. One accumulator and an explicit
-    stack, so the walk is linear and nesting depth is unbounded."""
-    out = []
-    # Instructions still to visit, the next on top. A retry loop's exit
-    # predicate waits below its body as a 1-tuple.
-    stack = list(reversed(seq))
-    while stack:
-        instr = stack.pop()
-        if isinstance(instr, tuple):
-            out.extend(pred_reads(instr[0]))
-        elif isinstance(instr, LetVisible):
-            for _, e in instr.args:
-                out.extend(expr_reads(e))
-        elif isinstance(instr, LetHidden):
-            out.extend(instr.args)
-        elif isinstance(instr, Ite):
-            out.extend(pred_reads(instr.pred))
-            stack.extend(reversed(instr.els))
-            stack.extend(reversed(instr.then))
-        elif isinstance(instr, RetryUntil):
-            stack.append((instr.pred,))
-            stack.extend(reversed(instr.body))
-        elif isinstance(instr, Foreach):
-            out.extend(expr_reads(instr.source))
-            stack.extend(reversed(instr.body))
-        elif not isinstance(instr, Return):
-            raise DslError(f"not an instruction: {instr!r}")
     return out
 
 
@@ -478,9 +461,12 @@ def _parts(instr) -> tuple:
 
 
 def _subterms(t) -> tuple:
-    """The terms a ternary or connective is built of; a leaf has none."""
-    if isinstance(t, Ternary):
-        return (t.pred, t.then_expr, t.else_expr)
+    """The parts a Select (case pairs, default), case pair or connective
+    is built of; a leaf has none."""
+    if isinstance(t, Select):
+        return (*t.cases, t.default)
+    if isinstance(t, tuple):
+        return t
     if isinstance(t, (PAnd, POr)):
         return (t.left, t.right)
     if isinstance(t, PNot):
@@ -528,9 +514,9 @@ def count_changes(old, new, reads: Counter, names: Counter) -> None:
     down is walked and counted on both sides, which cancels. Likewise a
     term of a new instruction that is the same object as a term of a
     replaced one cancels it unread, and a new term built around old
-    ones (a pull's ternary over the two merged arguments) is walked only
-    down to them. With old empty, every instruction and term of new is
-    counted in."""
+    ones is walked only down to them: a replaced Select is matched by
+    its case pairs and default, which a pull's Select over the two merged
+    arguments holds. With old empty, all of new is counted in."""
     in_old, level = set(), old
     for _ in range(3):
         in_old.update(map(id, level))
@@ -562,7 +548,8 @@ def count_changes(old, new, reads: Counter, names: Counter) -> None:
         for name in read:
             reads[name] -= 1
         for t in held:
-            pending.setdefault(id(t), [t, 0])[1] += 1
+            for part in _subterms(t) if isinstance(t, Select) else (t,):
+                pending.setdefault(id(part), [part, 0])[1] += 1
     _count_term_reads(reads, terms, 1, pending)
     _count_term_reads(reads, [t for t, n in pending.values() for _ in range(n)], -1, {})
 
@@ -686,8 +673,8 @@ def called_fns(seq) -> list:
             t = terms.pop()
             if isinstance(t, HiddenCall):
                 out.append(t.fn_name)
-            elif isinstance(t, Ternary):
-                terms += (t.else_expr, t.then_expr)
+            elif isinstance(t, Select):
+                terms += [t.default] + [e for _, e in reversed(t.cases)]
     return out
 
 
@@ -752,13 +739,18 @@ def print_pred(p, parent: str = "") -> str:
     raise DslError(f"not a predicate: {p!r}")
 
 
+def print_case(case) -> str:
+    """A conditional expression's case as printed ahead of the next."""
+    return f"({print_pred(case[0])}) ? {print_expr(case[1])} : "
+
+
 def print_expr(e) -> str:
     if isinstance(e, Const):
         return dumps_pretty(e.value)
     if isinstance(e, VarRef):
         return e.name
-    if isinstance(e, Ternary):
-        return f"({print_pred(e.pred)}) ? {print_expr(e.then_expr)} : {print_expr(e.else_expr)}"
+    if isinstance(e, Select):
+        return "".join(map(print_case, e.cases)) + print_expr(e.default)
     if isinstance(e, HiddenCall):
         return f"{e.fn_name}({', '.join(e.args)})"
     raise DslError(f"not an expression: {e!r}")

@@ -13,6 +13,10 @@ begins:
     where
       f_1 := (a0) -> a0..id[0]
 
+An expression `(p) ? a : b` is a if the predicate p holds, else b. A
+right-nested chain `(p) ? a : (q) ? b : c` reads as one dsl.Select with
+a case per predicate, in a loop that does not recurse along the chain.
+
 Whether `let v = name(...)` is a visible call or a hidden-function call
 is decided by the name: names declared in the LAMBDA prefix or the
 where section are hidden, everything else (dotted or not) is visible.
@@ -46,7 +50,7 @@ from .dsl import (
     Program,
     Return,
     RetryUntil,
-    Ternary,
+    Select,
     ValueCheck,
     VarRef,
     map_instrs,
@@ -396,20 +400,24 @@ class _Parser:
     # ---- expressions
 
     def expr(self):
+        cases = []
+        while self.at("punct", "("):
+            self.next()
+            pred = self.pred()
+            self.expect("punct", ")")
+            self.expect("punct", "?")
+            cases.append((pred, self.expr()))
+            self.expect("punct", ":")
+        e = self.operand()
+        return Select(tuple(cases), e) if cases else e
+
+    def operand(self):
+        """An expression other than a conditional one."""
         k, v, off = self.peek()
         if k in ("str", "num"):
             return Const(self.json_literal())
         if k == "punct" and v in ("[", "{"):
             return Const(self.json_literal())
-        if k == "punct" and v == "(":
-            self.next()
-            pred = self.pred()
-            self.expect("punct", ")")
-            self.expect("punct", "?")
-            then_expr = self.expr()
-            self.expect("punct", ":")
-            else_expr = self.expr()
-            return Ternary(pred, then_expr, else_expr)
         if k == "ident" and v in ("true", "false", "null"):
             return Const(self.json_literal())
         if k == "ident":

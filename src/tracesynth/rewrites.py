@@ -201,13 +201,13 @@ class RewriteContext:
     ts: TraceSet
     cache: ConstraintCache
     pbe_cfg: GrammarConfig = field(default_factory=GrammarConfig)
-    # introduce_parameter's duplicate key of each br-reading argument of
-    # the last state it saw: id(expr) -> (expr, key). Holding the
-    # expression keeps its id from being reused. An accepted state's
-    # nodes carry over to its successors, and a ternary that a pull or
-    # push builds from two of them is keyed from theirs, so only its
-    # predicate is printed. Keeping only the last state's arguments
-    # bounds the memo by one program.
+    # introduce_parameter's printed case pairs and defaults of each
+    # br-reading Select argument of the last state it saw: id(part) ->
+    # (part, text); an argument's duplicate key joins its parts' texts.
+    # Holding the part keeps its id from being reused. A pull or push
+    # builds its Select from the parts of the two merged arguments, so
+    # only its new first case is printed. Keeping only the last state's
+    # parts bounds the memo by one program.
     param_keys: Dict[int, Tuple[object, str]] = field(default_factory=dict, repr=False)
 
 
@@ -514,7 +514,7 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
         return None
     merged = []
     for (k, ea), (_, eb) in zip(a.args, b.args):
-        merged.append((k, ea if ea == eb else dsl.Ternary(pred, ea, eb)))
+        merged.append((k, ea if ea == eb else dsl.Select(((pred, ea),), eb)))
     return tuple(merged)
 
 
@@ -730,22 +730,18 @@ def rule_introduce_parameter(ix, ctx):
     program, sigma, hidden = ix.program, ix.sigma, ix.hidden
     keys, kept = ctx.param_keys, {}
 
-    def printed(e):
-        hit = keys.get(id(e))
-        return hit[1] if hit else dsl.print_expr(e)
+    def printed(part, show):
+        hit = kept[id(part)] = kept.get(id(part)) or keys.get(id(part)) or (part, show(part))
+        return hit[1]
 
     candidates = []  # (first_path, stmt, expr, key), distinct by printed form
     seen = set()
     for path, ins, in_loop in ix.br_lets:
         for _, e in ins.args:
-            if not isinstance(e, dsl.Ternary) or not e.n_br:
+            if not isinstance(e, dsl.Select) or not e.n_br:
                 continue
-            # dsl.print_expr(e), with branches of the last state reused.
-            hit = kept[id(e)] = keys.get(id(e)) or (
-                e,
-                f"({dsl.print_pred(e.pred)}) ? {printed(e.then_expr)} : {printed(e.else_expr)}",
-            )
-            key = hit[1]
+            # dsl.print_expr(e), with the parts of the last state reused.
+            key = "".join([printed(c, dsl.print_case) for c in e.cases]) + printed(e.default, dsl.print_expr)
             if key in seen:
                 continue
             seen.add(key)
@@ -1125,7 +1121,8 @@ def _span_outside_reads(ix, span) -> bool:
     """Whether any variable bound inside the span is read outside the
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
-    consumed = Counter(dsl.seq_reads(ix.program.body[span.start : span.start + span.length]))
+    consumed = Counter()
+    dsl.count_changes((), ix.program.body[span.start : span.start + span.length], consumed, Counter())
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
 

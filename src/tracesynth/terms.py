@@ -30,8 +30,11 @@ def term_evaluator(
             return t.value
         if isinstance(t, dsl.VarRef):
             return read(t.name)
-        if isinstance(t, dsl.Ternary):
-            return ev(t.then_expr) if ev(t.pred) else ev(t.else_expr)
+        if isinstance(t, dsl.Select):
+            for p, e in t.cases:
+                if ev(p):
+                    return ev(e)
+            return ev(t.default)
         if isinstance(t, dsl.HiddenCall):
             body = hidden.get(t.fn_name)
             if body is None:

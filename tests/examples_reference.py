@@ -258,7 +258,7 @@ def _span_outside_reads(ix, span) -> bool:
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
     seq = ix.seq_by_path[span.seq_path]
-    consumed = Counter(dsl.seq_reads(seq[span.start : span.start + span.length]))
+    consumed = Counter(sites_reference.seq_reads(seq[span.start : span.start + span.length]))
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
 

@@ -66,7 +66,7 @@ class _Gen:
             return dsl.Const(rng.choice(SCALARS))
         if roll < 0.5 and "br" in self.params and not in_loop:
             a, b = rng.sample(SCALARS, 2)
-            return dsl.Ternary(dsl.ValueCheck("br", 1), dsl.Const(a), dsl.Const(b))
+            return dsl.Select(((dsl.ValueCheck("br", 1), dsl.Const(a)),), dsl.Const(b))
         if roll < 0.7 and scope:
             return dsl.VarRef(rng.choice(scope))
         if roll < 0.85 and self.params:

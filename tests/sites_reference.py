@@ -12,8 +12,9 @@ recursive printer and the recursive matcher that compared programs
 up to renaming before dsl renamed them canonically. And the recursive
 collector of a loop span's single-api conditional tree. Kept verbatim as
 the reference the index, the node counts, the linear walks, the
-rebuilds, the printer and the equivalence are tested against; nothing
-in src/ uses it."""
+rebuilds, the printer and the equivalence are tested against, except
+that a conditional expression is a flat Select, whose cases each walk
+takes in order; nothing in src/ uses it."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from tracesynth.dsl import (
     PTrue,
     Return,
     RetryUntil,
-    Ternary,
+    Select,
     ValueCheck,
     VarRef,
     _arg_key,
@@ -153,8 +154,8 @@ def expr_reads(e) -> list:
         return []
     if isinstance(e, VarRef):
         return [e.name]
-    if isinstance(e, Ternary):
-        return pred_reads(e.pred) + expr_reads(e.then_expr) + expr_reads(e.else_expr)
+    if isinstance(e, Select):
+        return [n for p, x in e.cases for n in pred_reads(p) + expr_reads(x)] + expr_reads(e.default)
     if isinstance(e, HiddenCall):
         return list(e.args)
     raise DslError(f"not an expression: {e!r}")
@@ -306,9 +307,10 @@ def check_calls(seq, known) -> None:
     def check_expr(e):
         if isinstance(e, dsl.HiddenCall) and e.fn_name not in known:
             raise DslError(f"call to undefined hidden function {e.fn_name}")
-        if isinstance(e, dsl.Ternary):
-            check_expr(e.then_expr)
-            check_expr(e.else_expr)
+        if isinstance(e, dsl.Select):
+            for _, x in e.cases:
+                check_expr(x)
+            check_expr(e.default)
 
     check_calls(seq)
 
@@ -334,11 +336,10 @@ def _subst_expr(e, old, new):
         return e
     if isinstance(e, VarRef):
         return VarRef(new) if e.name == old else e
-    if isinstance(e, Ternary):
-        return Ternary(
-            _subst_pred(e.pred, old, new),
-            _subst_expr(e.then_expr, old, new),
-            _subst_expr(e.else_expr, old, new),
+    if isinstance(e, Select):
+        return Select(
+            tuple((_subst_pred(p, old, new), _subst_expr(x, old, new)) for p, x in e.cases),
+            _subst_expr(e.default, old, new),
         )
     if isinstance(e, HiddenCall):
         return HiddenCall(e.fn_name, tuple(new if a == old else a for a in e.args))
@@ -414,11 +415,13 @@ def _fold_const_pred(p, var, value):
 def _inline_const_expr(e, var, value):
     if isinstance(e, dsl.VarRef):
         return dsl.Const(value) if e.name == var else e
-    if isinstance(e, dsl.Ternary):
-        return dsl.Ternary(
-            _fold_const_pred(e.pred, var, value),
-            _inline_const_expr(e.then_expr, var, value),
-            _inline_const_expr(e.else_expr, var, value),
+    if isinstance(e, dsl.Select):
+        return dsl.Select(
+            tuple(
+                (_fold_const_pred(p, var, value), _inline_const_expr(x, var, value))
+                for p, x in e.cases
+            ),
+            _inline_const_expr(e.default, var, value),
         )
     if isinstance(e, dsl.HiddenCall) and var in e.args:
         raise _InlineReject()
@@ -578,11 +581,14 @@ def _equiv_expr(a, b, vm: _RenameMap, fm: _RenameMap) -> bool:
         return canonical_eq(a.value, b.value)
     if isinstance(a, VarRef):
         return vm.match(a.name, b.name)
-    if isinstance(a, Ternary):
+    if isinstance(a, Select):
         return (
-            _equiv_pred(a.pred, b.pred, vm)
-            and _equiv_expr(a.then_expr, b.then_expr, vm, fm)
-            and _equiv_expr(a.else_expr, b.else_expr, vm, fm)
+            len(a.cases) == len(b.cases)
+            and all(
+                _equiv_pred(p, q, vm) and _equiv_expr(x, y, vm, fm)
+                for (p, x), (q, y) in zip(a.cases, b.cases)
+            )
+            and _equiv_expr(a.default, b.default, vm, fm)
         )
     if isinstance(a, HiddenCall):
         return (

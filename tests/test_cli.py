@@ -5,12 +5,15 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from tracesynth.cli import main
+from tracesynth.evaluator import default_retry_bound, replay_check
 from tracesynth.parser import parse_program
+from tracesynth.traces import parse_traces
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = BENCH.parent / "src"
@@ -114,27 +117,54 @@ def test_unreadable_or_invalid_inputs_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
-    """The initial program nests one conditional per trace. Replay walks
-    it with an explicit stack, but pull merges the branches' calls into
-    one call whose argument is a chain of ternaries, one per trace, and
-    terms.ev still recurses once per ternary. A lowered limit makes 200
-    one-call traces stop there while the search refines, when
-    introduce_parameter evaluates the chain."""
-    traces = tmp_path / "deep.json"
-    traces.write_text(
-        json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(200)])
-    )
+@contextmanager
+def recursion_limit_above_caller(frames):
+    """The recursion limit set frames above the caller's stack depth."""
     depth = 0
-    frame = sys._getframe()
+    frame = sys._getframe(2)
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 150)
+    sys.setrecursionlimit(depth + frames)
     try:
-        code = main(["synth", "--traces", str(traces)])
+        yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_200_one_call_traces_synthesize_at_a_lowered_recursion_limit(tmp_path, capsys):
+    """The initial program nests one conditional per trace. Replay walks
+    it with an explicit stack, and pull merges the branches' calls into
+    one call whose argument is one flat conditional expression with a
+    case per trace, which every term walk takes in a loop. So 200
+    one-call traces synthesize with 150 frames to spare; the nested form
+    of that argument went a frame down per trace and stopped there."""
+    traces = tmp_path / "wide.json"
+    traces.write_text(
+        json.dumps([[{"api": "Api", "request": {"k": t}, "response": {"r": t}}] for t in range(200)])
+    )
+    with recursion_limit_above_caller(150):
+        code = main(["synth", "--traces", str(traces)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "lambda i_1.\n  let x200 = Api(k=i_1)\n"
+    program, ts = parse_program(captured.out), parse_traces(traces.read_text())
+    for t, trace in enumerate(ts.traces):
+        assert replay_check(program, {"i_1": t}, trace, default_retry_bound(ts)) == (True, "")
+
+
+def test_too_deeply_nested_input_exits_1_without_a_traceback(tmp_path, capsys):
+    """The JSON decoder recurses once per nested array. At a lowered
+    limit, a request value nested 300 deep stops it, and the command
+    reports that in one line rather than a traceback."""
+    value = "leaf"
+    for _ in range(300):
+        value = [value]
+    traces = tmp_path / "deep.json"
+    traces.write_text(json.dumps([[{"api": "Api", "request": {"k": value}, "response": {}}]]))
+    with recursion_limit_above_caller(150):
+        code = main(["synth", "--traces", str(traces)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -17,7 +17,7 @@ from tracesynth.dsl import (
     Program,
     Return,
     RetryUntil,
-    Ternary,
+    Select,
     ValueCheck,
     VarRef,
 )
@@ -48,7 +48,7 @@ def test_count_statements_conventions():
 
 def test_count_br_usages_counts_reads_everywhere():
     body = (
-        let("a", x=Ternary(ValueCheck("br", 1), Const(1), Const(2))),
+        let("a", x=Select(((ValueCheck("br", 1), Const(1)),), Const(2))),
         Ite(ValueCheck("br", 2), (), ()),
     )
     assert prog(body).n_br == 2
@@ -155,7 +155,7 @@ def test_two_trace_cost_trajectory_is_exact():
         )
     )
     # Pull the shared leading stop out of both branches.
-    tern_ids = Ternary(guard, Const(IDS1), Const(IDS2))
+    tern_ids = Select(((guard, Const(IDS1)),), Const(IDS2))
     p1 = prog(
         (
             LetVisible("x1", SI, (("InstanceIds", tern_ids), ("Force", Const(False)))),

@@ -1,5 +1,7 @@
 """Program AST helpers: reads, binders, renaming, validation, equivalence."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,21 +23,24 @@ from tracesynth.dsl import (
     Program,
     Return,
     RetryUntil,
-    Ternary,
+    Select,
     ValueCheck,
     VarRef,
+    count_changes,
     equiv_mod_renaming,
     expr_reads,
     free_vars,
+    map_term,
     pred_reads,
     pretty_print,
     rename_reads,
     seq_binders,
     seq_loop_ids,
-    seq_reads,
     validate_program,
 )
 from tracesynth.hidden import Child, HiddenFnBody, Input
+from tracesynth.parser import parse_program
+from tracesynth.terms import term_evaluator
 
 
 def let(var, api="svc.Op", **kw):
@@ -51,19 +56,16 @@ def test_reads_and_binders():
         Return(),
     )
     assert seq_binders(seq) == ["x", "y", "z", "u", "w"]
-    reads = seq_reads(seq)
-    assert reads.count("x") == 2
-    assert "p" in reads and "u" in reads and "z" in reads
+    reads = Counter()
+    count_changes((), seq, reads, Counter())
+    assert reads == Counter(x=2, p=1, u=1, z=2)
     assert seq_loop_ids(seq) == ["loop_1", "loop_2"]
     assert free_vars(seq) == {"p"}
-    assert seq_reads(seq).count("x") == 2
-    assert seq_reads(seq).count("u") == 1
 
 
 def test_ternary_and_hidden_call_reads():
-    e = Ternary(ValueCheck("b", 2), VarRef("t"), HiddenCall("f", ("a", "c")))
-    seq = (let("x", arg=e),)
-    assert sorted(set(seq_reads(seq))) == ["a", "b", "c", "t"]
+    e = Select(((ValueCheck("b", 2), VarRef("t")),), HiddenCall("f", ("a", "c")))
+    assert expr_reads(e) == ["b", "t", "a", "c"]
 
 
 NAMES = st.sampled_from(("a", "b", "br"))
@@ -83,7 +85,11 @@ expr_leaves = st.one_of(
     st.builds(VarRef, NAMES),
     st.builds(HiddenCall, st.just("f_1"), st.lists(NAMES, max_size=2).map(tuple)),
 )
-exprs = st.recursive(expr_leaves, lambda e: st.builds(Ternary, preds, e, e), max_leaves=8)
+exprs = st.recursive(
+    expr_leaves,
+    lambda e: st.builds(Select, st.lists(st.tuples(preds, e), min_size=1, max_size=3).map(tuple), e),
+    max_leaves=8,
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,7 +98,7 @@ def test_term_reads_match_the_recursive_reference(e, p):
     assert expr_reads(e) == reference.expr_reads(e)
     assert pred_reads(p) == reference.pred_reads(p)
     # A term of the wrong kind fails with the same message.
-    ite_of_pred, not_of_expr = Ternary(ValueCheck("a", 1), VarRef("b"), p), PNot(e)
+    ite_of_pred, not_of_expr = Select(((ValueCheck("a", 1), VarRef("b")),), p), PNot(e)
     for read, ref, bad in (
         (expr_reads, reference.expr_reads, ite_of_pred),
         (pred_reads, reference.pred_reads, not_of_expr),
@@ -104,15 +110,33 @@ def test_term_reads_match_the_recursive_reference(e, p):
         assert str(got.value) == str(want.value)
 
 
-def test_term_reads_survive_a_3000_deep_ternary_chain():
-    """Pull merges one call per trace into one call whose argument nests
-    a ternary per trace; the recursive readers stopped on it."""
-    e = Const(0)
-    for n in range(3000):
-        e = Ternary(PAnd(ValueCheck("br", n), PNot(Compare("a", ">=", "b"))), VarRef("x"), e)
-    with pytest.raises(RecursionError):
-        reference.expr_reads(e)
-    assert expr_reads(e) == ["br", "a", "b", "x"] * 3000
+def test_a_3000_case_conditional_expression_is_one_flat_node():
+    """Pull merges one call per trace into one call whose argument has a
+    case per trace. As one flat Select it parses, prints, maps,
+    evaluates, validates and compares at the default recursion limit;
+    the nested form went one frame down per case, and its parser raised
+    RecursionError on this text."""
+    n = 3000
+    chain = "".join(f"(br == {i}) ? {i} : " for i in range(n)) + "-1"
+    text = f"lambda br.\n  let x = svc.Op(k={chain})\n"
+    program = parse_program(text)
+    assert pretty_print(program) == text
+    validate_program(program)
+    e = program.body[0].args[0][1]
+    assert len(e.cases) == n and e.default == Const(-1)
+    # Built in one go, and built case by case the way pull nests them.
+    flat = Select(tuple((ValueCheck("br", i), Const(i)) for i in range(n)), Const(-1))
+    nested = Const(-1)
+    for i in reversed(range(n)):
+        nested = Select(((ValueCheck("br", i), Const(i)),), nested)
+    for other in (flat, nested):
+        assert e == other and hash(e) == hash(other) and e.n_br == other.n_br == n
+    renamed = map_term(e, lambda t: ValueCheck("q", t.const) if isinstance(t, ValueCheck) else t)
+    assert expr_reads(renamed) == ["q"] * n
+    assert map_term(e, lambda t: t) is e
+    for q, want in ((0, 0), (n - 1, n - 1), (n, -1)):
+        ev = term_evaluator({"q": q}.__getitem__, None, {}, KeyError)
+        assert ev(renamed) == want
 
 
 def test_rename_reads_leaves_binders_alone():
@@ -121,8 +145,8 @@ def test_rename_reads_leaves_binders_alone():
         Ite(ValueCheck("old", 1), (let("y", b=VarRef("old")),), ()),
     )
     renamed = rename_reads(seq, "old", "new")
-    assert seq_reads(renamed).count("old") == 0
-    assert seq_reads(renamed).count("new") == 3
+    assert reference.seq_reads(renamed).count("old") == 0
+    assert reference.seq_reads(renamed).count("new") == 3
     assert seq_binders(renamed) == ["x", "y"]
 
 

@@ -66,7 +66,7 @@ def permuted(program, rnd):
     """program renamed by a random permutation of its names of each kind."""
     body = program.body
     kinds = {
-        "var": set(program.params) | set(dsl.seq_binders(body)) | set(dsl.seq_reads(body)),
+        "var": set(program.params) | set(dsl.seq_binders(body)) | set(reference.seq_reads(body)),
         "fn": {n for n, _ in program.hidden_defs} | set(program.holes) | set(dsl.called_fns(body)),
         "loop": set(dsl.seq_loop_ids(body)),
     }

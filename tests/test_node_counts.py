@@ -105,8 +105,8 @@ def hidden_calls(seq, sources=False):
             t = terms.pop()
             if isinstance(t, dsl.HiddenCall):
                 out.append(t)
-            elif isinstance(t, dsl.Ternary):
-                terms += (t.then_expr, t.else_expr)
+            elif isinstance(t, dsl.Select):
+                terms += [e for _, e in t.cases] + [t.default]
     return out
 
 
@@ -135,7 +135,11 @@ leaf_exprs = st.one_of(
     st.builds(dsl.Const, st.integers(0, 2)),
     st.builds(dsl.HiddenCall, FNS, st.lists(NAMES, max_size=2).map(tuple)),
 )
-exprs = st.recursive(leaf_exprs, lambda e: st.builds(dsl.Ternary, preds, e, e), max_leaves=4)
+exprs = st.recursive(
+    leaf_exprs,
+    lambda e: st.builds(dsl.Select, st.lists(st.tuples(preds, e), min_size=1, max_size=3).map(tuple), e),
+    max_leaves=4,
+)
 args = st.lists(st.tuples(st.sampled_from(("k", "m")), exprs), max_size=2).map(tuple)
 leaf_instrs = st.one_of(
     st.builds(dsl.LetVisible, NAMES, st.just("Api"), args),
@@ -234,7 +238,7 @@ def test_replace_on_an_instruction_node_recounts_it(body, other):
 
 def test_replace_recounts_each_kind_of_instruction_node():
     br_guard = dsl.PNot(dsl.ValueCheck("br", 1))
-    br_arg = dsl.Ternary(br_guard, dsl.VarRef("br"), dsl.Const(0))
+    br_arg = dsl.Select(((br_guard, dsl.VarRef("br")),), dsl.Const(0))
     call = dsl.LetVisible("x1", "Api", (("k", br_arg),))
     hidden = dsl.LetHidden("h1", "f", ("br", "x1", "br"))
     nodes = [
@@ -253,7 +257,7 @@ def test_replace_recounts_each_kind_of_instruction_node():
 
 
 def test_a_hidden_call_in_a_loop_source_must_be_defined():
-    source = dsl.Ternary(dsl.PTrue(), dsl.VarRef("a"), dsl.HiddenCall("f_9", ("a",)))
+    source = dsl.Select(((dsl.PTrue(), dsl.VarRef("a")),), dsl.HiddenCall("f_9", ("a",)))
     loop = dsl.Foreach("loop_1", "u", source, (dsl.Return(),))
     with pytest.raises(dsl.DslError, match="f_9"):
         check_calls((loop,), {"f_1"})
@@ -267,7 +271,7 @@ def test_rebuilds_survive_a_2000_deep_conditional_chain():
     branches. Renaming, const-inlining and introduce_parameter's
     replacement rebuild it without recursing; the recursive renaming
     raised RecursionError."""
-    arg = dsl.Ternary(dsl.ValueCheck("br", 0), dsl.Const("u"), dsl.Const("v"))
+    arg = dsl.Select(((dsl.ValueCheck("br", 0), dsl.Const("u")),), dsl.Const("v"))
     body = (dsl.LetVisible("x0", "Api", (("k", arg),)),)
     for n in range(1, 2001):
         let = dsl.LetVisible(f"x{n}", "Api", (("k", dsl.VarRef("br")),))
@@ -277,7 +281,12 @@ def test_rebuilds_survive_a_2000_deep_conditional_chain():
 
     renamed = dsl.rename_reads(body, "br", "q")
     assert sum(ins.n_br for ins in renamed) == 0
-    assert dsl.seq_reads(renamed).count("q") == dsl.seq_reads(body).count("br")
+    # Read counts from count_changes: the recursive reference would
+    # stop on this depth.
+    reads_q, reads_br = Counter(), Counter()
+    dsl.count_changes((), renamed, reads_q, Counter())
+    dsl.count_changes((), body, reads_br, Counter())
+    assert reads_q["q"] == reads_br["br"] == 2 * 2000 + 1 and reads_q["br"] == 0
 
     inlined = rewrites._inline_const(body, "br", 2000)
     assert inlined[0].pred == dsl.PTrue() and inlined[0].els[0].pred == dsl.PFalse()
@@ -299,7 +308,7 @@ def test_counts_follow_a_rebuilt_ancestor():
     the guard, the edit and the untouched branch; renaming br away
     leaves no br read in the rebuilt nodes."""
     guard = dsl.POr(dsl.ValueCheck("br", 1), dsl.PNot(dsl.ValueCheck("br", 2)))
-    arg = dsl.Ternary(guard, dsl.VarRef("br"), dsl.Const(0))
+    arg = dsl.Select(((guard, dsl.VarRef("br")),), dsl.Const(0))
     let = dsl.LetVisible("x1", "Api", (("k", arg),))
     ite = dsl.Ite(guard, (let,), (dsl.LetHidden("h1", "f", ("br", "x1")),))
     assert (ite.n_statements, ite.n_br) == (2, 2 + 3 + 1)

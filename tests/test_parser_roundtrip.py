@@ -22,7 +22,7 @@ from tracesynth.dsl import (
     Program,
     Return,
     RetryUntil,
-    Ternary,
+    Select,
     ValueCheck,
     VarRef,
     equiv_mod_renaming,
@@ -74,7 +74,7 @@ CASES = [
     Program(
         params=("p", "q"),
         body=(
-            let("x", a=Ternary(Compare("p", ">=", "q"), VarRef("p"), Const(0))),
+            let("x", a=Select(((Compare("p", ">=", "q"), VarRef("p")),), Const(0))),
             Ite(Compare("x", "<", "q"), (Return(),), ()),
         ),
         hidden_defs=(),

@@ -20,8 +20,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracesynth"
 # module:qualified name. Remove an entry when its function stops
 # recursing; adding one is a design change to record in CHANGES.md.
 PINNED = {
-    # Script terms: once per nested ternary or predicate.
+    # Script terms: once per conditional expression nested in a case's
+    # expression, and once per nested predicate. A chain of cases is one
+    # flat Select, which each of them takes in a loop.
     "dsl.py:map_term",
+    "dsl.py:print_case",
     "dsl.py:print_expr",
     "dsl.py:print_pred",
     "terms.py:term_evaluator.ev",

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import sites_reference
 from tracesynth import dsl
 from tracesynth.evaluator import check_psi, default_retry_bound
 from tracesynth.hidden import HiddenFnBody, ConstVal, Input, Length
@@ -82,9 +83,7 @@ def test_pull_merges_divergent_args_with_ternary():
     assert len(pulls) == 1
     prog2, sigma2 = apply_one(pulls[0], sigma)
     merged = prog2.body[0]
-    assert merged.args[0][1] == dsl.Ternary(
-        dsl.ValueCheck("br", 1), dsl.Const("a"), dsl.Const("b")
-    )
+    assert merged.args[0][1] == dsl.Select(((dsl.ValueCheck("br", 1), dsl.Const("a")),), dsl.Const("b"))
     assert check_psi(prog2, sigma2, ts, default_retry_bound(ts))
 
 
@@ -280,7 +279,7 @@ CALL_X2 = dsl.LetVisible("x2", "A", (("k", dsl.Const(1)),))
 P, Q = dsl.LetVisible("x3", "P", ()), dsl.LetVisible("x4", "Q", ())
 # Read after the conditional: x1 on trace 1, x2 on trace 2.
 READER = dsl.LetVisible(
-    "x9", "Z", (("k", dsl.Ternary(ON_1, dsl.VarRef("x1"), dsl.VarRef("x2"))),)
+    "x9", "Z", (("k", dsl.Select(((ON_1, dsl.VarRef("x1")),), dsl.VarRef("x2"))),)
 )
 # rule -> (conditional, APIs before and after A on trace 1 and trace 2)
 MERGE_CASES = {
@@ -323,8 +322,8 @@ def test_merging_rules_point_readers_of_the_dropped_binder_at_the_survivor(rule)
     prog2, sigma2 = apply_one(rws[0], sigma)
     reader = prog2.body[-1]
     assert reader.var == "x9"
-    assert dsl.seq_reads((reader,)) == ["br", "x1", "x1"]
-    assert "x2" not in dsl.seq_reads(prog2.body)
+    assert sites_reference.seq_reads((reader,)) == ["br", "x1", "x1"]
+    assert "x2" not in sites_reference.seq_reads(prog2.body)
     dsl.validate_program(prog2)
     assert check_psi(prog2, sigma2, ts, default_retry_bound(ts))
 
@@ -467,7 +466,7 @@ def test_introduce_parameter_waits_for_unsat_derivation():
     for _ in range(2):
         pull = by_rule(enumerate_rewrites(program, sigma, "refine", ctx), "pull")[0]
         program, sigma = apply_one(pull, sigma)
-    assert isinstance(program.body[1].args[0][1], dsl.Ternary)
+    assert isinstance(program.body[1].args[0][1], dsl.Select)
 
     # A bound variable is in scope, so the parameter must wait until
     # deriving the argument from it is recorded as unsolvable.

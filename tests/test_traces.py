@@ -2,7 +2,7 @@
 
 import pytest
 
-from tracesynth.dsl import Const, HiddenCall, Ternary, ValueCheck, VarRef
+from tracesynth.dsl import Const, HiddenCall, Select, ValueCheck, VarRef
 from tracesynth.hidden import Child, HiddenFnBody, Input
 from tracesynth.jsonvals import ABSENT
 from tracesynth.traces import (
@@ -147,9 +147,9 @@ def test_evaluate_var_and_ternary():
         params=("p",),
         entries={("p", 1): Scalar(3), ("b", 1): Scalar(2)},
     )
-    e = Ternary(ValueCheck("b", 2), VarRef("p"), Const(0))
+    e = Select(((ValueCheck("b", 2), VarRef("p")),), Const(0))
     assert evaluate_in_trace(e, sigma, 1) == 3
-    e2 = Ternary(ValueCheck("b", 9), VarRef("p"), Const(0))
+    e2 = Select(((ValueCheck("b", 9), VarRef("p")),), Const(0))
     assert evaluate_in_trace(e2, sigma, 1) == 0
 
 
@@ -158,7 +158,7 @@ def test_evaluate_raises_on_absent_reads():
     with pytest.raises(ValuationError):
         evaluate_in_trace(VarRef("x"), sigma, 1)
     with pytest.raises(ValuationError):
-        evaluate_in_trace(Ternary(ValueCheck("x", 1), Const(1), Const(2)), sigma, 1)
+        evaluate_in_trace(Select(((ValueCheck("x", 1), Const(1)),), Const(2)), sigma, 1)
 
 
 def test_hidden_call_args_tolerate_absent():
