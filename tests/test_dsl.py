@@ -33,6 +33,7 @@ from tracesynth.dsl import (
     map_term,
     pred_reads,
     pretty_print,
+    print_expr,
     rename_reads,
     seq_binders,
     seq_loop_ids,
@@ -137,6 +138,17 @@ def test_a_3000_case_conditional_expression_is_one_flat_node():
     for q, want in ((0, 0), (n - 1, n - 1), (n, -1)):
         ev = term_evaluator({"q": q}.__getitem__, None, {}, KeyError)
         assert ev(renamed) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+def test_conditional_expressions_print_and_parse_back(e):
+    """Case expressions that are themselves conditional, and defaults
+    folded into their Select, read back as the same node."""
+    text = f"lambda a, b, br.\n  let x = svc.Op(k={print_expr(e)})\nwhere\n  f_1 := (a0) -> a0\n"
+    program = parse_program(text)
+    assert program.body[0].args[0][1] == e
+    assert pretty_print(program) == text
 
 
 def test_rename_reads_leaves_binders_alone():
