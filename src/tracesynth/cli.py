@@ -230,12 +230,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_ERROR
     except RecursionError as exc:
         # The parser's descent still recurses once per nested
-        # conditional or loop, the term walks (reads, printing,
-        # map_term) once per nested case expression or predicate, and
-        # the JSON-value walks (jsonvals._tag, pbe's value keys, helper
-        # evaluation) once per nested array or object; the full list is
-        # pinned in tests/test_recursion_inventory.py. So a large enough
-        # input nests too deeply for them.
+        # conditional, loop, predicate, expression or JSON literal; the
+        # script-term walks (printing, map_term, terms.ev) once per
+        # conditional expression nested in a case's expression and once
+        # per nested predicate; and the helper-function walks (printing,
+        # sizing, evaluation, the ..key step) and jsonvals._tag once per
+        # nested helper term or nested array or object. The full list
+        # is pinned in tests/test_recursion_inventory.py. So a large
+        # enough input nests too deeply for them.
         print(f"tracesynth: the input nests too deeply to process ({exc})", file=sys.stderr)
         return EXIT_ERROR
 

@@ -28,7 +28,7 @@ Weights are a dataclass so a config file can override any of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite
+from sys import float_info
 from typing import Callable
 
 from . import dsl
@@ -53,8 +53,10 @@ class CostWeights:
         unknown = set(d) - {f for f in CostWeights.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown weight names: {sorted(unknown)}")
-        # bool is not in the tuple; NaN would make every cost comparison false.
-        bad = sorted(k for k, v in d.items() if type(v) not in (int, float) or not isfinite(v))
+        # bool is not in the tuple. NaN (which would make every cost
+        # comparison false), the infinities and an int too large for a
+        # float all fail the bound.
+        bad = sorted(k for k, v in d.items() if type(v) not in (int, float) or not abs(v) <= float_info.max)
         if bad:
             raise ValueError(f"weights must be finite numbers: {bad}")
         return replace(CostWeights(), **{k: float(v) for k, v in d.items()})

@@ -191,7 +191,10 @@ def _length(_, v):
 
 def _add(const, v):
     if is_int(v):
-        return const + v
+        try:
+            return const + v
+        except OverflowError:  # a float and an int too large for one
+            pass
     return None
 
 

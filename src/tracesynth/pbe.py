@@ -272,12 +272,16 @@ def _add_consts(out_leaves, arg_leaves) -> List[JsonValue]:
     """Every nonzero output - argument difference, in the order of the
     pairs. Repeated numbers (same type, equal value) add no new
     difference, so each side is taken once; a NaN difference, which
-    equals nothing, is therefore listed once per distinct pair."""
+    equals nothing, is therefore listed once per distinct pair. A pair
+    of an int too large for a float and a float has no difference."""
     args = list(dict.fromkeys((type(a), a) for a in arg_leaves if _is_number(a)))
     consts = {}
     for _, out in dict.fromkeys((type(o), o) for o in out_leaves if _is_number(o)):
         for _, arg in args:
-            diff = out - arg
+            try:
+                diff = out - arg
+            except OverflowError:
+                continue
             if diff != 0:
                 consts.setdefault(diff, None)
     return list(consts)

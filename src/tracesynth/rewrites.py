@@ -45,20 +45,13 @@ examples' arguments, wait.
 Candidates come back sorted by (site path, rule order), which is the
 deterministic tie-break the search relies on.
 
-Refinement carries its candidates from state to state. The local
-refinements (pull, push, eliminate_empty_if, invert_empty_then,
-merge_nested, sequence_nested) read one conditional and nothing global,
-so when the search takes an unbuilt edit, the next state's enumeration
-re-runs them only on the conditionals the edit rebuilt: its new ones
-and the ancestors on its path, which are new objects. Every other
-conditional is the very object it was, and its candidates carry over
-with their path re-pointed (_carry). The read counts and names in use
-are updated from an identity diff of the replaced and new instructions,
-and the global refinements (eliminate_unused_param,
-inline_trivial_hidden, introduce_parameter) re-run in full. With no
-previous enumeration (the first state, after a synthesis or a built
-body, and every synthesis or ksearch enumeration) every conditional is
-dirty, through the same code.
+A refine state reached by an unbuilt edit counts its reads and names
+in use from the previous state's: the previous enumeration's counts,
+updated by an identity diff of the edit's replaced and new
+instructions (dsl.count_changes). Every rule runs in full at every
+state. With no previous enumeration (the first state, after a
+synthesis or a built body, and every synthesis or ksearch
+enumeration) the counts are taken from the whole body.
 """
 
 from __future__ import annotations
@@ -109,8 +102,7 @@ class SynthesisSpec:
 class Edit(NamedTuple):
     """An unbuilt change to a state's body: the instructions old of the
     sequence at seq_path, from start on, replaced by new. The sequence
-    itself is looked up when the edit is built, so an edit carried to a
-    later state needs only its seq_path and start re-pointed."""
+    itself is looked up when the edit is built."""
 
     seq_path: Tuple[int, ...]
     start: int
@@ -157,8 +149,8 @@ class Rewrite:
     is read off program, which is built the first time it is read and
     then kept. So a candidate the search does not take is never built,
     and its site is printed only if the search logs it. A refinement
-    also keeps its enumeration, from which the enumeration of the state
-    it leads to carries what its edit left alone."""
+    also keeps its enumeration's read counts and names in use, from
+    which the enumeration of the state it leads to starts."""
 
     __slots__ = (
         "rule", "path", "transform", "specs",
@@ -283,13 +275,10 @@ def fresh_name(prefix: str, used: set) -> str:
 
 class _Refined(NamedTuple):
     """A refine enumeration, as its rewrites keep it for the next
-    state's: its index's read counts and names in use, and, by id, each
-    of its conditionals with the local rules' candidates at it, as
-    (rule, candidate) in enumeration order."""
+    state's: its index's read counts and names in use."""
 
     reads: Counter
     names: Counter
-    local: Dict[int, Tuple[object, List[Tuple[str, Candidate]]]]
 
 
 class StateIndex:
@@ -302,9 +291,6 @@ class StateIndex:
     conditional sites, the visible-let sites whose arguments read br
     and the hidden-let sites (ites, br_lets, hidden_lets, each in site
     order), so a rule scans only the sites it can rewrite.
-    dirty_ites are the conditionals the local refinements enumerate:
-    all of them, unless enumerate_rewrites carries the candidates of
-    the others from the previous state.
 
     The read counts and the names in use (binders, loop ids and APIs of
     the body) are kept as counts. prev, when given, is the previous
@@ -368,7 +354,6 @@ class StateIndex:
         self.seqs, self.seq_by_path = seqs, seq_by_path
         self.ites, self.br_lets, self.hidden_lets = ites, br_lets, hidden_lets
         self._first_binder_top = first
-        self.dirty_ites = self.ites
         self._scope = None  # see scope_before
         self._reach = {(): list(ts.indices())}  # sequence path -> traces
         self._guards = {}  # conditional's site path -> {trace: guard value}
@@ -545,7 +530,7 @@ def _hoist_let(ix, end):
     conditional (0, the first; -1, the last) into one let, placed at
     that end of the conditional."""
     out = []
-    for path, ins, _ in ix.dirty_ites:
+    for path, ins, _ in ix.ites:
         if not ins.then or not ins.els:
             continue
         a, b = ins.then[end], ins.els[end]
@@ -578,7 +563,7 @@ def rule_push(ix, ctx):
 
 def rule_eliminate_empty_if(ix, ctx):
     out = []
-    for path, ins, _ in ix.dirty_ites:
+    for path, ins, _ in ix.ites:
         if not ins.then and not ins.els:
             out.append(Candidate(path, {}, edit=_splice(ix, path, ())))
     return out
@@ -586,7 +571,7 @@ def rule_eliminate_empty_if(ix, ctx):
 
 def rule_invert_empty_then(ix, ctx):
     out = []
-    for path, ins, _ in ix.dirty_ites:
+    for path, ins, _ in ix.ites:
         if not ins.then and ins.els:
             flipped = dsl.Ite(dsl.PNot(ins.pred), ins.els, ())
             out.append(Candidate(path, {}, edit=_splice(ix, path, (flipped,))))
@@ -599,7 +584,7 @@ def rule_merge_nested(ix, ctx):
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
     {B} }` becomes `if c1 || !c2 {merged}`."""
     out = []
-    for path, ins, _ in ix.dirty_ites:
+    for path, ins, _ in ix.ites:
         if len(ins.then) != 1 or len(ins.els) != 1:
             continue
         a, inner = ins.then[0], ins.els[0]
@@ -635,7 +620,7 @@ def rule_sequence_nested(ix, ctx):
     second guarded by the conjunction; when the nested conditional is
     the whole branch it simply flattens."""
     out = []
-    for path, ins, _ in ix.dirty_ites:
+    for path, ins, _ in ix.ites:
         if ins.els or not ins.then:
             continue
         inner = ins.then[-1]
@@ -1248,66 +1233,6 @@ _SYNTH_FNS = {
 REFINE_RULES = tuple(_REFINE_FNS)
 SYNTH_RULES = tuple(_SYNTH_FNS)
 
-# The refinements that read one conditional and nothing global: the
-# conditional itself, its branches' ends and nested conditional, σ's
-# columns of the binders they merge, and whether the dropped binder is
-# read. Their candidates at a conditional an accepted edit left alone
-# carry to the next state.
-_LOCAL_RULES = frozenset(
-    rule
-    for rule, fn in _REFINE_FNS.items()
-    if fn in (
-        rule_pull, rule_push, rule_eliminate_empty_if,
-        rule_invert_empty_then, rule_merge_nested, rule_sequence_nested,
-    )
-)
-
-
-def _repoint(c: Candidate, path) -> Candidate:
-    """c, whose conditional now sits at path."""
-    edit = Edit(path[:-1], path[-1], c.edit.old, c.edit.new)
-    return Candidate(path, c.fields, c.transform, c.specs, c.site, edit)
-
-
-def _carry(ix: StateIndex, prev: Dict[int, Tuple[object, List[Tuple[str, Candidate]]]]):
-    """The local candidates carried from the previous state's prev, and
-    this state's map of them by conditional (as _Refined.local). Each
-    carried candidate is re-pointed at its conditional's site in this
-    state. The other conditionals are left in ix.dirty_ites for the
-    local rules, with empty entries in the map for their candidates.
-
-    A conditional carries when it is the very object of the previous
-    state, so its branches are too, and no candidate at it is a built
-    body: enumerate_rewrites leaves a conditional with a built-body
-    candidate out of the map. prev holds each of its conditionals, so
-    no new object can take one's id. So the conditionals the accepted
-    edit rebuilt are dirty: its new ones and the ancestors on its path,
-    which replace_seq_at builds anew.
-
-    The accepted edit is a local rule's, which copies the state's terms
-    and so reads no name that was unread. A dropped binder unread before
-    is unread still, and its candidate stays an unbuilt edit; one read
-    before was renamed in a built body, whose conditional is dirty."""
-    carried = {}
-    local = {}
-    dirty = ix.dirty_ites = []
-    for site in ix.ites:
-        path, ins, _ = site
-        hit = prev.get(id(ins))
-        if hit is None:
-            dirty.append(site)
-            local[id(ins)] = (ins, [])
-            continue
-        cands = hit[1]
-        if cands and cands[0][1].path != path:
-            cands = [(rule, _repoint(c, path)) for rule, c in cands]
-            hit = (ins, cands)
-        local[id(ins)] = hit
-        for rule, c in cands:
-            carried.setdefault(rule, []).append(c)
-    return carried, local
-
-
 def enumerate_rewrites(
     program: dsl.Program,
     sigma: TraceValuation,
@@ -1319,11 +1244,10 @@ def enumerate_rewrites(
     path. after, when given, is the refinement the search took from the
     previous refine enumeration to reach this state: program is its
     program and sigma its transform applied to that state's valuation.
-    When it is an unbuilt edit and nothing else, a refine enumeration
-    re-runs the local rules only on the conditionals the edit rebuilt
-    (_carry) and carries every other local candidate over; the global
-    refinements re-run in full. Otherwise every conditional is dirty,
-    which is the same code path with nothing carried."""
+    When it is an unbuilt edit and nothing else, a refine enumeration's
+    index starts from the previous one's read counts and names in use
+    and updates them by the edit; otherwise it counts them from the
+    body. Every rule runs in full either way."""
     if kind == "refine":
         fns = _REFINE_FNS
     elif kind == "synth":
@@ -1334,30 +1258,13 @@ def enumerate_rewrites(
     if kind == "refine" and after is not None and after._refined is not None:
         cand = after._cand
         if cand.edit is not None and not cand.fields and after._program is program:
-            prev = after._refined
-    ix = StateIndex(program, sigma, ctx.ts, None if prev is None else (prev, after._cand.edit))
-    if kind == "refine":
-        carried, local = _carry(ix, {} if prev is None else prev.local)
-        at = {path: id(ins) for path, ins, _ in ix.dirty_ites}
-    else:
-        carried, local, at = {}, None, None
-    out: List[Rewrite] = []
-    for rule, fn in fns.items():
-        for c in carried.get(rule, ()):
-            out.append(Rewrite(rule, program, c))
-        fresh = fn(ix, ctx)
-        for c in fresh:
-            out.append(Rewrite(rule, program, c))
-        if rule in _LOCAL_RULES:
-            for c in fresh:
-                if c.edit is None:  # a built body holds this state's
-                    local.pop(at[c.path], None)
-                elif at[c.path] in local:
-                    local[at[c.path]][1].append((rule, c))
+            prev = (after._refined, cand.edit)
+    ix = StateIndex(program, sigma, ctx.ts, prev)
+    out = [Rewrite(rule, program, c) for rule, fn in fns.items() for c in fn(ix, ctx)]
     # Stable, so candidates at one path keep their rules' table order.
     out.sort(key=lambda rw: rw.path)
-    if local is not None:
-        refined = _Refined(ix.reads, ix._names, local)
+    if kind == "refine":
+        refined = _Refined(ix.reads, ix._names)
         for rw in out:
             rw._refined = refined
     return out

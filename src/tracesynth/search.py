@@ -13,8 +13,8 @@ After both are exhausted, refinements are re-examined once more:
 recorded synthesis failures can unlock the parameter-introduction rule,
 whose guard requires evidence that no hidden function could derive the
 value.
-Each refine state after the first is enumerated from the refinement
-that reached it, which carries over the candidates its edit left alone
+Each refine state after the first counts its reads and names in use
+from the refinement that reached it, updated by that refinement's edit
 (see rewrites.enumerate_rewrites); the list is the one a full
 enumeration gives.
 
@@ -161,8 +161,8 @@ def _improving(program, sigma, cost, kind, ts, cost_fn, ctx, stats, after=None):
 def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline):
     """Apply the cheapest strictly-improving refinement until none is
     left. Returns (program, sigma, cost, timed_out). Each state after
-    the first is enumerated from the refinement that reached it, which
-    carries the candidates its edit left alone."""
+    the first is enumerated from the refinement that reached it, whose
+    read counts and names in use its index updates."""
     rw = None
     while True:
         if deadline.expired():

@@ -104,7 +104,10 @@ def mine_pools(examples: List[IOExample]) -> MinedPools:
         if _is_number(out):
             for arg in arg_leaves:
                 if _is_number(arg):
-                    diff = out - arg
+                    try:
+                        diff = out - arg
+                    except OverflowError:
+                        continue
                     if diff != 0 and diff not in seen_adds:
                         seen_adds.add(diff)
                         pools.add_consts.append(diff)

@@ -219,6 +219,40 @@ def test_a_response_value_nested_deep_feeds_a_helper(depth, tmp_path, capsys):
     assert "f_1 := (a0, a1) -> a1.id" in captured.out
 
 
+def test_an_int_too_large_for_a_float_beside_floats_synthesizes(tmp_path, capsys):
+    """PBE mines the constants of int + e from output - argument
+    differences; a 401-digit int minus a float overflows, so that pair
+    gives no constant and the search goes on."""
+    traces = tmp_path / "big_int.json"
+    traces.write_text(
+        json.dumps(
+            [
+                [
+                    {"api": "A", "request": {"x": 0}, "response": {"v": 10**400}},
+                    {"api": "B", "request": {"y": y}, "response": {}},
+                ]
+                for y in (1.5, 2.5)
+            ]
+        )
+    )
+    assert main(["synth", "--traces", str(traces)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "B(y=(br == 1) ? 1.5 : 2.5)" in captured.out
+
+
+def test_pbe_on_an_int_too_large_for_a_float_beside_floats_exits_0(tmp_path, capsys):
+    examples = tmp_path / "big_int.json"
+    examples.write_text(
+        json.dumps(
+            {"kind": "value", "examples": [{"args": [10**400], "output": 1.5}, {"args": [3], "output": 2.5}]}
+        )
+    )
+    assert main(["pbe", "--examples", str(examples)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.strip() == "unsat"
+
+
 def assert_one_error_line(err):
     assert err.startswith("tracesynth: ") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -328,7 +362,16 @@ def test_weights_flag_steers_the_search_objective(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "weights", ["null", '{"statement": null}', '{"statement": true}', '{"statement": NaN}', "[1]"]
+    "weights",
+    [
+        "null",
+        '{"statement": null}',
+        '{"statement": true}',
+        '{"statement": NaN}',
+        '{"statement": -Infinity}',
+        pytest.param('{"statement": 1%s}' % ("0" * 400), id="401-digit-int"),
+        "[1]",
+    ],
 )
 def test_weights_that_are_not_an_object_of_numbers_exit_1(weights, capsys):
     assert main(["synth", "--traces", fixture("create_table"), "--weights", weights]) == 1

@@ -56,6 +56,9 @@ def test_length_add_concat():
     assert eval_path(Length(Child(Input(0), "Token")), [DOC]) == 3
     assert eval_path(Add(3, Length(Child(Input(0), "Reservations"))), [DOC]) == 5
     assert eval_path(Add(1, Input(0)), [True]) is None
+    # Evaluation is total: a float plus an int too large for a float is null.
+    assert eval_path(Add(0.5, Input(0)), [10**400]) is None
+    assert eval_path(Add(1, Input(0)), [10**400]) == 10**400 + 1
     assert eval_path(Concat("pre-", Child(Input(0), "Token")), [DOC]) == "pre-t-9"
     assert eval_path(Concat("pre-", Input(0)), [7]) is None
 
