@@ -230,6 +230,74 @@ PATH_STEPS = {
     Concat: _concat,
 }
 BOOL_STEPS = {Eq: _eq, Empty: _empty}
+
+
+# Each step that takes a parameter has a miss rule (miss, hits): miss is
+# its value on a value it does not apply to, and hits(values) holds every
+# parameter that may give something else on one of values. So a
+# parameter outside hits(values) gives miss on every one of them, and
+# the enumerator counts such candidates without evaluating them. Length
+# and Empty take no parameter, so they have no rule.
+
+
+def _child_hits(values):
+    """The keys of the values that are objects."""
+    return {k for v in values if isinstance(v, dict) for k in v}
+
+
+def _descendants_hits(values):
+    """The keys of every object at any depth of the values, walked off an
+    explicit stack. JSON keys are strings, so membership agrees with
+    _descend's k == key."""
+    keys, stack = set(), list(values)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            keys.update(v)
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+    return keys
+
+
+def _index_hits(values):
+    """The indices of the longest list among the values."""
+    return range(max([len(v) for v in values if isinstance(v, list)], default=0))
+
+
+class _Every:
+    """The hits of a step that applies to a value whatever the parameter."""
+
+    def __contains__(self, _):
+        return True
+
+
+EVERY = _Every()
+
+
+def _every_if(applies):
+    """The hits of a step that applies to a value v, whatever the
+    parameter, when applies(v): every parameter if one of the values
+    does, else none."""
+    return lambda values: EVERY if any(applies(v) for v in values) else ()
+
+
+def _eq_hits(values):
+    """The values themselves: a constant canonical_eq to a value is also
+    == to it, so `in` finds it (the enumerator tests the constant's key
+    against the values' keys instead)."""
+    return values
+
+
+MISSES = {
+    Child: (None, _child_hits),
+    Descendants: ([], _descendants_hits),
+    Index: (None, _index_hits),
+    Slice: (None, _every_if(lambda v: isinstance(v, list))),
+    Add: (None, _every_if(is_int)),
+    Concat: (None, _every_if(lambda v: isinstance(v, str))),
+    Eq: (False, _eq_hits),
+}
 _STEP_PARAMS = {
     Child: attrgetter("key"),
     Descendants: attrgetter("key"),

@@ -32,18 +32,27 @@ is checked again with eval_path / eval_bool on every example before it
 is returned.
 
 Observational equivalence pruning keeps only the first expression per
-output vector. A value vector is keyed by the values' structural keys
-(_Keys), which are equal exactly when their canonical_dumps are; a bool
-vector is its own key. A search's ConstraintCache keeps one key table
-for the whole search: it keys each example value once, for the cache
-key and for every synthesize call that reads it. Each call keys its
-enumeration outputs in a table of its own layered on that one, so the
-search table holds only the examples. Constants, keys, indices,
-addends, and concatenation prefixes are mined from the examples
-(arguments before outputs, in encounter order), in time linear in the
-examples' size; the slice bounds are produced on demand. Every walk
-over a JSON value runs off an explicit stack, so values of any depth
-are keyed and mined.
+output vector. Most candidates give their production's miss vector: a
+`.key` or `..key` that no output of the base holds, an index past
+every list, an Eq constant that no output equals. hidden.MISSES states
+each step's miss value and, per base, the parameters that can give
+anything else (its hits). Once the miss vector is banked, a candidate
+whose parameter is outside its base's hits is counted, in its turn and
+against the budget, and not evaluated, keyed or built, so the order,
+the count and the winner are those of evaluating it.
+
+A value vector is keyed by the values' structural keys (_Keys), which
+are equal exactly when their canonical_dumps are; a bool vector is its
+own key. A search's ConstraintCache keeps one key table for the whole
+search: it keys each example value once, for the cache key and for
+every synthesize call that reads it. Each call keys its enumeration
+outputs in a table of its own layered on that one, so the search table
+holds only the examples. Constants, keys, indices, addends, and
+concatenation prefixes are mined from the examples (arguments before
+outputs, in encounter order), in time linear in the examples' size;
+the slice bounds are produced on demand. Every walk over a JSON value
+runs off an explicit stack, so values of any depth are keyed and
+mined.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .hidden import (
     BOOL_STEPS,
+    EVERY,
+    MISSES,
     PATH_STEPS,
     Add,
     And,
@@ -483,9 +494,10 @@ def synthesize(
 
     # Eq compares keys, which agrees with canonical_eq except on NaN; a
     # constant holding a NaN, which canonical_eq equates with nothing,
-    # gets a key that equals nothing.
+    # gets a key that equals nothing. Per size, each constant is listed
+    # under its key, in pool order (mine_pools pools each key once).
     eq_consts = {
-        size: [(c, keys.of(c) if canonical_eq(c, c) else object()) for c in consts]
+        size: {(keys.of(c) if canonical_eq(c, c) else object()): c for c in consts}
         for size, consts in pools.eq_values_by_size.items()
         if not want_value
     }
@@ -509,6 +521,37 @@ def synthesize(
         seen.add(vec)
         return True
 
+    def count(n):
+        """Count n candidates whose vector is banked already, checking
+        the budget at the same counts admit does."""
+        nonlocal enumerated
+        while n:
+            k = min(n, 512 - enumerated % 512)
+            enumerated += k
+            n -= k
+            if enumerated % 512 == 0:
+                check_budget()
+
+    def kept(params, hits):
+        """One base's parameters that are in hits, in order. A candidate
+        whose parameter is outside them gives its production's miss
+        vector, which the caller has seen banked, so it is only counted,
+        in its turn."""
+        if hits is EVERY:
+            yield from params
+        elif not hits:
+            count(len(params))
+        else:
+            missed = 0
+            for p in params:
+                if p in hits:
+                    count(missed)
+                    missed = 0
+                    yield p
+                else:
+                    missed += 1
+            count(missed)
+
     def paths_of(size):
         return path_by_size.get(size, [])
 
@@ -529,11 +572,16 @@ def synthesize(
     def grow(size, bases, params, node, make=None):
         """make(base, p) (by default node(base, p)) for every base and
         p, bases outer, its outputs computed from its base's through
-        node's step; the winner, or None."""
+        node's step; the winner, or None. Once node's miss vector is
+        banked, a p outside the base's hits (hidden.MISSES) is only
+        counted."""
         step = _STEPS[node]
         make = make or node
+        miss, hits_of = MISSES.get(node, (None, None))
+        missed = (out_keys.of(miss),) * len(examples)
         for base, slot, outs, _ in bases:
-            for p in params:
+            hits = hits_of(outs) if hits_of and missed in seen_path_vectors else EVERY
+            for p in kept(params, hits):
                 hit = bank_path(size, slot, tuple([step(p, v) for v in outs]), make, base, p)
                 if hit is not None:
                     return hit
@@ -577,15 +625,21 @@ def synthesize(
         return expr if outs == goal else None
 
     def bools(size):
-        """Bank the predicates of one size; the winner, or None."""
+        """Bank the predicates of one size; the winner, or None. Once
+        Eq's miss vector is banked, a constant outside the base's hits
+        is only counted; Eq compares keys, so the hits are taken over
+        the base's class keys."""
+        eq_miss, eq_hits = MISSES[Eq]
+        eq_missed = (eq_miss,) * len(examples)
         for j in range(1, size - 1):
-            consts = eq_consts.get(size - 1 - j, [])
+            consts = eq_consts.get(size - 1 - j)
             if not consts:
                 continue
             for base, slot, _, okeys in paths_of(j):
-                for c, ckey in consts:
+                hits = set(eq_hits(okeys)) if eq_missed in seen_bool_vectors else EVERY
+                for ckey in kept(consts, hits):
                     outs = spread[slot](tuple([k == ckey for k in okeys]))
-                    hit = bank_bool(size, outs, Eq, base, c)
+                    hit = bank_bool(size, outs, Eq, base, consts[ckey])
                     if hit is not None:
                         return hit
         empty = _STEPS[Empty]

@@ -5,6 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from tracesynth.dsl import Program, pretty_print
 from tracesynth.hidden import (
+    BOOL_STEPS,
+    EVERY,
+    MISSES,
+    PATH_STEPS,
+    _STEP_PARAMS,
     Add,
     And,
     Child,
@@ -25,8 +30,10 @@ from tracesynth.hidden import (
     eval_path,
     expr_size,
     expr_uses_input,
+    _no_param,
     print_hidden_fn,
 )
+from tracesynth.jsonvals import canonical_eq
 from tracesynth.parser import parse_program
 
 DOC = {
@@ -129,6 +136,57 @@ def test_descendants_collects_in_document_order():
     assert eval_path(e, [DOC]) == ["i-1", "i-2"]
     nested = {"id": {"id": 1}, "rest": [{"id": 2}]}
     assert eval_path(Descendants(Input(0), "id"), [nested]) == [{"id": 1}, 1, 2]
+
+
+STEPS = {**PATH_STEPS, **BOOL_STEPS}
+
+
+def test_every_step_with_a_parameter_states_its_miss_rule():
+    takes_param = {node for node in STEPS if _STEP_PARAMS[node] is not _no_param}
+    assert set(MISSES) == takes_param == STEPS.keys() - {Length, Empty}
+
+
+# Parameters to try against each miss rule: keys some values hold and
+# one none does, indices past every length, bounds and constants of
+# every type.
+MISS_PARAMS = {
+    Child: st.sampled_from(["id", "a", "b", "c", "zz"]),
+    Descendants: st.sampled_from(["id", "a", "b", "c", "zz"]),
+    Index: st.integers(0, 5),
+    Slice: st.integers(0, 3).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, 5))),
+    Add: st.one_of(st.integers(-2, 2), st.sampled_from([0.5, -1.5])),
+    Concat: st.sampled_from(["", "x-", "a"]),
+    Eq: json_values,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(json_values, min_size=1, max_size=4), data=st.data())
+def test_a_parameter_outside_the_hits_gives_the_miss_on_every_value(values, data):
+    for node, (miss, hits_of) in MISSES.items():
+        hits = hits_of(values)
+        for p in data.draw(st.lists(MISS_PARAMS[node], max_size=5), label=node.__name__):
+            if p not in hits:
+                assert all(canonical_eq(STEPS[node](p, v), miss) for v in values), (node, p)
+
+
+def test_the_hits_reach_every_depth_and_every_length():
+    values = [[{"a": {"id": 1}}, "x"], {"b": [[], [1, 2, 3]]}]
+    assert MISSES[Descendants][1](values) == {"a", "id", "b"}
+    assert MISSES[Child][1](values) == {"b"}
+    assert MISSES[Index][1](values) == range(2)
+    assert eval_path(Index(Input(0), 1), values) == "x"
+    assert MISSES[Index][1]([{"a": [1]}, "abc", None]) == range(0)
+
+
+@pytest.mark.parametrize(
+    "node, wrong_types, right_type",
+    [(Slice, [{"a": []}, "ab", 1], []), (Add, [True, 1.5, "1", [1]], 0), (Concat, [1, ["a"], None], "")],
+)
+def test_a_step_for_one_type_hits_every_parameter_or_none(node, wrong_types, right_type):
+    hits_of = MISSES[node][1]
+    assert not hits_of(wrong_types)
+    assert hits_of(wrong_types + [right_type]) is EVERY
 
 
 def test_expr_size_conventions():
