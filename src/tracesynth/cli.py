@@ -75,7 +75,8 @@ def _add_run_flags(p) -> None:
 
 
 def _positive(name: str, value) -> None:
-    if value is not None and value <= 0:
+    # Written so that NaN, which compares false with everything, fails.
+    if value is not None and not value > 0:
         raise ValueError(f"--{name} must be positive")
 
 

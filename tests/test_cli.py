@@ -304,6 +304,24 @@ def test_nonpositive_numeric_flags_exit_1(capsys):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("flag", ["--timeout", "--pbe-timeout"])
+def test_a_nan_synth_timeout_exits_1(flag, capsys):
+    """NaN is not positive: a deadline of NaN seconds would never expire."""
+    assert main(["synth", "--traces", fixture("create_table"), flag, "nan"]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"{flag} must be positive" in err
+
+
+def test_a_nan_pbe_timeout_exits_1(tmp_path, capsys):
+    examples = tmp_path / "ex.json"
+    examples.write_text(json.dumps({"kind": "value", "examples": [{"args": [1], "output": 1}]}))
+    assert main(["pbe", "--examples", str(examples), "--timeout", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "--timeout must be positive" in err
+
+
 def test_timeout_exits_2_but_still_emits_a_correct_script(tmp_path, capsys):
     report = tmp_path / "r.json"
     code = main(
