@@ -284,8 +284,8 @@ def _every_if(applies):
 
 def _eq_hits(values):
     """The values themselves: a constant canonical_eq to a value is also
-    == to it, so `in` finds it (the enumerator tests the constant's key
-    against the values' keys instead)."""
+    == to it, so `in` finds it. The enumerator, whose Eq compares keys,
+    passes the values' keys and tests the constant's key."""
     return values
 
 

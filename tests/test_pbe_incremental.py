@@ -257,15 +257,17 @@ def guard_sets(draw):
     arity = draw(st.integers(3, 5))
     present = draw(st.sets(st.integers(0, arity - 1), min_size=1, max_size=2))
     n = draw(st.integers(2, 6))
-    examples = []
-    for _ in range(n):
-        args = tuple(
-            draw(st.one_of(slot_objects(SLOT_KEYS[s]), st.just(ABSENT))) if s in present else ABSENT
-            for s in range(arity)
-        )
-        examples.append(args)
     true_at = draw(st.integers(0, n - 1))
-    examples = [IOExample(args, i == true_at) for i, args in enumerate(examples)]
+    examples = [
+        IOExample(
+            tuple(
+                draw(st.one_of(slot_objects(SLOT_KEYS[s]), st.just(ABSENT))) if s in present else ABSENT
+                for s in range(arity)
+            ),
+            i == true_at,
+        )
+        for i in range(n)
+    ]
     return "bool", examples, draw(st.integers(5, 6))
 
 
