@@ -44,6 +44,84 @@ def _counted():
     return field(init=False, repr=False, compare=False)
 
 
+# A node that selects by one variable's int value also keeps a dispatch
+# table, so evaluating it costs one read and one lookup whatever its
+# number of cases: a Select over its cases, and a conditional over the
+# chain of conditionals down its else-branches. These are the br chains
+# of the initial program and the Selects pull and push build from them.
+# A table is built the first time it is asked for (select_table,
+# ite_table), on the node's first evaluation, not at construction,
+# since a rewrite builds many nodes that are never evaluated. It is a
+# field that takes no part in equality, hashing or repr, like the
+# counts.
+
+UNBUILT = object()  # a table not yet built
+
+
+def _table():
+    return field(default=UNBUILT, init=False, repr=False, compare=False)
+
+
+def _tests_int(p, var) -> bool:
+    """Whether p is a ValueCheck of var against an int (a bool is not one)."""
+    return isinstance(p, ValueCheck) and p.var == var and type(p.const) is int
+
+
+def int_dispatch(preds):
+    """(var, {k: index of the first of preds testing k}) when every one
+    of preds is a ValueCheck of the one variable var against an int;
+    else None."""
+    var = preds[0].var if preds and isinstance(preds[0], ValueCheck) else None
+    index = {}
+    for i, p in enumerate(preds):
+        if not _tests_int(p, var):
+            return None
+        index.setdefault(p.const, i)
+    return (var, index) if index else None
+
+
+def select_table(s):
+    """s's dispatch table, built the first time it is asked for and
+    kept on s: (var, {k: the expression of the first case testing k},
+    the default), or None when int_dispatch finds no table for its
+    cases' predicates."""
+    if s.table is UNBUILT:
+        found = int_dispatch([p for p, _ in s.cases])
+        _keep_table(s, found, [e for _, e in s.cases], s.default)
+    return s.table
+
+
+def ite_table(ite):
+    """ite's dispatch table, built the first time it is asked for and
+    kept on ite. Its chain starts at ite and goes down while an
+    else-branch is exactly one conditional testing ite's variable
+    against an int. The table is (var, {k: the then-branch of the first
+    conditional of the chain testing k}, the last conditional's
+    else-branch), or None when int_dispatch finds no table for the
+    chain's guards."""
+    if ite.table is UNBUILT:
+        chain = [ite]
+        if isinstance(ite.pred, ValueCheck):
+            els = ite.els
+            var = ite.pred.var
+            while len(els) == 1 and isinstance(els[0], Ite) and _tests_int(els[0].pred, var):
+                chain.append(els[0])
+                els = els[0].els
+        found = int_dispatch([c.pred for c in chain])
+        _keep_table(ite, found, [c.then for c in chain], chain[-1].els)
+    return ite.table
+
+
+def _keep_table(node, found, targets, default):
+    """Keep on node the table of int_dispatch's result found over
+    targets, or None."""
+    table = None
+    if found is not None:
+        var, index = found
+        table = var, {k: targets[i] for k, i in index.items()}, default
+    _set(node, "table", table)
+
+
 def term_br(t) -> int:
     """Reads of br in an expression or predicate."""
     if isinstance(t, (Select, PAnd, POr, PNot)):
@@ -96,6 +174,7 @@ class Select:
     cases: Tuple[Tuple[object, object], ...]
     default: object
     n_br: int = _counted()
+    table: object = _table()
 
     def __post_init__(self):
         d = self.default
@@ -224,6 +303,7 @@ class Ite:
     els: Tuple[object, ...]
     n_statements: int = _counted()
     n_br: int = _counted()
+    table: object = _table()
 
     def __post_init__(self):
         _set_counts(self, term_br(self.pred), self.then, self.els)

@@ -7,6 +7,13 @@ state, reset to zero whenever a loop exits normally and left untouched
 when a return leaves its body. The run walks an explicit stack of
 sequences, so no nesting depth is too deep for it.
 
+A chain of conditionals that test one variable against ints, each
+else-branch exactly the next one (see dsl.ite_table: the br chain of
+the initial program), is run by a table: the variable is read once,
+and an int value goes straight to the branch it selects, so replaying
+N traces through an N-deep chain costs O(N), not O(N^2). Any other
+value runs the chain's first conditional as usual.
+
 A retry loop executes its body at least once and at most K times,
 exiting as soon as the condition holds afterwards. A foreach loop runs
 zero iterations on an empty list.
@@ -156,7 +163,13 @@ def execute(
         elif isinstance(ins, dsl.LetHidden):
             bind(ins.var, ev(dsl.HiddenCall(ins.fn, ins.args)))
         elif isinstance(ins, dsl.Ite):
-            stack.append((iter(ins.then if ev(ins.pred) else ins.els), None, None))
+            table = dsl.ite_table(ins)
+            v = None if table is None else read(table[0])
+            if type(v) is int:
+                branch = table[1].get(v, table[2])
+            else:
+                branch = ins.then if ev(ins.pred) else ins.els
+            stack.append((iter(branch), None, None))
         elif isinstance(ins, dsl.RetryUntil):
             loop_depth += 1
             stack.append((iter(ins.body), ins, None))

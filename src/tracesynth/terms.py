@@ -4,6 +4,14 @@ One interpreter serves both places that evaluate terms: execution, which
 reads the live bindings of a run, and rewriting, which reads recorded
 valuation cells. They differ only in how a variable is read and in the
 error they raise, so both are parameters.
+
+A Select whose predicates all test one variable against an int (see
+dsl.select_table: the br-keyed Selects of pull and push) reads that
+variable once. An int value takes its case from the table, so the
+cost does not grow with the number of cases. Any other value falls
+back to testing the cases in order, which gives canonical_eq's
+strict-typed answer, and a read that fails raises what the first
+case's predicate would.
 """
 
 from __future__ import annotations
@@ -30,7 +38,13 @@ def term_evaluator(
             return t.value
         if isinstance(t, dsl.VarRef):
             return read(t.name)
+        if isinstance(t, dsl.ValueCheck):
+            return canonical_eq(read(t.var), t.const)
         if isinstance(t, dsl.Select):
+            table = dsl.select_table(t)
+            v = None if table is None else read(table[0])
+            if type(v) is int:
+                return ev(table[1].get(v, table[2]))
             for p, e in t.cases:
                 if ev(p):
                     return ev(e)
@@ -53,8 +67,6 @@ def term_evaluator(
             return ev(t.left) or ev(t.right)
         if isinstance(t, dsl.PNot):
             return not ev(t.inner)
-        if isinstance(t, dsl.ValueCheck):
-            return canonical_eq(read(t.var), t.const)
         if isinstance(t, dsl.Compare):
             lv, rv = read(t.left), read(t.right)
             num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -1,19 +1,75 @@
 """Replay as it was before it walked an explicit stack: exec_instr and
 exec_seq recurse once per nested conditional or loop and pass a CONT /
 STOP status up through every return. Kept verbatim as the reference the
-iterative evaluator.execute is tested against; nothing in src/ uses it."""
+iterative evaluator.execute is tested against; nothing in src/ uses it.
+
+Terms are evaluated by term_evaluator as it was before dispatch tables
+(kept verbatim too): a Select tests its cases in order and a
+conditional evaluates its guard, so no path here shares the tables of
+terms.py and evaluator.py."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Type
 
 from tracesynth import dsl
 from tracesynth.evaluator import EvalError, ExecutionRecorder, LocalState, VisibleHandler
-from tracesynth.jsonvals import JsonValue
-from tracesynth.terms import term_evaluator
+from tracesynth.hidden import HiddenEvalError, HiddenFnBody, eval_hidden
+from tracesynth.jsonvals import JsonValue, canonical_eq
 
 CONT = "cont"
 STOP = "stop"
+
+
+def term_evaluator(
+    read: Callable[[str], JsonValue],
+    read_arg: Callable[[str], JsonValue],
+    hidden: Dict[str, HiddenFnBody],
+    error: Type[Exception],
+) -> Callable[[object], JsonValue]:
+    """Evaluator of expressions and predicates. read gives a variable's
+    value where a term reads it directly, read_arg where it is passed to
+    a hidden function; a term that cannot be evaluated raises error."""
+
+    def ev(t):
+        if isinstance(t, dsl.Const):
+            return t.value
+        if isinstance(t, dsl.VarRef):
+            return read(t.name)
+        if isinstance(t, dsl.Select):
+            for p, e in t.cases:
+                if ev(p):
+                    return ev(e)
+            return ev(t.default)
+        if isinstance(t, dsl.HiddenCall):
+            body = hidden.get(t.fn_name)
+            if body is None:
+                raise error(f"hidden function {t.fn_name} has no definition")
+            try:
+                return eval_hidden(body, [read_arg(a) for a in t.args])
+            except HiddenEvalError as exc:
+                raise error(str(exc)) from exc
+        if isinstance(t, dsl.PTrue):
+            return True
+        if isinstance(t, dsl.PFalse):
+            return False
+        if isinstance(t, dsl.PAnd):
+            return ev(t.left) and ev(t.right)
+        if isinstance(t, dsl.POr):
+            return ev(t.left) or ev(t.right)
+        if isinstance(t, dsl.PNot):
+            return not ev(t.inner)
+        if isinstance(t, dsl.ValueCheck):
+            return canonical_eq(read(t.var), t.const)
+        if isinstance(t, dsl.Compare):
+            lv, rv = read(t.left), read(t.right)
+            num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (num(lv) and num(rv)):
+                raise error(f"comparison {t.op} needs numeric operands")
+            return {">=": lv >= rv, ">": lv > rv, "<=": lv <= rv, "<": lv < rv}[t.op]
+        raise error(f"not an expression or predicate: {t!r}")
+
+    return ev
 
 
 def execute(
