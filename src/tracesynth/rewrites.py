@@ -333,23 +333,26 @@ class StateIndex:
             seq_by_path[seq_path] = seq
             nested = []
             for i, ins in enumerate(seq):
-                if isinstance(ins, dsl.LetVisible):
+                kind = type(ins)
+                if kind is dsl.LetVisible:
                     if ins.n_br:
                         br_lets.append((seq_path + (i,), ins, in_loop))
-                elif isinstance(ins, dsl.Ite):
+                elif kind is dsl.Ite:
                     path = seq_path + (i,)
                     ites.append((path, ins, in_loop))
                     nested += ((path + (0,), ins.then, in_loop), (path + (1,), ins.els, in_loop))
-                elif isinstance(ins, dsl.LetHidden):
+                elif kind is dsl.LetHidden:
                     hidden_lets.append((seq_path + (i,), ins, in_loop))
-                elif isinstance(ins, (dsl.RetryUntil, dsl.Foreach)):
+                elif kind is dsl.RetryUntil or kind is dsl.Foreach:
                     nested.append((seq_path + (i, 0), ins.body, True))
-                if first is None:
+            if first is None:
+                for i, ins in enumerate(seq):
                     path = seq_path + (i,)
                     if path > top:
                         top = path
                     if isinstance(ins, (dsl.LetVisible, dsl.LetHidden, dsl.Foreach)):
                         first = top
+                        break
             stack += reversed(nested)
         self.seqs, self.seq_by_path = seqs, seq_by_path
         self.ites, self.br_lets, self.hidden_lets = ites, br_lets, hidden_lets
@@ -541,9 +544,9 @@ def _hoist_let(ix, end):
             continue
         let = dsl.LetVisible(a.var, a.api, merged_args)
         if end == 0:
-            new = (let, replace(ins, then=ins.then[1:], els=ins.els[1:]))
+            new = (let, dsl.Ite(ins.pred, ins.then[1:], ins.els[1:]))
         else:
-            new = (replace(ins, then=ins.then[:-1], els=ins.els[:-1]), let)
+            new = (dsl.Ite(ins.pred, ins.then[:-1], ins.els[:-1]), let)
         cand = _merged_let_rewrite(ix, path, a, b, new)
         if cand:
             out.append(cand)
