@@ -66,7 +66,7 @@ from . import dsl
 from .dsl import BR
 from .hidden import Input, eval_hidden, expr_uses_input
 from .jsonvals import ABSENT, canonical_eq
-from .pbe import ConstraintCache, GrammarConfig, IOExample
+from .pbe import ConstraintCache, GrammarConfig, IOExample, _Deadline
 from .traces import (
     PerIteration,
     Scalar,
@@ -201,6 +201,11 @@ class RewriteContext:
     # only its new first case is printed. Keeping only the last state's
     # parts bounds the memo by one program.
     param_keys: Dict[int, Tuple[object, str]] = field(default_factory=dict, repr=False)
+    # The search's deadline. eliminate_branch_condition evaluates every
+    # reached guard on every trace that reaches it, N^2/2 evaluations on
+    # the initial chain of N traces, so it stops offering candidates
+    # once the deadline has passed; the search stops there anyway.
+    deadline: _Deadline = field(default_factory=lambda: _Deadline(None), repr=False)
 
 
 # --- tree navigation ---------------------------------------------------------
@@ -824,6 +829,8 @@ def rule_eliminate_branch_condition(ix, ctx):
     program = ix.program
     out = []
     for path, ins, in_loop in ix.ites:
+        if ctx.deadline.expired():
+            break
         if in_loop:
             continue
         guard_br = dsl.term_br(ins.pred)

@@ -199,7 +199,7 @@ def _start(ts: TraceSet, cfg: SearchConfig):
         raise SearchError("SearchConfig.cost_fn is required")
     retry_bound = cfg.retry_bound or default_retry_bound(ts)
     deadline = _Deadline(cfg.timeout)
-    ctx = RewriteContext(ts, ConstraintCache(), cfg.pbe)
+    ctx = RewriteContext(ts, ConstraintCache(), cfg.pbe, deadline=deadline)
     program, sigma = build_initial(ts)
     if not check_psi(program, sigma, ts, retry_bound):
         raise SearchError("initial program does not replay its own traces")

@@ -112,9 +112,8 @@ def test_600_one_call_traces_replay_and_search_without_recursion_error():
     """The initial program nests one conditional per trace, 599 deep.
     Replay walks an explicit stack, so it checks the program; a search
     cut short by its deadline still returns a program that verifies.
-    The deadline runs out while the search replays the initial program:
-    a later one would let a synthesis enumeration start, and the search
-    checks its deadline only between enumerations."""
+    The deadline runs out before the first refinement enumeration
+    ends."""
     apis = [f"svc.Op{a}" for a in range(7)]
     ts = parse_traces(
         json.dumps([[{"api": apis[t % 7], "request": {"k": t}, "response": {"r": t}}] for t in range(600)])

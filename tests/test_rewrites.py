@@ -10,7 +10,7 @@ from tracesynth import dsl
 from tracesynth.evaluator import check_psi, default_retry_bound
 from tracesynth.hidden import HiddenFnBody, ConstVal, Input, Length
 from tracesynth.jsonvals import ABSENT
-from tracesynth.pbe import ConstraintCache
+from tracesynth.pbe import ConstraintCache, _Deadline
 from tracesynth.rewrites import REFINE_RULES, SYNTH_RULES, RewriteContext, enumerate_rewrites
 from tracesynth.search import build_initial
 from tracesynth.traces import PerIteration, Scalar, TraceValuation, ValuationError, parse_traces
@@ -520,6 +520,23 @@ def test_eliminate_branch_condition_retires_spent_selector():
     assert isinstance(hidden_let, dsl.LetHidden) and hidden_let.args == (check_var,)
     assert ite.pred == dsl.ValueCheck(hidden_let.var, True)
     assert check_psi(filled, sigma2, ts, default_retry_bound(ts))
+
+
+def test_eliminate_branch_condition_offers_nothing_past_the_deadline():
+    ts = make_ts(
+        [("Check", {"q": 1}, {"s": "go"}), ("Act", {"a": 1}, {"done": 1})],
+        [("Check", {"q": 1}, {"s": "no"})],
+    )
+    program, sigma = build_initial(ts)
+    ctx = ctx_for(ts)
+    pull = by_rule(enumerate_rewrites(program, sigma, "refine", ctx), "pull")[0]
+    program, sigma = apply_one(pull, sigma)
+    assert by_rule(enumerate_rewrites(program, sigma, "synth", ctx), "eliminate_branch_condition")
+    ctx.deadline = _Deadline(1e-9)
+    assert ctx.deadline.expired()
+    assert not by_rule(
+        enumerate_rewrites(program, sigma, "synth", ctx), "eliminate_branch_condition"
+    )
 
 
 def test_eliminate_branch_condition_needs_scope():

@@ -139,6 +139,23 @@ def test_600_one_call_traces_return_near_a_3s_deadline():
     assert verify_final(result.program, result.sigma, ts)
 
 
+def test_1000_one_call_traces_return_within_1s_of_a_1s_deadline():
+    """eliminate_branch_condition evaluates each conditional's guard on
+    every trace that reaches it, about N^2/2 evaluations on the initial
+    chain of N traces. It stops at the search's deadline, and replay of
+    the initial chain is linear, so a 1 s search on 1,000 traces no
+    longer runs for 3.5 s."""
+    apis = [f"svc.Op{a}" for a in range(7)]
+    ts = parse_traces(
+        json.dumps([[{"api": apis[t % 7], "request": {"k": t}, "response": {"r": t}}] for t in range(1000)])
+    )
+    start = time.perf_counter()
+    result = run_search(ts, config("alternating", timeout=1))
+    assert time.perf_counter() - start < 2
+    assert result.timed_out
+    assert verify_final(result.program, result.sigma, ts)
+
+
 def test_initial_valuation_is_linear_in_the_traces():
     """sigma stores one br cell per trace and one cell per call: a call
     reads as Absent on every other trace without a cell of its own."""
