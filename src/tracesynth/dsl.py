@@ -279,6 +279,10 @@ class LetVisible:
     args: Tuple[Tuple[str, object], ...]
     n_statements: ClassVar[int] = 1
     n_br: int = _counted()
+    # The names its arguments read, built on first use by own_reads and
+    # kept like a table: a pull's arguments are Selects with a case per
+    # trace, read once per node rather than once per state.
+    arg_reads: object = _table()
 
     def __post_init__(self):
         _set(self, "n_br", sum(term_br(e) for _, e in self.args))
@@ -521,117 +525,23 @@ def _term_reads(t, is_pred: bool) -> list:
     return out
 
 
-def _parts(instr) -> tuple:
-    """What an instruction holds of its own, as (its nested sequences'
-    instructions, the names it takes: binder, loop id, visible API; the
-    names it reads directly: a hidden let's arguments; the terms that
-    may read a name: a visible call's arguments other than constants, a
-    guard or exit predicate, a loop source)."""
+def own_reads(instr):
+    """The names instr's own terms read, nested sequences left out: a
+    visible call's arguments, a hidden let's arguments, a guard, an exit
+    predicate, a loop source."""
     if isinstance(instr, LetVisible):
-        return (), (instr.var, instr.api), (), [e for _, e in instr.args if not isinstance(e, Const)]
-    if isinstance(instr, Ite):
-        return instr.then + instr.els, (), (), (instr.pred,)
+        if instr.arg_reads is UNBUILT:
+            _set(instr, "arg_reads", tuple(n for _, e in instr.args for n in expr_reads(e)))
+        return instr.arg_reads
     if isinstance(instr, LetHidden):
-        return (), (instr.var,), instr.args, ()
-    if isinstance(instr, RetryUntil):
-        return instr.body, (instr.loop_id,), (), (instr.pred,)
+        return instr.args
+    if isinstance(instr, (Ite, RetryUntil)):
+        return pred_reads(instr.pred)
     if isinstance(instr, Foreach):
-        return instr.body, (instr.loop_id, instr.var), (), (instr.source,)
-    return (), (), (), ()
-
-
-def _subterms(t) -> tuple:
-    """The parts a Select (case pairs, default), case pair or connective
-    is built of; a leaf has none."""
-    if isinstance(t, Select):
-        return (*t.cases, t.default)
-    if isinstance(t, tuple):
-        return t
-    if isinstance(t, (PAnd, POr)):
-        return (t.left, t.right)
-    if isinstance(t, PNot):
-        return (t.inner,)
-    return ()
-
-
-def _count_term_reads(reads: Counter, stack: list, sign: int, pending: dict) -> None:
-    """Add sign times the reads of the terms on stack to reads. A term
-    with occurrences left in pending (id -> [term, occurrences])
-    cancels one of them instead and is not walked."""
-    while stack:
-        t = stack.pop()
-        hit = pending.get(id(t)) if pending else None
-        if hit is not None and hit[1]:
-            hit[1] -= 1
-        elif isinstance(t, Const):
-            continue
-        elif isinstance(t, VarRef):
-            reads[t.name] += sign
-        elif isinstance(t, ValueCheck):
-            reads[t.var] += sign
-        elif isinstance(t, Compare):
-            reads[t.left] += sign
-            reads[t.right] += sign
-        elif isinstance(t, HiddenCall):
-            for name in t.args:
-                reads[name] += sign
-        else:
-            stack += _subterms(t)
-
-
-def count_changes(old, new, reads: Counter, names: Counter) -> None:
-    """Update a body's read counts, reads, and the counts of the names
-    it takes (binders, loop ids and visible APIs), names, for replacing
-    its run of instructions old by the run new. A name no longer counted
-    is left at zero, as a Counter reads one it never counted.
-
-    An identity diff. An instruction that is the same object on both
-    sides is the same subtree, so neither side is walked below it, and
-    an edit that rebuilds a conditional around its old branches'
-    instructions costs what it rebuilt, not the branches. new is matched
-    against old's instructions down to two levels below the run, where
-    the refinements take theirs from; an instruction shared from deeper
-    down is walked and counted on both sides, which cancels. Likewise a
-    term of a new instruction that is the same object as a term of a
-    replaced one cancels it unread, and a new term built around old
-    ones is walked only down to them: a replaced Select is matched by
-    its case pairs and default, which a pull's Select over the two merged
-    arguments holds. With old empty, all of new is counted in."""
-    in_old, level = set(), old
-    for _ in range(3):
-        in_old.update(map(id, level))
-        level = [n for instr in level for n in _parts(instr)[0]]
-    kept, added_names, added_reads, terms = set(), [], [], []
-    stack = list(new)
-    while stack:
-        instr = stack.pop()
-        if id(instr) in in_old:
-            kept.add(id(instr))
-            continue
-        nested, taken, read, held = _parts(instr)
-        stack += nested
-        added_names += taken
-        added_reads += read
-        terms += held
-    reads.update(added_reads)
-    names.update(added_names)
-    pending = {}  # id of a gone instruction's term -> [term, occurrences]
-    stack = list(old)
-    while stack:
-        instr = stack.pop()
-        if id(instr) in kept:
-            continue
-        nested, taken, read, held = _parts(instr)
-        stack += nested
-        for name in taken:
-            names[name] -= 1
-        for name in read:
-            reads[name] -= 1
-        for t in held:
-            for part in _subterms(t) if isinstance(t, Select) else (t,):
-                pending.setdefault(id(part), [part, 0])[1] += 1
-    _count_term_reads(reads, terms, 1, pending)
-    _count_term_reads(reads, [t for t, n in pending.values() for _ in range(n)], -1, {})
+        return expr_reads(instr.source)
+    if isinstance(instr, Return):
+        return ()
+    raise DslError(f"not an instruction: {instr!r}")
 
 
 def seq_binders(seq) -> list:

@@ -45,13 +45,10 @@ examples' arguments, wait.
 Candidates come back sorted by (site path, rule order), which is the
 deterministic tie-break the search relies on.
 
-A refine state reached by an unbuilt edit counts its reads and names
-in use from the previous state's: the previous enumeration's counts,
-updated by an identity diff of the edit's replaced and new
-instructions (dsl.count_changes). Every rule runs in full at every
-state. With no previous enumeration (the first state, after a
-synthesis or a built body, and every synthesis or ksearch
-enumeration) the counts are taken from the whole body.
+Every enumeration indexes its state afresh, and every rule runs in
+full at every state. The index counts the body's reads and names in
+use in the walk it makes anyway; a visible call keeps its arguments'
+reads (dsl.own_reads), so a call shared between states reads them once.
 """
 
 from __future__ import annotations
@@ -148,20 +145,18 @@ class Rewrite:
     here, the counts being the state's plus the edit's delta, and body
     is read off program, which is built the first time it is read and
     then kept. So a candidate the search does not take is never built,
-    and its site is printed only if the search logs it. A refinement
-    also keeps its enumeration's read counts and names in use, from
-    which the enumeration of the state it leads to starts."""
+    and its site is printed only if the search logs it."""
 
     __slots__ = (
         "rule", "path", "transform", "specs",
-        "params", "n_statements", "n_br", "_cand", "_base", "_program", "_refined",
+        "params", "n_statements", "n_br", "_cand", "_base", "_program",
     )
 
     def __init__(self, rule, base: dsl.Program, cand: Candidate):
         self.rule, self.path, self._cand = rule, cand.path, cand
         self.transform, self.specs = cand.transform, cand.specs
         self.params = cand.fields.get("params", base.params)
-        self._base, self._refined = base, None
+        self._base = base
         if cand.edit is None:
             self._program = replace(base, **cand.fields)
             self.n_statements = self._program.n_statements
@@ -278,14 +273,6 @@ def fresh_name(prefix: str, used: set) -> str:
     return name
 
 
-class _Refined(NamedTuple):
-    """A refine enumeration, as its rewrites keep it for the next
-    state's: its index's read counts and names in use."""
-
-    reads: Counter
-    names: Counter
-
-
 class StateIndex:
     """The analysis every rule reads of one (program, σ) state, done
     once per enumerate_rewrites call: the instruction sites by kind,
@@ -297,37 +284,27 @@ class StateIndex:
     and the hidden-let sites (ites, br_lets, hidden_lets, each in site
     order), so a rule scans only the sites it can rewrite.
 
-    The read counts and the names in use (binders, loop ids and APIs of
-    the body) are kept as counts. prev, when given, is the previous
-    state's refine enumeration and the edit that led here, and its
-    counts are updated by what the edit changes (dsl.count_changes, an
-    identity diff of its replaced and new instructions). With no prev
-    they are the change from an empty body, that is every
-    instruction's. The rebuilt ancestors on the edit's path keep their
-    guards and loop headers, so they change no count.
+    The same walk lists each instruction's own reads (dsl.own_reads)
+    and the names it takes (binder, loop id, visible API). reads counts
+    the first list, built once at the end, and _names is the set of
+    the second.
 
     What reads σ, and the bisection arrays of scope_before, are
     computed on first query: reaching traces and guard values per
     conditional, and the loop spans once for both loop rules."""
 
-    def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet, prev=None):
+    def __init__(self, program: dsl.Program, sigma: TraceValuation, ts: TraceSet):
         self.program = program
         self.sigma = sigma
         self.ts = ts
         self.hidden = program.hidden_map()
-        if prev is None:
-            self.reads, self._names, old, new = Counter(), Counter(), (), program.body
-        else:
-            refined, edit = prev
-            self.reads, self._names = refined.reads.copy(), refined.names.copy()
-            old, new = edit.old, edit.new
-        dsl.count_changes(old, new, self.reads, self._names)
         self._params = [p for p in program.params if p != BR]
         # One walk over the sequences, in preorder: a sequence, then each
         # nested sequence of its instructions in order, then-branch
         # before else-branch. An explicit stack, so depth is unbounded.
         seqs, seq_by_path = [], {}
         ites, br_lets, hidden_lets = [], [], []
+        reads, names = [], []
         # The largest site path scanned up to the first binder, in the
         # order of scope_before's scan; None while no binder is met.
         first, top = None, ()
@@ -338,8 +315,10 @@ class StateIndex:
             seq_by_path[seq_path] = seq
             nested = []
             for i, ins in enumerate(seq):
+                reads += dsl.own_reads(ins)
                 kind = type(ins)
                 if kind is dsl.LetVisible:
+                    names += (ins.var, ins.api)
                     if ins.n_br:
                         br_lets.append((seq_path + (i,), ins, in_loop))
                 elif kind is dsl.Ite:
@@ -347,8 +326,13 @@ class StateIndex:
                     ites.append((path, ins, in_loop))
                     nested += ((path + (0,), ins.then, in_loop), (path + (1,), ins.els, in_loop))
                 elif kind is dsl.LetHidden:
+                    names.append(ins.var)
                     hidden_lets.append((seq_path + (i,), ins, in_loop))
-                elif kind is dsl.RetryUntil or kind is dsl.Foreach:
+                elif kind is dsl.RetryUntil:
+                    names.append(ins.loop_id)
+                    nested.append((seq_path + (i, 0), ins.body, True))
+                elif kind is dsl.Foreach:
+                    names += (ins.loop_id, ins.var)
                     nested.append((seq_path + (i, 0), ins.body, True))
             if first is None:
                 for i, ins in enumerate(seq):
@@ -360,6 +344,7 @@ class StateIndex:
                         break
             stack += reversed(nested)
         self.seqs, self.seq_by_path = seqs, seq_by_path
+        self.reads, self._names = Counter(reads), set(names)
         self.ites, self.br_lets, self.hidden_lets = ites, br_lets, hidden_lets
         self._first_binder_top = first
         self._scope = None  # see scope_before
@@ -372,7 +357,7 @@ class StateIndex:
         ids, hidden functions, holes and visible APIs), for fresh_name
         to grow. A helper named as an API would read back as a call of
         it."""
-        used = {name for name, n in self._names.items() if n}
+        used = set(self._names)
         used.update(self.program.params)
         used.update(n for n, _ in self.program.hidden_defs)
         used.update(self.program.holes)
@@ -858,7 +843,7 @@ def rule_eliminate_branch_condition(ix, ctx):
         # reads br as often as the old one, less the replaced guard's
         # reads (scope never holds br).
         params = program.params
-        if BR in params and ix.reads[BR] == guard_br:
+        if BR in params and program.n_br == guard_br:
             params = tuple(p for p in params if p != BR)
         fields = {"params": params, "holes": program.holes + (fn,)}
         transform = ValuationTransform(new_entries=new_entries, params=params)
@@ -1116,8 +1101,9 @@ def _span_outside_reads(ix, span) -> bool:
     """Whether any variable bound inside the span is read outside the
     instructions the span consumes (those reads would change meaning
     once the span collapses into a loop)."""
-    consumed = Counter()
-    dsl.count_changes((), ix.program.body[span.start : span.start + span.length], consumed, Counter())
+    consumed = Counter(
+        n for ins in dsl.walk(ix.program.body[span.start : span.start + span.length]) for n in dsl.own_reads(ins)
+    )
     return any(ix.reads[stmt.var] > consumed[stmt.var] for _, stmt in span.stmts)
 
 
@@ -1244,37 +1230,18 @@ REFINE_RULES = tuple(_REFINE_FNS)
 SYNTH_RULES = tuple(_SYNTH_FNS)
 
 def enumerate_rewrites(
-    program: dsl.Program,
-    sigma: TraceValuation,
-    kind: str,
-    ctx: RewriteContext,
-    after: Optional[Rewrite] = None,
+    program: dsl.Program, sigma: TraceValuation, kind: str, ctx: RewriteContext
 ) -> List[Rewrite]:
     """The rewrites of kind at the state (program, sigma), sorted by
-    path. after, when given, is the refinement the search took from the
-    previous refine enumeration to reach this state: program is its
-    program and sigma its transform applied to that state's valuation.
-    When it is an unbuilt edit and nothing else, a refine enumeration's
-    index starts from the previous one's read counts and names in use
-    and updates them by the edit; otherwise it counts them from the
-    body. Every rule runs in full either way."""
+    path. Every rule runs in full on one StateIndex of the state."""
     if kind == "refine":
         fns = _REFINE_FNS
     elif kind == "synth":
         fns = _SYNTH_FNS
     else:
         raise ValueError(f"unknown rewrite kind {kind!r}")
-    prev = None  # the previous refine enumeration, if its edit led here
-    if kind == "refine" and after is not None and after._refined is not None:
-        cand = after._cand
-        if cand.edit is not None and not cand.fields and after._program is program:
-            prev = (after._refined, cand.edit)
-    ix = StateIndex(program, sigma, ctx.ts, prev)
+    ix = StateIndex(program, sigma, ctx.ts)
     out = [Rewrite(rule, program, c) for rule, fn in fns.items() for c in fn(ix, ctx)]
     # Stable, so candidates at one path keep their rules' table order.
     out.sort(key=lambda rw: rw.path)
-    if kind == "refine":
-        refined = _Refined(ix.reads, ix._names)
-        for rw in out:
-            rw._refined = refined
     return out

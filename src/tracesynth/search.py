@@ -13,10 +13,6 @@ After both are exhausted, refinements are re-examined once more:
 recorded synthesis failures can unlock the parameter-introduction rule,
 whose guard requires evidence that no hidden function could derive the
 value.
-Each refine state after the first counts its reads and names in use
-from the refinement that reached it, updated by that refinement's edit
-(see rewrites.enumerate_rewrites); the list is the one a full
-enumeration gives.
 
 rts: one refinement pass to a fixpoint, then synthesizing rewrites
 only. Cheaper but can strand a parameter that later refinements
@@ -141,15 +137,13 @@ def _close(program, specs, sigma, ts, ctx, retry_bound, deadline) -> Optional[ds
     return candidate
 
 
-def _improving(program, sigma, cost, kind, ts, cost_fn, ctx, stats, after=None):
+def _improving(program, sigma, cost, kind, ts, cost_fn, ctx, stats):
     """The rewrites of kind at the state that cost less than cost, as
     (cost, rewrite, valuation), sorted by cost; the sort is stable, so
-    of equal costs the first enumerated comes first. after is the
-    refinement that led to the state, if the last refine enumeration
-    offered it (see enumerate_rewrites)."""
+    of equal costs the first enumerated comes first."""
     stats.states_seen += 1
     scored = []
-    for rw in enumerate_rewrites(program, sigma, kind, ctx, after):
+    for rw in enumerate_rewrites(program, sigma, kind, ctx):
         sigma2 = rw.transform.apply(sigma)
         c = cost_fn(rw, sigma2, ts)
         if c < cost:
@@ -160,14 +154,11 @@ def _improving(program, sigma, cost, kind, ts, cost_fn, ctx, stats, after=None):
 
 def _refine_to_fixpoint(program, sigma, cost, ts, cost_fn, ctx, stats, deadline):
     """Apply the cheapest strictly-improving refinement until none is
-    left. Returns (program, sigma, cost, timed_out). Each state after
-    the first is enumerated from the refinement that reached it, whose
-    read counts and names in use its index updates."""
-    rw = None
+    left. Returns (program, sigma, cost, timed_out)."""
     while True:
         if deadline.expired():
             return program, sigma, cost, True
-        scored = _improving(program, sigma, cost, "refine", ts, cost_fn, ctx, stats, rw)
+        scored = _improving(program, sigma, cost, "refine", ts, cost_fn, ctx, stats)
         if not scored:
             return program, sigma, cost, False
         c, rw, sigma2 = scored[0]

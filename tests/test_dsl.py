@@ -26,11 +26,11 @@ from tracesynth.dsl import (
     Select,
     ValueCheck,
     VarRef,
-    count_changes,
     equiv_mod_renaming,
     expr_reads,
     free_vars,
     map_term,
+    own_reads,
     pred_reads,
     pretty_print,
     print_expr,
@@ -38,6 +38,7 @@ from tracesynth.dsl import (
     seq_binders,
     seq_loop_ids,
     validate_program,
+    walk,
 )
 from tracesynth.hidden import Child, HiddenFnBody, Input
 from tracesynth.parser import parse_program
@@ -57,8 +58,7 @@ def test_reads_and_binders():
         Return(),
     )
     assert seq_binders(seq) == ["x", "y", "z", "u", "w"]
-    reads = Counter()
-    count_changes((), seq, reads, Counter())
+    reads = Counter(n for ins in walk(seq) for n in own_reads(ins))
     assert reads == Counter(x=2, p=1, u=1, z=2)
     assert seq_loop_ids(seq) == ["loop_1", "loop_2"]
     assert free_vars(seq) == {"p"}

@@ -72,8 +72,8 @@ def test_only_the_candidates_the_search_solves_build_their_examples(name, strate
     pairs = []  # (synthesizing rewrite, its eager reference)
     real_enumerate = search.enumerate_rewrites
 
-    def recording(program, sigma, kind, ctx, after=None):
-        out = real_enumerate(program, sigma, kind, ctx, after)
+    def recording(program, sigma, kind, ctx):
+        out = real_enumerate(program, sigma, kind, ctx)
         if kind == "synth":
             assert all(spec._build is not None for rw in out for spec in rw.specs)
             ref = reference_rewrites(program, sigma, ctx)
@@ -121,9 +121,9 @@ def test_every_searched_state_has_a_column_for_every_name_in_scope(name, strateg
     states = []
     real_enumerate = search.enumerate_rewrites
 
-    def recording(program, sigma, kind, ctx, after=None):
+    def recording(program, sigma, kind, ctx):
         states.append((program, sigma))
-        out = real_enumerate(program, sigma, kind, ctx, after)
+        out = real_enumerate(program, sigma, kind, ctx)
         states.extend((rw.program, rw.transform.apply(sigma)) for rw in out)
         return out
 

@@ -281,11 +281,10 @@ def test_rebuilds_survive_a_2000_deep_conditional_chain():
 
     renamed = dsl.rename_reads(body, "br", "q")
     assert sum(ins.n_br for ins in renamed) == 0
-    # Read counts from count_changes: the recursive reference would
-    # stop on this depth.
-    reads_q, reads_br = Counter(), Counter()
-    dsl.count_changes((), renamed, reads_q, Counter())
-    dsl.count_changes((), body, reads_br, Counter())
+    # Read counts from own_reads over walk: the recursive reference
+    # would stop on this depth.
+    reads_q = Counter(n for ins in dsl.walk(renamed) for n in dsl.own_reads(ins))
+    reads_br = Counter(n for ins in dsl.walk(body) for n in dsl.own_reads(ins))
     assert reads_q["q"] == reads_br["br"] == 2 * 2000 + 1 and reads_q["br"] == 0
 
     inlined = rewrites._inline_const(body, "br", 2000)
@@ -365,8 +364,8 @@ def test_every_candidate_costs_what_the_full_walk_gives(name, monkeypatch):
     w = CostWeights()
     checked = []
 
-    def checking(program, sigma, kind, ctx, after=None):
-        out = enumerate_rewrites(program, sigma, kind, ctx, after)
+    def checking(program, sigma, kind, ctx):
+        out = enumerate_rewrites(program, sigma, kind, ctx)
         for rw in out:
             sigma2 = rw.transform.apply(sigma)
             syn, traces = cost_syn(rw, w), cost_traces(rw, sigma2, ts, w)

@@ -95,9 +95,9 @@ def test_phased_strategies_count_every_enumerated_state(strategy, monkeypatch):
     enumerate_rewrites = search.enumerate_rewrites
     kinds = []
 
-    def counting(program, sigma, kind, ctx, after=None):
+    def counting(program, sigma, kind, ctx):
         kinds.append(kind)
-        return enumerate_rewrites(program, sigma, kind, ctx, after)
+        return enumerate_rewrites(program, sigma, kind, ctx)
 
     monkeypatch.setattr(search, "enumerate_rewrites", counting)
     result = run_search(ts, config(strategy))
@@ -409,7 +409,7 @@ def test_of_equal_cost_improving_candidates_the_first_enumerated_is_taken(kind, 
     ]
     enumerated = []
 
-    def enumerate_once(p, s, k, ctx, after=None):
+    def enumerate_once(p, s, k, ctx):
         enumerated.append(k)
         return stubs if len(enumerated) == 1 else []
 
@@ -445,9 +445,9 @@ def assert_every_branch_is_taken(ts, cfg):
     states = []
     real_enumerate = search.enumerate_rewrites
 
-    def recording(program, sigma, kind, ctx, after=None):
+    def recording(program, sigma, kind, ctx):
         states.append((program, sigma))
-        return real_enumerate(program, sigma, kind, ctx, after)
+        return real_enumerate(program, sigma, kind, ctx)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "enumerate_rewrites", recording)
