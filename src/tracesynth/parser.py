@@ -53,7 +53,6 @@ from .dsl import (
     Select,
     ValueCheck,
     VarRef,
-    map_instrs,
     validate_program,
 )
 from .hidden import (
@@ -175,27 +174,20 @@ def _tokenize(text: str):
     return toks
 
 
-class _RawLet:
-    """let statement before visible/hidden resolution. The conditionals
-    and loops built around it take their subtree counts from it; they
-    are rebuilt around the resolved lets by map_instrs, so these counts
-    are never read."""
-
-    n_statements = 0
-    n_br = 0
-
-    def __init__(self, var, name, args):
-        self.var = var
-        self.name = name
-        self.args = args  # list of (key, expr); key is None if positional
-
-
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
         self.loop_counter = 0
         self.slots = {}  # argument name -> slot, in a hidden definition
+        # The names a let calls as a hidden function: the header's holes,
+        # added by header(), and every name defined as `name :=`, which
+        # only the where section does.
+        self.hidden_names = {
+            v
+            for (k, v, _), after in zip(toks, toks[1:])
+            if k == "ident" and after[:2] == ("punct", ":=")
+        }
 
     def peek(self, ahead=0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -245,6 +237,7 @@ class _Parser:
         if self.at("ident", "LAMBDA"):
             self.next()
             holes = self.names()
+            self.hidden_names.update(holes)
             self.expect("punct", ".")
         self.expect("ident", "lambda")
         params = ()
@@ -286,12 +279,22 @@ class _Parser:
         raise ParseError(f"unknown statement keyword {v!r} at offset {off}")
 
     def let_stmt(self):
+        """A hidden or a visible call, by its callee's name."""
         self.expect("ident", "let")
         var = self.ident()
         self.expect("punct", "=")
         name = self.next()[1] if self.at("str") else self.dotted_name()
         self.expect("punct", "(")
-        return _RawLet(var, name, self.items(self.let_arg, ")"))
+        args = self.items(self.let_arg, ")")  # (key, expr); key None if positional
+        if name in self.hidden_names:
+            if any(key is not None for key, _ in args):
+                raise ParseError(f"hidden function {name} takes positional arguments")
+            if not all(isinstance(e, VarRef) for _, e in args):
+                raise ParseError(f"hidden function {name} arguments must be variables")
+            return LetHidden(var, name, tuple(e.name for _, e in args))
+        if any(key is None for key, _ in args):
+            raise ParseError(f"visible call {name} requires named arguments")
+        return LetVisible(var, name, tuple(args))
 
     def let_arg(self):
         key = None
@@ -574,31 +577,6 @@ class _Parser:
         return v
 
 
-def _resolve(instr, hidden_names):
-    """A parsed let as a hidden or a visible call, by its callee's name;
-    any other instruction as it is."""
-    if not isinstance(instr, _RawLet):
-        return instr
-    if instr.name in hidden_names:
-        args = []
-        for key, e in instr.args:
-            if key is not None:
-                raise ParseError(
-                    f"hidden function {instr.name} takes positional arguments"
-                )
-            if not isinstance(e, VarRef):
-                raise ParseError(
-                    f"hidden function {instr.name} arguments must be variables"
-                )
-            args.append(e.name)
-        return LetHidden(instr.var, instr.name, tuple(args))
-    if any(key is None for key, _ in instr.args):
-        raise ParseError(
-            f"visible call {instr.name} requires named arguments"
-        )
-    return LetVisible(instr.var, instr.name, tuple(instr.args))
-
-
 def parse_program(text: str) -> Program:
     parser = _Parser(_tokenize(text))
     holes, params = parser.header()
@@ -608,9 +586,6 @@ def parse_program(text: str) -> Program:
         parser.next()
         while not parser.at("end"):
             hidden_defs.append(parser.hidden_def())
-
-    hidden_names = set(holes) | {n for n, _ in hidden_defs}
-    body = map_instrs(body, lambda instr, _: _resolve(instr, hidden_names))
     program = Program(
         params=params, body=body, hidden_defs=tuple(hidden_defs), holes=holes
     )

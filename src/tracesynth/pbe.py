@@ -714,9 +714,11 @@ class ConstraintCache:
         rows = Counter(tuple([of(a) for a in ex.args] + [of(ex.output)]) for ex in examples)
         return kind, arity, frozenset(rows.items())
 
-    def records_unsat(self) -> bool:
-        """Is any constraint set recorded unsat?"""
-        return bool(self._unsat_budget)
+    def records_unsat(self) -> int:
+        """How many constraint sets are recorded unsat, at any budget. A
+        verdict is never taken back, so the count grows exactly when a
+        new one is recorded."""
+        return len(self._unsat_budget)
 
     def has_unsat(self, examples: List[IOExample], kind: str) -> bool:
         """Is this constraint set recorded unsat at any budget?"""

@@ -26,14 +26,17 @@ Rebuilding the spine of ancestors above that sequence costs O(depth),
 and the search takes one candidate of the many it scores, so a Rewrite
 builds its program only when it is first read. A cost function that
 reads only params, n_statements and n_br (costs.cost_syn) scores a
-candidate from its state's counts plus its edit's delta. Some
-candidates carry a built body instead, because their rule walks one:
-pull, push and merge_nested when the dropped binder is read (the reads
-are renamed), inline_trivial_hidden, and introduce_parameter.
+candidate from its state's counts plus its edit's delta. An edit may
+also rename reads (pull, push and merge_nested, when the dropped binder
+is read), which walks the body only when the edit is built. Two rules
+carry a built body instead, because they walk one to decide what they
+offer: inline_trivial_hidden and introduce_parameter.
 
-Every rule computes the successor valuation's transform eagerly; a
-candidate whose transform cannot be built is simply not offered. The
-valuation itself is built from the transform when a cell is first read.
+Every rule computes the successor valuation's transform when it offers
+the candidate; a candidate whose transform cannot be computed is simply
+not offered. The transform is data: the valuation is built from it when
+a cell is first read, so the merged binders' columns of pull, push and
+merge_nested are folded only in a valuation the search reads.
 A synthesizing candidate's examples are built only when the search
 reads them, that is when it tries to solve the candidate: the search
 solves candidates one at a time in cost order and stops at the first
@@ -98,25 +101,31 @@ class SynthesisSpec:
 
 class Edit(NamedTuple):
     """An unbuilt change to a state's body: the instructions old of the
-    sequence at seq_path, from start on, replaced by new. The sequence
-    itself is looked up when the edit is built."""
+    sequence at seq_path, from start on, replaced by new, and then, when
+    rename is an (old, new) pair, every read of the old name in the body
+    made a read of the new one. The sequence itself is looked up when
+    the edit is built."""
 
     seq_path: Tuple[int, ...]
     start: int
     old: Tuple[object, ...]
     new: Tuple[object, ...]
+    rename: Optional[Tuple[str, str]] = None
 
     def build(self, body):
         """body, the state's, with the edit made: the spine of the
-        ancestors on seq_path is rebuilt."""
+        ancestors on seq_path is rebuilt, and a rename walks the whole
+        body."""
         seq, start = seq_at(body, self.seq_path), self.start
-        return replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + len(self.old) :])
+        body = replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + len(self.old) :])
+        return body if self.rename is None else dsl.rename_reads(body, *self.rename)
 
     def delta(self) -> Tuple[int, int]:
         """What the edit adds to the body's statement and br-read
         counts. A rebuilt ancestor keeps its own reads and passes its
         child sequence's change up unchanged, so the replaced
-        instructions' counts against the new ones' is the whole of it."""
+        instructions' counts against the new ones' is the whole of it.
+        A rename never renames br and adds no statement."""
         return (
             sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in self.old),
             sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in self.old),
@@ -253,11 +262,11 @@ def replace_seq_at(seq, seq_path, new_seq):
     return new
 
 
-def _splice(ix, path, new, length=1) -> Edit:
+def _splice(ix, path, new, length=1, rename=None) -> Edit:
     """The edit replacing the length instructions starting at site path
-    by the instructions in new."""
+    by the instructions in new, then renaming reads by rename."""
     seq_path, start = path[:-1], path[-1]
-    return Edit(seq_path, start, ix.seq_by_path[seq_path][start : start + length], new)
+    return Edit(seq_path, start, ix.seq_by_path[seq_path][start : start + length], new, rename)
 
 
 def _site_str(path) -> str:
@@ -467,16 +476,6 @@ class StateIndex:
         return self._spans
 
 
-def _merge_cells(ca, cb) -> Optional[Scalar]:
-    """Cell for a variable merged from two mutually exclusive branches;
-    None when the merge is out of scope (per-iteration cells)."""
-    if not isinstance(ca, Scalar) or not isinstance(cb, Scalar):
-        return None
-    if ca.value is not ABSENT:
-        return ca
-    return cb
-
-
 # --- pull / push -------------------------------------------------------------
 
 
@@ -497,34 +496,23 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
 
 
 def _merged_let_rewrite(ix, path, keep: dsl.LetVisible, drop: dsl.LetVisible, new_instrs):
-    """Shared tail of pull/push/merge: build the program with keep's
-    name as the surviving binder and fold the two valuation columns
-    over the traces where either holds a value."""
-    sigma = ix.sigma
-    new_entries = {}
-    for i in sorted({*sigma.traces_with_value(keep.var), *sigma.traces_with_value(drop.var)}):
-        cell = _merge_cells(sigma.lookup(keep.var, i), sigma.lookup(drop.var, i))
-        if cell is None:
-            return None
-        new_entries[(keep.var, i)] = cell
-    edit = _splice(ix, path, new_instrs)
-    transform = ValuationTransform(drop_vars=(drop.var,), new_entries=new_entries)
-    # Every expression in the spliced body copies one of the state's,
-    # so drop's name is read in it only if the state reads it. Renaming
-    # walks a built body.
-    if ix.reads[drop.var]:
-        body = dsl.rename_reads(edit.build(ix.program.body), drop.var, keep.var)
-        return Candidate(path, {"body": body}, transform)
-    return Candidate(path, {}, transform, edit=edit)
+    """Shared tail of pull/push/merge: keep's name survives, and σ folds
+    drop's column into keep's when it is first read. Every expression in
+    the spliced body copies one of the state's, so drop's name is read
+    in it only if the state reads it."""
+    rename = (drop.var, keep.var) if ix.reads[drop.var] else None
+    transform = ValuationTransform(merge=(drop.var, keep.var))
+    return Candidate(path, {}, transform, edit=_splice(ix, path, new_instrs, rename=rename))
 
 
 def _hoist_let(ix, end):
     """Candidates that unify the lets at one end of both branches of a
     conditional (0, the first; -1, the last) into one let, placed at
-    that end of the conditional."""
+    that end of the conditional. A conditional in a loop body is left
+    alone: its lets hold per-iteration cells, which do not fold."""
     out = []
-    for path, ins, _ in ix.ites:
-        if not ins.then or not ins.els:
+    for path, ins, in_loop in ix.ites:
+        if in_loop or not ins.then or not ins.els:
             continue
         a, b = ins.then[end], ins.els[end]
         if not (isinstance(a, dsl.LetVisible) and isinstance(b, dsl.LetVisible)):
@@ -537,9 +525,7 @@ def _hoist_let(ix, end):
             new = (let, dsl.Ite(ins.pred, ins.then[1:], ins.els[1:]))
         else:
             new = (dsl.Ite(ins.pred, ins.then[:-1], ins.els[:-1]), let)
-        cand = _merged_let_rewrite(ix, path, a, b, new)
-        if cand:
-            out.append(cand)
+        out.append(_merged_let_rewrite(ix, path, a, b, new))
     return out
 
 
@@ -575,10 +561,11 @@ def rule_merge_nested(ix, ctx):
     """Two single-call branches separated by a nested conditional chain
     collapse into one guarded call: `if c1 {A} else { if c2 {B} else {} }`
     becomes `if c1 || c2 {merged}`, and `if c1 {A} else { if c2 {} else
-    {B} }` becomes `if c1 || !c2 {merged}`."""
+    {B} }` becomes `if c1 || !c2 {merged}`. As for pull and push, a
+    conditional in a loop body is left alone."""
     out = []
-    for path, ins, _ in ix.ites:
-        if len(ins.then) != 1 or len(ins.els) != 1:
+    for path, ins, in_loop in ix.ites:
+        if in_loop or len(ins.then) != 1 or len(ins.els) != 1:
             continue
         a, inner = ins.then[0], ins.els[0]
         if not isinstance(a, dsl.LetVisible) or not isinstance(inner, dsl.Ite):
@@ -601,9 +588,7 @@ def rule_merge_nested(ix, ctx):
             if merged_args is None:
                 continue
             new = (dsl.Ite(new_pred, (dsl.LetVisible(a.var, a.api, merged_args),), ()),)
-            cand = _merged_let_rewrite(ix, path, a, b, new)
-            if cand:
-                out.append(cand)
+            out.append(_merged_let_rewrite(ix, path, a, b, new))
     return out
 
 

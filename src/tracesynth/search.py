@@ -9,10 +9,11 @@ alternating: repeatedly apply the cheapest strictly-improving
 refinement; when none is left, try synthesizing rewrites in order of
 resulting cost, accepting the first whose hidden functions all have
 solutions and whose replay still passes, then go back to refining.
-After both are exhausted, refinements are re-examined once more:
-recorded synthesis failures can unlock the parameter-introduction rule,
-whose guard requires evidence that no hidden function could derive the
-value.
+After both are exhausted, refinements are re-examined once more if
+the failed synthesis recorded a new unsat verdict: recorded failures
+can unlock the parameter-introduction rule, whose guard requires
+evidence that no hidden function could derive the value, and
+refinement reads the cache for nothing else.
 
 rts: one refinement pass to a fixpoint, then synthesizing rewrites
 only. Cheaper but can strand a parameter that later refinements
@@ -207,27 +208,25 @@ def _run_phased(ts: TraceSet, cfg: SearchConfig, alternate: bool) -> SearchResul
         program, sigma, cost, ts, cost_fn, ctx, stats, deadline
     )
     while not timed_out:
+        unsat = ctx.cache.records_unsat()
         applied, timed_out = _try_synth(
             program, sigma, cost, ts, cost_fn, ctx, stats, deadline, retry_bound
         )
         if applied is not None:
             program, sigma, cost = applied
-        elif timed_out or not alternate:
+        elif timed_out or not alternate or ctx.cache.records_unsat() == unsat:
+            # Refinement reads the cache only for its unsat verdicts, so
+            # with none new it would enumerate the fixpoint it reached.
             break
-        else:
-            # Synthesis is exhausted; its recorded failures may have
-            # unlocked parameter introduction, so look at refinements
-            # once more, and stop unless they lower the cost.
+        if alternate:
+            # New failures may have unlocked parameter introduction;
+            # after them, stop unless refinement lowers the cost.
             before = cost
             program, sigma, cost, timed_out = _refine_to_fixpoint(
                 program, sigma, cost, ts, cost_fn, ctx, stats, deadline
             )
-            if timed_out or cost == before:
+            if applied is None and cost == before:
                 break
-        if alternate:
-            program, sigma, cost, timed_out = _refine_to_fixpoint(
-                program, sigma, cost, ts, cost_fn, ctx, stats, deadline
-            )
 
     stats.pbe_calls = ctx.cache.pbe_calls
     stats.pbe_sat = ctx.cache.pbe_sat

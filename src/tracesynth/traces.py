@@ -218,7 +218,9 @@ class TraceValuation:
 
     def _build(self) -> None:
         """Build the column tables of this valuation and of every unread
-        base below it, oldest first, without recursion."""
+        base below it, oldest first, without recursion. Each transform
+        drops its columns, then folds its merged pair into a new column,
+        then copies each column it writes once and writes it."""
         chain = []
         sigma = self
         while sigma._pending is not None:
@@ -229,6 +231,9 @@ class TraceValuation:
             columns = dict(base._entries)
             for var in transform.drop_vars:
                 columns.pop(var, None)
+            if transform.merge is not None:  # keep's stored cell wins
+                drop, keep = transform.merge
+                columns[keep] = {**columns.pop(drop, {}), **columns.get(keep, {})}
             copied = set()  # columns of this valuation's own
             for (var, trace_idx), cell in transform.new_entries.items():
                 if var not in copied:
@@ -313,12 +318,15 @@ def evaluate_in_trace(e, sigma: TraceValuation, trace_idx: int, hidden_defs=None
 @dataclass(frozen=True)
 class ValuationTransform:
     """The σ update that accompanies a rewrite: every entry of the
-    drop_vars goes, new_entries are added (an Absent one clears its
-    cell), and params, when given, becomes the parameter list."""
+    drop_vars goes; merge, a (drop, keep) pair, folds drop's column into
+    keep's, a cell of keep's winning over drop's, and drop goes;
+    new_entries are added (an Absent one clears its cell); and params,
+    when given, becomes the parameter list."""
 
     drop_vars: Tuple[str, ...] = ()
     new_entries: Dict[Tuple[str, int], object] = field(default_factory=dict)
     params: Optional[Tuple[str, ...]] = None
+    merge: Optional[Tuple[str, str]] = None
 
     def apply(self, sigma: TraceValuation) -> TraceValuation:
         """The updated valuation. Its cells are copied from sigma only

@@ -243,31 +243,35 @@ def test_merge_nested_collapses_or_not_chain():
 
 
 def test_merge_nested_rejects_per_iteration_columns():
+    """A conditional in a loop body binds its lets once per iteration,
+    and their per-iteration cells cannot be folded across branches, so
+    no merging rule rewrites it."""
     c1, c2 = dsl.ValueCheck("br", 1), dsl.ValueCheck("br", 2)
-    program = dsl.Program(
-        params=("br",),
-        body=(
-            dsl.Ite(
-                c1,
-                (dsl.LetVisible("x1", "A", ()),),
-                (dsl.Ite(c2, (dsl.LetVisible("x3", "A", ()),), ()),),
-            ),
-        ),
-    )
-    # Loop-produced cells cannot be folded across branches.
+    x1, x3 = dsl.LetVisible("x1", "A", ()), dsl.LetVisible("x3", "A", ())
     sigma = TraceValuation(
         params=("br",),
         entries={
             ("br", 1): Scalar(1), ("br", 2): Scalar(2),
-            ("x1", 1): PerIteration(({"r": 1},)), ("x1", 2): Scalar(ABSENT),
-            ("x3", 1): Scalar(ABSENT), ("x3", 2): Scalar({"r": 9}),
+            ("x1", 1): PerIteration(({"r": 1},)), ("x1", 2): PerIteration(()),
+            ("x3", 1): PerIteration(()), ("x3", 2): PerIteration(({"r": 9},)),
+            ("s1", 1): PerIteration((True,)), ("s1", 2): PerIteration((True,)),
         },
     )
-    rws = by_rule(
-        enumerate_rewrites(program, sigma, "refine", ctx_for(dummy_ts(2))),
-        "merge_nested",
-    )
-    assert not rws
+    # The shapes pull and push, and merge_nested, rewrite outside a loop.
+    for ite in (dsl.Ite(c1, (x1,), (x3,)), dsl.Ite(c1, (x1,), (dsl.Ite(c2, (x3,), ()),))):
+        loop = dsl.RetryUntil(
+            "loop_1", (ite, dsl.LetHidden("s1", "f_1", ("x1",))), dsl.ValueCheck("s1", True)
+        )
+        program = dsl.Program(
+            params=("br",), body=(loop,), hidden_defs=(("f_1", HiddenFnBody(1, ConstVal(True))),)
+        )
+        dsl.validate_program(program)
+        rws = enumerate_rewrites(program, sigma, "refine", ctx_for(dummy_ts(2)))
+        assert not [rw for rw in rws if rw.rule in ("pull", "push", "merge_nested")]
+        # The test is structural: outside a loop the conditional is merged.
+        flat = replace(program, body=(ite,), hidden_defs=())
+        rws = enumerate_rewrites(flat, sigma, "refine", ctx_for(dummy_ts(2)))
+        assert [rw for rw in rws if rw.rule in ("pull", "push", "merge_nested")]
 
 
 # --- readers of the dropped binder -----------------------------------------------

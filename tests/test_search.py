@@ -323,9 +323,31 @@ def test_a_plain_function_as_cost_fn_searches_as_the_cost_fn_does(name, kind):
 
 
 # The rules that build their candidates' bodies as they enumerate them:
-# renaming reads and inlining a constant walk a built body.
-EAGER_RULES = {"pull", "push", "merge_nested", "inline_trivial_hidden"}
+# inlining a constant, or a projection's reads, walks a built body.
+EAGER_RULES = {"inline_trivial_hidden"}
 FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file())
+
+
+@pytest.mark.parametrize("cost", ["syn", "traces"])
+@pytest.mark.parametrize("strategy", ["alternating", "rts"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_no_refinement_enumeration_repeats_the_one_before(name, strategy, cost, monkeypatch):
+    """Refinement reads the constraint cache only for its unsat
+    verdicts, so enumerating the refinements of the program the last
+    refinement enumeration saw, with no new verdict, finds nothing
+    new."""
+    enumerate_rewrites = search.enumerate_rewrites
+    seen = []  # (program, unsat verdicts) of each refinement enumeration
+
+    def recording(program, sigma, kind, ctx):
+        if kind == "refine":
+            seen.append((program, ctx.cache.records_unsat()))
+        return enumerate_rewrites(program, sigma, kind, ctx)
+
+    monkeypatch.setattr(search, "enumerate_rewrites", recording)
+    run_search(load(name), config(strategy, cost_fn=make_cost_fn(cost)))
+    assert seen
+    assert all(a != b for a, b in zip(seen, seen[1:]))
 
 
 @pytest.mark.parametrize("name", FIXTURES)

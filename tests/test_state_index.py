@@ -372,6 +372,7 @@ transforms = st.builds(
     drop_vars=st.lists(st.sampled_from(VARS), max_size=2).map(tuple),
     new_entries=flat_entries,
     params=st.none() | st.lists(st.sampled_from(VARS), max_size=2, unique=True).map(tuple),
+    merge=st.none() | st.lists(st.sampled_from(VARS), min_size=2, max_size=2, unique=True).map(tuple),
 )
 
 
@@ -409,9 +410,9 @@ def assert_matches_model(sigma, params, model):
     st.randoms(use_true_random=False),
 )
 def test_per_variable_cells_match_a_flat_model(params, entries, chain, rnd):
-    """Drops, partial overwrites of surviving columns, interleaved
-    variables and parameter changes give the same valuation as the
-    flat drop-then-update model, whatever order the chain is read in,
+    """Drops, merges, partial overwrites of surviving columns,
+    interleaved variables and parameter changes give the same valuation
+    as the flat drop-merge-update model, whatever order the chain is read in,
     and building a valuation never changes its base."""
     sigmas = [TraceValuation(params, dict(entries))]
     models = [(params, dict(entries))]
@@ -419,6 +420,14 @@ def test_per_variable_cells_match_a_flat_model(params, entries, chain, rnd):
         sigmas.append(t.apply(sigmas[-1]))
         base_params, base = models[-1]
         model = {k: v for k, v in base.items() if k[0] not in t.drop_vars}
+        if t.merge is not None:
+            # keep's stored cell wins, else drop's; then drop goes. keep
+            # is known afterwards even with no cell.
+            drop, keep = t.merge
+            merged = {(keep, i): cell for (var, i), cell in model.items() if var == drop}
+            merged.update((k, cell) for k, cell in model.items() if k[0] == keep and cell != Scalar(ABSENT))
+            model = {k: v for k, v in model.items() if k[0] not in t.merge}
+            model.update(merged or {(keep, TRACES[0]): Scalar(ABSENT)})
         model.update(t.new_entries)
         models.append((base_params if t.params is None else t.params, model))
     order = rnd.sample(range(len(sigmas)), len(sigmas))
