@@ -22,7 +22,7 @@ zero iterations on an empty list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import dsl
 from .jsonvals import JsonValue, canonical_eq, canonical_dumps
@@ -74,21 +74,6 @@ class GlobalOracle:
         return self.cursor == len(self.trace)
 
 
-@dataclass
-class ExecutionRecorder:
-    """Capture of binding and call events during one run."""
-
-    bind_events: List[Tuple[str, JsonValue, bool]] = field(default_factory=list)
-    calls: List[Tuple[str, dict, JsonValue]] = field(default_factory=list)
-    stopped: bool = False
-
-    def on_bind(self, var: str, value: JsonValue, in_loop: bool):
-        self.bind_events.append((var, value, in_loop))
-
-    def on_call(self, api: str, request: dict, response: JsonValue):
-        self.calls.append((api, request, response))
-
-
 VisibleHandler = Callable[[str, dict], JsonValue]
 
 
@@ -97,11 +82,11 @@ def execute(
     inputs: Dict[str, JsonValue],
     visible: VisibleHandler,
     retry_bound: int,
-    recorder: Optional[ExecutionRecorder] = None,
 ) -> LocalState:
     """Run a closed program with the given parameter values, routing
-    visible calls through the handler. Returns the final local state;
-    recorder.stopped tells whether a return truncated the run."""
+    visible calls through the handler. Returns the final local state.
+    A handler that records its calls sees what the run did, and where
+    a return cut it short."""
     if not program.is_closed():
         raise EvalError(f"program has unsolved holes: {list(program.holes)}")
     if set(inputs) != set(program.params):
@@ -113,17 +98,12 @@ def execute(
 
     hidden = program.hidden_map()
     state = LocalState(bindings=dict(inputs))
-    loop_depth = 0  # loops entered and not yet left
+    bindings = state.bindings
 
     def read(var: str) -> JsonValue:
-        if var not in state.bindings:
+        if var not in bindings:
             raise EvalError(f"read of unbound variable {var}")
-        return state.bindings[var]
-
-    def bind(var: str, value: JsonValue):
-        state.bindings[var] = value
-        if recorder:
-            recorder.on_bind(var, value, loop_depth > 0)
+        return bindings[var]
 
     ev = term_evaluator(read, read, hidden, EvalError)
 
@@ -131,7 +111,6 @@ def execute(
     # the loop whose body it is (None for a branch or the program body),
     # and a foreach's items not yet bound, last first.
     stack = [(iter(program.body), None, None)]
-    stopped = False
     while stack:
         instrs, loop, items = stack[-1]
         ins = next(instrs, None)
@@ -144,7 +123,7 @@ def execute(
                 counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
                 again = not ev(loop.pred) and counters[loop.loop_id] < retry_bound
             elif items:
-                bind(loop.var, items.pop())
+                bindings[loop.var] = items.pop()
                 counters[loop.loop_id] = counters.get(loop.loop_id, 0) + 1
                 again = True
             else:
@@ -153,15 +132,11 @@ def execute(
                 stack.append((iter(loop.body), loop, items))
             else:
                 counters[loop.loop_id] = 0
-                loop_depth -= 1
         elif isinstance(ins, dsl.LetVisible):
             request = {name: ev(arg) for name, arg in ins.args}
-            response = visible(ins.api, request)
-            if recorder:
-                recorder.on_call(ins.api, request, response)
-            bind(ins.var, response)
+            bindings[ins.var] = visible(ins.api, request)
         elif isinstance(ins, dsl.LetHidden):
-            bind(ins.var, ev(dsl.HiddenCall(ins.fn, ins.args)))
+            bindings[ins.var] = ev(dsl.HiddenCall(ins.fn, ins.args))
         elif isinstance(ins, dsl.Ite):
             table = dsl.ite_table(ins)
             v = None if table is None else read(table[0])
@@ -171,7 +146,6 @@ def execute(
                 branch = ins.then if ev(ins.pred) else ins.els
             stack.append((iter(branch), None, None))
         elif isinstance(ins, dsl.RetryUntil):
-            loop_depth += 1
             stack.append((iter(ins.body), ins, None))
         elif isinstance(ins, dsl.Foreach):
             source = ev(ins.source)
@@ -179,17 +153,12 @@ def execute(
                 raise EvalError(
                     f"foreach source must be a list, got {type(source).__name__}"
                 )
-            loop_depth += 1
             # An empty body frame: its end binds the first item.
             stack.append((iter(()), ins, source[::-1]))
         elif isinstance(ins, dsl.Return):
-            stopped = True
             break
         else:
             raise EvalError(f"not an instruction: {ins!r}")
-
-    if recorder:
-        recorder.stopped = stopped
     return state
 
 
@@ -202,13 +171,12 @@ def replay_check(
     inputs: Dict[str, JsonValue],
     trace: Trace,
     retry_bound: int,
-    recorder: Optional[ExecutionRecorder] = None,
 ) -> Tuple[bool, str]:
     """Does running the program with these inputs emit exactly this
     trace? All recorded events must be consumed."""
     oracle = GlobalOracle(trace)
     try:
-        execute(program, inputs, oracle.call, retry_bound, recorder)
+        execute(program, inputs, oracle.call, retry_bound)
     except EvalError as exc:
         return False, str(exc)
     if not oracle.done():

@@ -21,7 +21,9 @@ _SYNTH_FNS and its order is its place there; enumerate_rewrites alone
 turns candidates into Rewrites.
 
 A candidate's change to the body is an Edit: a run of one sequence's
-instructions replaced by new ones, not yet built into the program.
+instructions replaced by new ones, not yet built into the program. The
+edit keeps the sequence, which the index already holds, and the number
+of instructions it replaces, so building it descends the path once.
 Rebuilding the spine of ancestors above that sequence costs O(depth),
 and the search takes one candidate of the many it scores, so a Rewrite
 builds its program only when it is first read. A cost function that
@@ -50,8 +52,10 @@ deterministic tie-break the search relies on.
 
 Every enumeration indexes its state afresh, and every rule runs in
 full at every state. The index counts the body's reads and names in
-use in the walk it makes anyway; a visible call keeps its arguments'
-reads (dsl.own_reads), so a call shared between states reads them once.
+use in the walk it makes anyway, and a rule takes its new names from
+it (StateIndex.fresh). A visible call keeps its arguments' reads
+(dsl.own_reads), so a call shared between states reads them once, and
+pull, push and merge_nested test the two calls' binders against them.
 """
 
 from __future__ import annotations
@@ -100,15 +104,17 @@ class SynthesisSpec:
 
 
 class Edit(NamedTuple):
-    """An unbuilt change to a state's body: the instructions old of the
-    sequence at seq_path, from start on, replaced by new, and then, when
-    rename is an (old, new) pair, every read of the old name in the body
-    made a read of the new one. The sequence itself is looked up when
-    the edit is built."""
+    """An unbuilt change to a state's body: the length instructions of
+    seq, the state's sequence at seq_path, from start on, replaced by
+    new, and then, when rename is an (old, new) pair, every read of the
+    old name in the body made a read of the new one. seq is taken from
+    the state's index (StateIndex.seq_by_path), so building the edit
+    descends the path once, to rebuild its spine."""
 
     seq_path: Tuple[int, ...]
+    seq: Tuple[object, ...]
     start: int
-    old: Tuple[object, ...]
+    length: int
     new: Tuple[object, ...]
     rename: Optional[Tuple[str, str]] = None
 
@@ -116,8 +122,8 @@ class Edit(NamedTuple):
         """body, the state's, with the edit made: the spine of the
         ancestors on seq_path is rebuilt, and a rename walks the whole
         body."""
-        seq, start = seq_at(body, self.seq_path), self.start
-        body = replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + len(self.old) :])
+        seq, start = self.seq, self.start
+        body = replace_seq_at(body, self.seq_path, seq[:start] + self.new + seq[start + self.length :])
         return body if self.rename is None else dsl.rename_reads(body, *self.rename)
 
     def delta(self) -> Tuple[int, int]:
@@ -126,9 +132,10 @@ class Edit(NamedTuple):
         child sequence's change up unchanged, so the replaced
         instructions' counts against the new ones' is the whole of it.
         A rename never renames br and adds no statement."""
+        old = self.seq[self.start : self.start + self.length]
         return (
-            sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in self.old),
-            sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in self.old),
+            sum(ins.n_statements for ins in self.new) - sum(ins.n_statements for ins in old),
+            sum(ins.n_br for ins in self.new) - sum(ins.n_br for ins in old),
         )
 
 
@@ -217,19 +224,8 @@ class RewriteContext:
 # An instruction site is a tuple of ints: index within its sequence,
 # then (branch, index) pairs while descending. Branch 0 is the
 # then-branch or loop body, branch 1 the else-branch. Sites are visited
-# sequence by sequence (see StateIndex.seqs), which is not
+# sequence by sequence (see StateIndex.seq_by_path), which is not
 # lexicographic order: (1,) comes before (0, 0, 0).
-
-
-def seq_at(seq, seq_path):
-    """The sequence at seq_path in seq."""
-    for p in range(0, len(seq_path), 2):
-        ins = seq[seq_path[p]]
-        if isinstance(ins, dsl.Ite):
-            seq = ins.then if seq_path[p + 1] == 0 else ins.els
-        else:
-            seq = ins.body
-    return seq
 
 
 def replace_seq_at(seq, seq_path, new_seq):
@@ -266,37 +262,31 @@ def _splice(ix, path, new, length=1, rename=None) -> Edit:
     """The edit replacing the length instructions starting at site path
     by the instructions in new, then renaming reads by rename."""
     seq_path, start = path[:-1], path[-1]
-    return Edit(seq_path, start, ix.seq_by_path[seq_path][start : start + length], new, rename)
+    return Edit(seq_path, ix.seq_by_path[seq_path], start, length, new, rename)
 
 
 def _site_str(path) -> str:
     return "/".join(str(p) for p in path) or "top"
 
 
-def fresh_name(prefix: str, used: set) -> str:
-    n = 1
-    while f"{prefix}{n}" in used:
-        n += 1
-    name = f"{prefix}{n}"
-    used.add(name)
-    return name
-
-
 class StateIndex:
     """The analysis every rule reads of one (program, σ) state, done
     once per enumerate_rewrites call: the instruction sites by kind,
     the names in scope at each site, how often each name is read, the
-    names in use, the traces that reach each site, and the loop spans.
+    names in use and the fresh names outside them, the traces that
+    reach each site, and the loop spans.
 
-    One walk gathers each sequence (seqs, seq_by_path) and the
-    conditional sites, the visible-let sites whose arguments read br
-    and the hidden-let sites (ites, br_lets, hidden_lets, each in site
-    order), so a rule scans only the sites it can rewrite.
+    One walk gathers each sequence by its path (seq_by_path, in walk
+    order), which an Edit splices, and the conditional sites, the
+    visible-let sites whose arguments read br and the hidden-let sites
+    (ites, br_lets, hidden_lets, each in site order), so a rule scans
+    only the sites it can rewrite.
 
     The same walk lists each instruction's own reads (dsl.own_reads)
     and the names it takes (binder, loop id, visible API). reads counts
-    the first list, built once at the end, and _names is the set of
-    the second.
+    the first list, built once at the end, and names is the set of the
+    second with the program's parameters, hidden functions and holes,
+    which fresh picks new names outside of.
 
     What reads σ, and the bisection arrays of scope_before, are
     computed on first query: reaching traces and guard values per
@@ -311,7 +301,7 @@ class StateIndex:
         # One walk over the sequences, in preorder: a sequence, then each
         # nested sequence of its instructions in order, then-branch
         # before else-branch. An explicit stack, so depth is unbounded.
-        seqs, seq_by_path = [], {}
+        seq_by_path = {}
         ites, br_lets, hidden_lets = [], [], []
         reads, names = [], []
         # The largest site path scanned up to the first binder, in the
@@ -319,8 +309,7 @@ class StateIndex:
         first, top = None, ()
         stack = [((), program.body, False)]
         while stack:
-            seq_path, seq, in_loop = located = stack.pop()
-            seqs.append(located)
+            seq_path, seq, in_loop = stack.pop()
             seq_by_path[seq_path] = seq
             nested = []
             for i, ins in enumerate(seq):
@@ -352,8 +341,9 @@ class StateIndex:
                         first = top
                         break
             stack += reversed(nested)
-        self.seqs, self.seq_by_path = seqs, seq_by_path
-        self.reads, self._names = Counter(reads), set(names)
+        self.seq_by_path = seq_by_path
+        self.reads = Counter(reads)
+        self.names = {*names, *program.params, *(n for n, _ in program.hidden_defs), *program.holes}
         self.ites, self.br_lets, self.hidden_lets = ites, br_lets, hidden_lets
         self._first_binder_top = first
         self._scope = None  # see scope_before
@@ -361,16 +351,17 @@ class StateIndex:
         self._guards = {}  # conditional's site path -> {trace: guard value}
         self._spans = None  # see loop_spans
 
-    def used_names(self) -> set:
-        """A fresh set of the names in use (parameters, binders, loop
-        ids, hidden functions, holes and visible APIs), for fresh_name
-        to grow. A helper named as an API would read back as a call of
-        it."""
-        used = set(self._names)
-        used.update(self.program.params)
-        used.update(n for n, _ in self.program.hidden_defs)
-        used.update(self.program.holes)
-        return used
+    def fresh(self, prefix: str) -> str:
+        """The least prefix<n>, n >= 1, not in names; a helper named as
+        an API would read back as a call of it. A candidate asks for
+        each prefix at most once and no two of the rules' prefixes
+        (f_, b_, v_, i_, s_, L_, u_, loop_) give the same name, so the
+        names a candidate takes differ from each other without being
+        added to the set."""
+        n = 1
+        while f"{prefix}{n}" in self.names:
+            n += 1
+        return f"{prefix}{n}"
 
     def has_scope(self, site_path) -> bool:
         """Whether scope_before(site_path) is not empty, without its
@@ -383,7 +374,7 @@ class StateIndex:
     def scope_before(self, site_path) -> List[str]:
         """Input names usable at a site: the parameters except br, then
         the binders (lets and loop variables) of the sites that the scan
-        over self.seqs meets before its first site whose path is >=
+        over seq_by_path meets before its first site whose path is >=
         site_path. That order is not lexicographic, so a binder
         enclosing a nested site may be left out of its scope, and a
         binder in a sibling branch may be in it."""
@@ -393,7 +384,7 @@ class StateIndex:
             # among the first k sites.
             binders, n_binders, max_path = [], [0], []
             top = ()
-            for seq_path, seq, _ in self.seqs:
+            for seq_path, seq in self.seq_by_path.items():
                 for i, ins in enumerate(seq):
                     path = seq_path + (i,)
                     if path > top:
@@ -484,9 +475,8 @@ def _unify_args(a: dsl.LetVisible, b: dsl.LetVisible, pred):
         return None
     if tuple(k for k, _ in a.args) != tuple(k for k, _ in b.args):
         return None
-    reads = set()
-    for _, e in a.args + b.args:
-        reads.update(dsl.expr_reads(e))
+    # The calls' argument reads, kept on them by the index's walk.
+    reads = dsl.own_reads(a) + dsl.own_reads(b)
     if a.var in reads or b.var in reads:
         return None
     merged = []
@@ -730,8 +720,7 @@ def rule_introduce_parameter(ix, ctx):
             }
         except ValuationError:
             continue
-        used = ix.used_names()
-        q = fresh_name("i_", used)
+        q = ix.fresh("i_")
         body = _replace_param_occurrences(program, sigma, e, values, q, hidden)
         params = program.params + (q,)
         new_entries = {(q, i): Scalar(values[i]) for i in ctx.ts.indices()}
@@ -816,9 +805,7 @@ def rule_eliminate_branch_condition(ix, ctx):
         if len(guard) < len(reaching):
             continue  # the guard cannot be evaluated on some trace
         outputs = [bool(g) for g in guard.values()]
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        bvar = fresh_name("b_", used)
+        fn, bvar = ix.fresh("f_"), ix.fresh("b_")
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
         edit = _splice(ix, path, (hidden_let, new_ite))
@@ -905,9 +892,7 @@ def rule_eliminate_argument(ix, ctx):
             if derived is None:
                 continue
             outputs, examples = derived
-            used = ix.used_names()
-            fn = fresh_name("f_", used)
-            vvar = fresh_name("v_", used)
+            fn, vvar = ix.fresh("f_"), ix.fresh("v_")
             hidden_let = dsl.LetHidden(vvar, fn, tuple(scope))
             new_args = tuple(
                 (k, dsl.VarRef(vvar) if j == arg_idx else a)
@@ -1124,10 +1109,7 @@ def rule_introduce_retry(ix, ctx):
             continue
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path) + [first.var]
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        svar = fresh_name("s_", used)
-        loop_id = fresh_name("loop_", used)
+        fn, svar, loop_id = ix.fresh("f_"), ix.fresh("s_"), ix.fresh("loop_")
         call_args = tuple((k, chosen[k]) for k in names)
         loop = dsl.RetryUntil(
             loop_id,
@@ -1160,11 +1142,7 @@ def rule_introduce_foreach(ix, ctx):
         scope = ix.scope_before(first_path)
         if not scope:
             continue
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        lvar = fresh_name("L_", used)
-        uvar = fresh_name("u_", used)
-        loop_id = fresh_name("loop_", used)
+        fn, lvar, uvar, loop_id = ix.fresh("f_"), ix.fresh("L_"), ix.fresh("u_"), ix.fresh("loop_")
         traces = list(ctx.ts.indices())
         items = [list(values[vname][i]) for i in traces]
         call_args = tuple(

@@ -6,19 +6,38 @@ iterative evaluator.execute is tested against; nothing in src/ uses it.
 Terms are evaluated by term_evaluator as it was before dispatch tables
 (kept verbatim too): a Select tests its cases in order and a
 conditional evaluates its guard, so no path here shares the tables of
-terms.py and evaluator.py."""
+terms.py and evaluator.py.
+
+The run can be recorded (ExecutionRecorder): every binding, whether it
+was made inside a loop, and every call. tests/randprog.py builds a
+random program's traces and valuation from it."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from tracesynth import dsl
-from tracesynth.evaluator import EvalError, ExecutionRecorder, LocalState, VisibleHandler
+from tracesynth.evaluator import EvalError, LocalState, VisibleHandler
 from tracesynth.hidden import HiddenEvalError, HiddenFnBody, eval_hidden
 from tracesynth.jsonvals import JsonValue, canonical_eq
 
 CONT = "cont"
 STOP = "stop"
+
+
+@dataclass
+class ExecutionRecorder:
+    """Capture of binding and call events during one run."""
+
+    bind_events: List[Tuple[str, JsonValue, bool]] = field(default_factory=list)
+    calls: List[Tuple[str, dict, JsonValue]] = field(default_factory=list)
+
+    def on_bind(self, var: str, value: JsonValue, in_loop: bool):
+        self.bind_events.append((var, value, in_loop))
+
+    def on_call(self, api: str, request: dict, response: JsonValue):
+        self.calls.append((api, request, response))
 
 
 def term_evaluator(
@@ -80,8 +99,7 @@ def execute(
     recorder: Optional[ExecutionRecorder] = None,
 ) -> LocalState:
     """Run a closed program with the given parameter values, routing
-    visible calls through the handler. Returns the final local state;
-    recorder.stopped tells whether a return truncated the run."""
+    visible calls through the handler. Returns the final local state."""
     if not program.is_closed():
         raise EvalError(f"program has unsolved holes: {list(program.holes)}")
     if set(inputs) != set(program.params):
@@ -167,7 +185,5 @@ def execute(
                 return STOP
         return CONT
 
-    status = exec_seq(program.body)
-    if recorder:
-        recorder.stopped = status is STOP
+    exec_seq(program.body)
     return state

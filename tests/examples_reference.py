@@ -9,7 +9,9 @@ sites_reference, as StateIndex no longer lists them all. The loop rules
 collect their spans from every sequence outside a loop, as they did
 before the spans were taken from the top-level body alone, so comparing
 the two at every search state also tests that no nested span is ever
-lost. Nothing in src/ uses it."""
+lost. New names come from StateIndex.fresh, the sequences from
+sites_reference.iter_seqs and each Edit from rewrites._splice, as in
+the rules. Nothing in src/ uses it."""
 
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from tracesynth.rewrites import (
     _span_arg_profile,
     _span_iterations,
     _splice,
-    fresh_name,
 )
 from tracesynth.traces import (
     PerIteration,
@@ -81,9 +82,8 @@ def rule_eliminate_branch_condition(ix, ctx):
             examples.append(IOExample(args=args, output=guard[i]))
         if not ok:
             continue
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        bvar = fresh_name("b_", used)
+        fn = ix.fresh("f_")
+        bvar = ix.fresh("b_")
         hidden_let = dsl.LetHidden(bvar, fn, tuple(scope))
         new_ite = replace(ins, pred=dsl.ValueCheck(bvar, True))
         edit = _splice(ix, path, (hidden_let, new_ite))
@@ -147,9 +147,8 @@ def rule_eliminate_argument(ix, ctx):
             examples = _derivation_examples(ix, scope, in_loop, ins, e)
             if examples is None:
                 continue
-            used = ix.used_names()
-            fn = fresh_name("f_", used)
-            vvar = fresh_name("v_", used)
+            fn = ix.fresh("f_")
+            vvar = ix.fresh("v_")
             hidden_let = dsl.LetHidden(vvar, fn, tuple(scope))
             new_args = tuple(
                 (k, dsl.VarRef(vvar) if j == arg_idx else a)
@@ -217,7 +216,7 @@ def _find_spans(ix) -> List[_Span]:
     statement list is in program order (preorder), which within any one
     trace is also execution order, since each trace takes one branch."""
     spans = []
-    for seq_path, seq, in_loop in ix.seqs:
+    for seq_path, seq, in_loop in sites_reference.iter_seqs(ix.program.body):
         if in_loop:
             continue
         i = 0
@@ -309,10 +308,9 @@ def rule_introduce_retry(ix, ctx):
     for span, runs, names, _, _, chosen in _loop_spans(ix, ctx, 0):
         first_path, first = span.stmts[0]
         scope = ix.scope_before(first_path) + [first.var]
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        svar = fresh_name("s_", used)
-        loop_id = fresh_name("loop_", used)
+        fn = ix.fresh("f_")
+        svar = ix.fresh("s_")
+        loop_id = ix.fresh("loop_")
         examples = []
         for i in ctx.ts.indices():
             n = len(runs[i])
@@ -350,11 +348,10 @@ def rule_introduce_foreach(ix, ctx):
         scope = ix.scope_before(first_path)
         if not scope:
             continue
-        used = ix.used_names()
-        fn = fresh_name("f_", used)
-        lvar = fresh_name("L_", used)
-        uvar = fresh_name("u_", used)
-        loop_id = fresh_name("loop_", used)
+        fn = ix.fresh("f_")
+        lvar = ix.fresh("L_")
+        uvar = ix.fresh("u_")
+        loop_id = ix.fresh("loop_")
         examples = []
         items = {}
         for i in ctx.ts.indices():

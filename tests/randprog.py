@@ -2,6 +2,7 @@
 
 Programs stay within tight structural budgets: at most 8 statements,
 at most 2 conditionals, at most 1 loop. Each generated program is run
+by the recording reference evaluator (tests/evaluator_reference.py)
 against a deterministic handler to record per-trace call logs, and the
 recorded bindings become the trace valuation, so the program replays
 its own traces by construction.
@@ -9,8 +10,8 @@ its own traces by construction.
 
 import json
 
+import evaluator_reference as reference
 from tracesynth import dsl
-from tracesynth.evaluator import ExecutionRecorder, execute
 from tracesynth.hidden import HiddenFnBody, Input
 from tracesynth.jsonvals import ABSENT
 from tracesynth.traces import PerIteration, Scalar, TraceValuation, parse_traces
@@ -233,8 +234,8 @@ def generate_case(rng):
     payload = []
     binds = {}
     for i in range(1, n_traces + 1):
-        rec = ExecutionRecorder()
-        execute(program, rows[i], _make_handler(), GENERATION_RETRY_BOUND, rec)
+        rec = reference.ExecutionRecorder()
+        reference.execute(program, rows[i], _make_handler(), GENERATION_RETRY_BOUND, rec)
         payload.append(
             [{"api": a, "request": r, "response": resp} for a, r, resp in rec.calls]
         )

@@ -5,8 +5,9 @@ from the root for every site and trace. Also the recursive walks that
 validation, the cost functions and the index used before they counted
 with stacks or read the counts kept on program nodes: the statement and
 read counters, binders, loop ids, free variables, hidden-call checks,
-visible-let binders and the names in use. And the recursive rebuilders
-that dsl.map_instrs replaced: read renaming and const-inlining. And
+visible-let binders and the names in use, and the least fresh name
+outside them. And the recursive rebuilders that dsl.map_instrs
+replaced: read renaming and const-inlining. And
 the recursive term readers, expr_reads and pred_reads. And the
 recursive printer and the recursive matcher that compared programs
 up to renaming before dsl renamed them canonically. And the recursive
@@ -315,8 +316,22 @@ def check_calls(seq, known) -> None:
     check_calls(seq)
 
 
+# The prefixes the rules take fresh names with.
+FRESH_PREFIXES = ("f_", "b_", "v_", "i_", "s_", "L_", "u_", "loop_")
+
+
+def fresh(program: dsl.Program, prefix: str) -> str:
+    """The least prefix<n> outside used_names(program), to compare with
+    rewrites.StateIndex.fresh."""
+    used = used_names(program)
+    n = 1
+    while f"{prefix}{n}" in used:
+        n += 1
+    return f"{prefix}{n}"
+
+
 def used_names(program: dsl.Program) -> set:
-    """rewrites.used_names."""
+    """The names in use, to compare with rewrites.StateIndex.names."""
     names = set(program.params)
     names.update(seq_binders(program.body))
     names.update(seq_loop_ids(program.body))

@@ -18,12 +18,7 @@ from test_pbe import BOOL_SETS, VALUE_SETS, oracle_solve
 from tracesynth import dsl
 from tracesynth.cli import main
 from tracesynth.costs import make_cost_fn
-from tracesynth.evaluator import (
-    ExecutionRecorder,
-    check_psi,
-    default_retry_bound,
-    execute,
-)
+from tracesynth.evaluator import check_psi, default_retry_bound, execute
 from tracesynth.hidden import eval_bool, eval_path, print_hidden_fn
 from tracesynth.jsonvals import canonical_eq
 from tracesynth.parser import parse_program
@@ -92,7 +87,7 @@ def test_every_refinement_of_1000_random_programs_replays():
                 continue
             try:
                 dsl.validate_program(rw.program)
-            except dsl.ProgramError:
+            except dsl.DslError:
                 failures.append((seed, rw.rule, rw.site))
                 continue
             if not check_psi(rw.program, sigma2, ts, bound):
@@ -164,9 +159,8 @@ def test_loop_semantics_bound_counters_and_early_return():
             q = queues[api]
             return q.pop(0) if len(q) > 1 else q[0]
 
-        rec = ExecutionRecorder()
-        state = execute(program, {}, handler, retry_bound=bound, recorder=rec)
-        return state, calls, rec
+        state = execute(program, {}, handler, retry_bound=bound)
+        return state, calls
 
     poll_loop = dsl.Program(
         params=(),
@@ -176,12 +170,12 @@ def test_loop_semantics_bound_counters_and_early_return():
     )
 
     # The body runs at most K times even when the predicate never holds.
-    state, calls, _ = run(poll_loop, {"svc.Poll": ["pending"]}, bound=4)
+    state, calls = run(poll_loop, {"svc.Poll": ["pending"]}, bound=4)
     assert calls == ["svc.Poll"] * 4
     assert state.loop_counters["loop_1"] == 0
 
     # Normal exit through the predicate also resets the counter.
-    state, calls, _ = run(poll_loop, {"svc.Poll": ["pending", "done"]}, bound=9)
+    state, calls = run(poll_loop, {"svc.Poll": ["pending", "done"]}, bound=9)
     assert calls == ["svc.Poll"] * 2
     assert state.loop_counters["loop_1"] == 0
 
@@ -200,9 +194,9 @@ def test_loop_semantics_bound_counters_and_early_return():
         hidden_defs=(),
         holes=(),
     )
-    state, calls, rec = run(returning, {"svc.Poll": ["pending", "boom"], "svc.After": [1]}, bound=9)
-    assert rec.stopped
+    state, calls = run(returning, {"svc.Poll": ["pending", "boom"], "svc.After": [1]}, bound=9)
     assert calls == ["svc.Poll", "svc.Poll"]
+    assert "z" not in state.bindings
 
     # Foreach visits every item and resets its counter on exit.
     foreach = dsl.Program(
@@ -219,7 +213,7 @@ def test_loop_semantics_bound_counters_and_early_return():
         hidden_defs=(),
         holes=(),
     )
-    state, calls, _ = run(foreach, {"svc.List": [["a", "b"]], "svc.Each": [0]}, bound=9)
+    state, calls = run(foreach, {"svc.List": [["a", "b"]], "svc.Each": [0]}, bound=9)
     assert calls == ["svc.List", "svc.Each", "svc.Each"]
     assert state.loop_counters["loop_1"] == 0
 

@@ -16,7 +16,6 @@ from tracesynth.dsl import (
 )
 from tracesynth.evaluator import (
     EvalError,
-    ExecutionRecorder,
     GlobalOracle,
     default_retry_bound,
     execute,
@@ -90,22 +89,21 @@ def test_return_inside_retry_truncates_and_keeps_counter():
     p = prog((RetryUntil("loop_1", body, ValueCheck("d", "done")),
               let("z", api="svc.After")))
     h = ScriptedHandler({"svc.Poll": ["pending", "boom"], "svc.After": [1]})
-    rec = ExecutionRecorder()
-    state = execute(p, {}, h, retry_bound=10, recorder=rec)
-    assert rec.stopped
+    state = execute(p, {}, h, retry_bound=10)
     # Not reset on early termination: it still holds the completed
     # iteration count (the stop happened mid-way through the second).
     assert state.loop_counters["loop_1"] == 1
+    # The return cut off the call after the loop.
     assert [a for a, _ in h.calls] == ["svc.Poll", "svc.Poll"]
+    assert "z" not in state.bindings
 
 
 def test_return_truncates_the_rest_of_the_program():
     p = prog((let("a", api="svc.A"), Return(), let("b", api="svc.B")))
     h = ScriptedHandler({"svc.A": [1], "svc.B": [2]})
-    rec = ExecutionRecorder()
-    execute(p, {}, h, retry_bound=2, recorder=rec)
-    assert rec.stopped
+    state = execute(p, {}, h, retry_bound=2)
     assert [a for a, _ in h.calls] == ["svc.A"]
+    assert state.bindings == {"a": 1}
 
 
 def test_foreach_runs_zero_times_on_empty_list():

@@ -1,6 +1,6 @@
 """The iterative evaluator.execute against the recursive one it replaced
-(tests/evaluator_reference.py): the same bindings, loop counters,
-recorded binds and calls, stop flag and error message on every run."""
+(tests/evaluator_reference.py): the same bindings, loop counters, error
+message and calls, as a recording handler sees them, on every run."""
 
 import json
 import random
@@ -12,20 +12,27 @@ from randprog import _make_handler, generate_case
 from test_evaluator import ScriptedHandler, let, prog
 from tracesynth.costs import CostWeights, make_cost_fn
 from tracesynth.dsl import Const, Foreach, Ite, Return, RetryUntil, ValueCheck, VarRef
-from tracesynth.evaluator import EvalError, ExecutionRecorder, GlobalOracle, check_psi, execute
+from tracesynth.evaluator import EvalError, GlobalOracle, check_psi, execute
 from tracesynth.search import SearchConfig, build_initial, run_search, verify_final
 from tracesynth.traces import extract_inputs, parse_traces
 
 
 def outcome(execute_fn, program, inputs, handler, retry_bound):
-    """Everything a run leaves behind: the state and the recorder, or
-    the error message and what was recorded before it."""
-    rec = ExecutionRecorder()
+    """Everything a run leaves behind: the state and the calls it made,
+    or the error message and the calls made before it. A return shows
+    as the calls it cut off."""
+    calls = []
+
+    def recording(api, request):
+        response = handler(api, request)
+        calls.append((api, request, response))
+        return response
+
     try:
-        state = execute_fn(program, inputs, handler, retry_bound, rec)
+        state = execute_fn(program, inputs, recording, retry_bound)
     except EvalError as exc:
-        return ("error", str(exc), rec.bind_events, rec.calls, rec.stopped)
-    return (state.bindings, state.loop_counters, rec.bind_events, rec.calls, rec.stopped)
+        return ("error", str(exc), calls)
+    return (state.bindings, state.loop_counters, calls)
 
 
 def assert_same_run(program, inputs, make_handler, retry_bound):
@@ -61,51 +68,50 @@ def test_a_return_inside_a_retry_leaves_its_counter_and_stops_the_run():
     poll = let("d", api="svc.Poll")
     stop_on = Ite(ValueCheck("d", "stop"), (Return(),), ())
     loop = RetryUntil("loop_1", (poll, stop_on), ValueCheck("d", "done"))
-    bindings, counters, binds, calls, stopped = run(
+    bindings, counters, calls = run(
         (loop, let("after")), {"svc.Poll": ["pending", "stop", "done"], "svc.Op": ["r"]}
     )
     assert counters == {"loop_1": 1}
+    # The return cut off the third poll and the call after the loop.
     assert [api for api, _, _ in calls] == ["svc.Poll", "svc.Poll"]
-    assert "after" not in bindings and stopped
-    assert all(in_loop for _, _, in_loop in binds)
+    assert bindings == {"d": "stop"}
 
 
 def test_a_return_inside_a_foreach_leaves_its_counter_and_stops_the_run():
     body = (let("x", u=VarRef("u")), Ite(ValueCheck("u", 2), (Return(),), ()))
     loop = Foreach("loop_1", "u", Const([1, 2, 3]), body)
-    bindings, counters, binds, calls, stopped = run((loop, let("after")), {"svc.Op": ["r"]})
+    bindings, counters, calls = run((loop, let("after")), {"svc.Op": ["r"]})
     assert counters == {"loop_1": 2}
+    # The return cut off the third item's call and the call after the loop.
     assert [request for _, request, _ in calls] == [{"u": 1}, {"u": 2}]
-    assert [(v, val) for v, val, _ in binds] == [("u", 1), ("x", "r"), ("u", 2), ("x", "r")]
-    assert "after" not in bindings and stopped
+    assert bindings == {"u": 2, "x": "r"}
 
 
 def test_an_empty_foreach_runs_no_body_and_resets_its_counter():
     loop = Foreach("loop_1", "u", Const([]), (let("x"),))
-    bindings, counters, binds, calls, stopped = run((loop, let("after")), {"svc.Op": ["r"]})
+    bindings, counters, calls = run((loop, let("after")), {"svc.Op": ["r"]})
     assert counters == {"loop_1": 0}
-    assert binds == [("after", "r", False)]
-    assert "u" not in bindings and not stopped
+    assert calls == [("svc.Op", {}, "r")]
+    assert bindings == {"after": "r"}
 
 
 def test_a_foreach_over_a_non_list_is_an_error():
     loop = Foreach("loop_1", "u", Const(3), (let("x"),))
     got = run((let("before"), loop), {"svc.Op": ["r"]})
-    assert got[:2] == ("error", "foreach source must be a list, got int")
-    assert got[2] == [("before", "r", False)]
+    assert got == ("error", "foreach source must be a list, got int", [("svc.Op", {}, "r")])
 
 
 def test_a_retry_that_hits_k_stops_after_k_runs_and_resets_its_counter():
     loop = RetryUntil("loop_1", (let("d", api="svc.Poll"),), ValueCheck("d", "done"))
-    bindings, counters, binds, calls, stopped = run((loop,), {"svc.Poll": ["pending"]}, retry_bound=3)
-    assert len(calls) == 3 and counters == {"loop_1": 0}
-    assert bindings["d"] == "pending" and not stopped
+    bindings, counters, calls = run((loop, let("after")), {"svc.Poll": ["pending"], "svc.Op": ["r"]}, retry_bound=3)
+    assert [api for api, _, _ in calls] == ["svc.Poll"] * 3 + ["svc.Op"]
+    assert counters == {"loop_1": 0}
+    assert bindings == {"d": "pending", "after": "r"}
 
 
 def test_a_read_of_an_unbound_variable_is_an_error():
     got = run((let("x"), let("y", k=VarRef("nope"))), {"svc.Op": ["r"]})
-    assert got[:2] == ("error", "read of unbound variable nope")
-    assert got[3] == [("svc.Op", {}, "r")]
+    assert got == ("error", "read of unbound variable nope", [("svc.Op", {}, "r")])
 
 
 def test_600_one_call_traces_replay_and_search_without_recursion_error():

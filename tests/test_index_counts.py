@@ -1,8 +1,9 @@
-"""StateIndex's read counts and names in use, taken in its one walk
-over the body, against the recursive reference walk
+"""StateIndex's read counts, names in use and fresh names, taken in its
+one walk over the body, against the recursive reference walk
 (tests/sites_reference.py) at every state a fixture search enumerates
-and along random chains of refinements; and the reads a visible call
-keeps on its node, from which those counts are taken."""
+and along random chains of refinements; that the names each candidate
+of a fixture search adds are new; and the reads a visible call keeps on
+its node, from which those counts are taken."""
 
 import json
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import sites_reference as reference
 from randprog import generate_case
-from tracesynth import dsl, rewrites
+from tracesynth import dsl, rewrites, search
 from tracesynth.costs import make_cost_fn
 from tracesynth.pbe import ConstraintCache
 from tracesynth.rewrites import RewriteContext, StateIndex, enumerate_rewrites
@@ -28,7 +29,9 @@ FIXTURES = sorted(d.name for d in BENCH.iterdir() if (d / "traces.json").is_file
 
 def assert_counts_match_reference(ix):
     assert ix.reads == Counter(reference.seq_reads(ix.program.body))
-    assert ix.used_names() == reference.used_names(ix.program)
+    assert ix.names == reference.used_names(ix.program)
+    for prefix in reference.FRESH_PREFIXES:
+        assert ix.fresh(prefix) == reference.fresh(ix.program, prefix), prefix
 
 
 class CheckedIndex(StateIndex):
@@ -51,6 +54,40 @@ def test_every_index_of_a_fixture_search_counts_what_the_reference_does(name, st
     ts = parse_traces((BENCH / name / "traces.json").read_text())
     result = run_search(ts, SearchConfig(strategy=strategy, cost_fn=make_cost_fn(cost)))
     assert CheckedIndex.built == result.stats.states_seen > 0
+
+
+def names_taken(program):
+    """Every name a program gives out: holes, binders, loop ids and
+    parameters, each as often as it is given."""
+    body = program.body
+    return Counter([*program.holes, *dsl.seq_binders(body), *dsl.seq_loop_ids(body), *program.params])
+
+
+@pytest.mark.parametrize("cost", ["syn", "traces"])
+@pytest.mark.parametrize("strategy", ["alternating", "rts"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_candidate_of_a_fixture_search_adds_only_new_names(name, strategy, cost, monkeypatch):
+    """At every state the search enumerates, the names each candidate
+    adds differ from each other and from the state's names in use.
+    StateIndex.fresh adds no name to the set it checks, so a candidate's
+    names stay apart only because its prefixes do."""
+    enumerate_rewrites = search.enumerate_rewrites
+    added_by_rule = Counter()
+
+    def checking(program, sigma, kind, ctx):
+        out = enumerate_rewrites(program, sigma, kind, ctx)
+        used, before = reference.used_names(program), names_taken(program)
+        for rw in out:
+            added = names_taken(rw.program) - before
+            assert all(n == 1 for n in added.values()), (rw.rule, added)
+            assert not used & set(added), (rw.rule, added)
+            added_by_rule[rw.rule] += len(added)
+        return out
+
+    monkeypatch.setattr(search, "enumerate_rewrites", checking)
+    ts = parse_traces((BENCH / name / "traces.json").read_text())
+    run_search(ts, SearchConfig(strategy=strategy, cost_fn=make_cost_fn(cost)))
+    assert sum(added_by_rule.values()) > 0
 
 
 def walk_chain(program, sigma, ts, rnd, steps):

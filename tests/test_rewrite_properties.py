@@ -63,7 +63,7 @@ def test_refinements_preserve_replay_across_1000_programs():
                 continue
             try:
                 dsl.validate_program(rw.program)
-            except dsl.ProgramError:
+            except dsl.DslError:
                 failures.append((seed, rw.rule, rw.site, "invalid program"))
                 continue
             if check_psi(rw.program, sigma2, ts, bound):

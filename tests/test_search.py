@@ -181,8 +181,9 @@ def test_initial_valuation_is_linear_in_the_traces():
 
 
 def test_a_helper_is_never_named_as_an_api():
-    """The API f_1 is the name fresh_name would give the guard's helper;
-    the script then read `f_1(id=i_1)` as a call of the helper."""
+    """The API f_1 is the least f_<n> name the guard's helper could take;
+    were APIs not names in use, the script would read `f_1(id=i_1)` as
+    a call of the helper."""
     traces = []
     for n, state in ((1, "running"), (2, "stopped"), (3, "running")):
         trace = [{"api": "f_1", "request": {"id": f"i-{n}"}, "response": {"state": state}}]

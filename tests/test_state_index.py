@@ -116,7 +116,7 @@ def assert_index_matches_reference(program, sigma, ts, order):
     assert program.n_br == reference.count_reads(body, "br")
 
     ix = StateIndex(program, sigma, ts)
-    assert ix.seqs == list(reference.iter_seqs(body))
+    assert list(ix.seq_by_path.items()) == [(path, seq) for path, seq, _ in reference.iter_seqs(body)]
     for kind, sites in ((dsl.Ite, ix.ites), (dsl.LetHidden, ix.hidden_lets)):
         assert sites == [site for site in reference.iter_instr_sites(body) if isinstance(site[1], kind)]
     assert ix.br_lets == [
@@ -125,7 +125,9 @@ def assert_index_matches_reference(program, sigma, ts, order):
         if isinstance(site[1], dsl.LetVisible) and reference.count_reads(site[1:2], "br")
     ]
     assert ix.reads == Counter(reads)
-    assert ix.used_names() == reference.used_names(program)
+    assert ix.names == reference.used_names(program)
+    for prefix in reference.FRESH_PREFIXES:
+        assert ix.fresh(prefix) == reference.fresh(program, prefix), prefix
     for path in every_query_path(body):
         scope = reference.scope_before(program, path)
         assert ix.scope_before(path) == scope, path
@@ -226,12 +228,12 @@ def test_sites_inside_loops_are_reached_by_no_trace():
 
 
 def index_sites(body):
-    """The instruction sites of a program over br with this body, read
-    off its StateIndex's sequences, in site order; the recursive
-    reference walk cannot reach this deep."""
+    """The instruction sites (path, instruction) of a program over br
+    with this body, read off its StateIndex's sequences, in site order;
+    the recursive reference walk cannot reach this deep."""
     program = dsl.Program(params=("br",), body=body)
     ix = StateIndex(program, TraceValuation(params=("br",), entries={}), make_ts(2))
-    return [(path + (i,), ins, loop) for path, seq, loop in ix.seqs for i, ins in enumerate(seq)]
+    return [(path + (i,), ins) for path, seq in ix.seq_by_path.items() for i, ins in enumerate(seq)]
 
 
 def test_walks_survive_a_1200_deep_conditional_chain():
@@ -257,7 +259,7 @@ def test_walks_survive_a_1200_deep_conditional_chain():
     with pytest.raises(RecursionError):
         reference.seq_binders(body)
     replaced = index_sites(replace_seq_at(body, (0, 1) * 1200, (let(-1),)))
-    assert [path for path, _, _ in replaced] == [path for path, _, _ in sites]
+    assert [path for path, _ in replaced] == [path for path, _ in sites]
     assert replaced[-1][1] == let(-1)
 
 
